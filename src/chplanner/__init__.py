@@ -29,7 +29,6 @@ from .hierarchy import (
 )
 from .inference import (
     AugmentedKernel,
-    AugmentedState,
     Belief,
     History,
     InconsistentObservationError,

@@ -12,7 +12,9 @@ Subcommands
 ``evaluate``
     Run a batch of seeds per human level and write an aggregate report.
 
-Exit codes: 0 ok, 2 configuration error, 3 aborted on an infeasible plan.
+Exit codes: 0 ok, 1 ``evaluate`` lost at least one seed to an error (the
+report, with its ``failed_seeds`` lists, is still written), 2 configuration
+error, 3 aborted on an infeasible plan.
 
 Episodes are reproducible: the master seed spawns two independent
 generators (human sampling, ego sampling), so identical
@@ -25,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,7 +128,12 @@ class EpisodeLog:
 def build_artifacts(
     config: ScenarioConfig, cache_dir: str | Path = DEFAULT_CACHE_DIR
 ) -> tuple[Scenario, Hierarchy, str]:
-    """Scenario plus its (possibly cached) policy hierarchy and content hash."""
+    """Scenario plus its (possibly cached) policy hierarchy and content hash.
+
+    A cache file that cannot be read (for instance one truncated by a killed
+    process) or that holds another build counts as a miss: the hierarchy is
+    rebuilt and the file replaced.
+    """
     scenario = make_scenario(config)
     anchor_ego = level0_policy(scenario, EGO)
     anchor_env = level0_policy(scenario, ENV)
@@ -136,9 +144,12 @@ def build_artifacts(
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"hierarchy-{content_hash[:16]}.npz"
     if path.exists():
-        hierarchy, stored = load_hierarchy(path)
-        if stored == content_hash and hierarchy.k_max == config.k_max:
-            return scenario, hierarchy, content_hash
+        try:
+            hierarchy, stored = load_hierarchy(path)
+            if stored == content_hash and hierarchy.k_max == config.k_max:
+                return scenario, hierarchy, content_hash
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            pass
     hierarchy = build_hierarchy(
         scenario.spec, config.k_max, anchor_ego, anchor_env, config.softmax_temperature
     )
@@ -157,7 +168,7 @@ def scenario_planner(scenario: Scenario, kernel: AugmentedKernel) -> Planner:
     return Planner(
         kernel=kernel,
         reward_aug=lift_reward(scenario.ego_objective, len(kernel.levels)),
-        safe_sets=scenario.spec.safe_sets,
+        safe_set=scenario.spec.safe_set,
         epsilon=scenario.config.epsilon,
         discount=scenario.config.discount,
         horizon=scenario.config.horizon,
@@ -185,7 +196,7 @@ def run_episode(
     planner (default) or the robust ``"maximin"`` baseline.
     """
     config = scenario.config
-    if human_level > hierarchy.k_max or human_level < 1:
+    if not 0 <= human_level <= hierarchy.k_max:
         raise ValueError(f"human level {human_level} not in the built hierarchy")
     step_cap = config.step_cap if step_cap is None else step_cap
     on_infeasible = config.on_infeasible if on_infeasible is None else on_infeasible
@@ -217,11 +228,11 @@ def run_episode(
             break
         tic = time.perf_counter()
         if ego_controller == "maximin":
-            seq = maximin_plan(scenario.spec, state, config.horizon, config.discount, t=t)
+            seq = maximin_plan(scenario.spec, state, config.horizon, config.discount)
             u1 = int(seq[0])
             plan = None
         else:
-            u1, plan = receding_horizon_step(planner, belief, t, ego_rng)
+            u1, plan = receding_horizon_step(planner, belief, ego_rng)
             if not plan.feasible and on_infeasible == "abort":
                 raise InfeasiblePlanAbort(
                     f"no feasible plan at t={t} (best probability "
@@ -511,6 +522,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     for level, stats in report["per_level"].items():
         print(f"level {level}: {json.dumps(stats, sort_keys=True)}")
+    failed = sum(len(stats["failed_seeds"]) for stats in report["per_level"].values())
+    if failed:
+        print(f"evaluate: {failed} episode(s) failed; see failed_seeds in {out}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,6 @@ the tables derived from them are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -21,10 +20,7 @@ __all__ = [
     "GameSpec",
     "PolicyTable",
     "ValidationReport",
-    "reward_table",
-    "safe_mask",
     "step",
-    "tabulate_transitions",
     "validate_game",
 ]
 
@@ -35,40 +31,72 @@ ENV = 2
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Two-player dynamic game ``<X, U1 x U2, T, {R1, R2}, {X_t}, discount, horizon>``.
+    """Two-player dynamic game ``<X, U1 x U2, T, {R1, R2}, X_safe, discount, horizon>``.
 
-    ``transition`` must be total: it has to return a valid state index for
-    every in-range ``(state, u1, u2)`` triple.  Rewards are functions of the
-    successor state only; the general ``(state, u1, u2)`` reward form is out
-    of scope.  ``safe_sets`` maps an absolute time ``t`` to a boolean
-    membership mask over states; time-invariant games return the same mask
-    for every ``t``.
-
-    The optional ``*_table`` fields let constructors that already hold
-    vectorized tables share them with the numeric layers; when absent the
-    tables are built on demand from the callables.
+    The game is held as dense tables only.  ``transition_table[x, u1, u2]``
+    is the successor state index and must be total (every entry in
+    ``[0, |X|)``; :func:`validate_game` checks this).  Rewards are functions
+    of the successor state only, one value per state and player; the general
+    ``(state, u1, u2)`` reward form is out of scope.  ``safe_set`` is one
+    boolean membership mask over states: every scenario's safe set is
+    time-invariant, so the paper's time-indexed ``{X_t}`` is the same mask
+    at every step.
     """
 
-    num_states: int
-    num_ego_actions: int
-    num_env_actions: int
-    transition: Callable[[int, int, int], int]
-    ego_reward: Callable[[int], float]
-    env_reward: Callable[[int], float]
-    safe_sets: Callable[[int], np.ndarray]
+    transition_table: np.ndarray = field(repr=False)
+    ego_reward_table: np.ndarray = field(repr=False)
+    env_reward_table: np.ndarray = field(repr=False)
+    safe_set: np.ndarray = field(repr=False)
     discount: float
     horizon: int
-    transition_table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    ego_reward_table: np.ndarray | None = field(default=None, repr=False, compare=False)
-    env_reward_table: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.asarray(self.transition_table, dtype=np.int64)
+        if table.ndim != 3:
+            raise ValueError(
+                f"transition_table must be 3-D (states x ego actions x env actions), "
+                f"got shape {table.shape}"
+            )
+        object.__setattr__(self, "transition_table", table)
+        for name, dtype in (
+            ("ego_reward_table", float),
+            ("env_reward_table", float),
+            ("safe_set", bool),
+        ):
+            arr = np.asarray(getattr(self, name), dtype=dtype)
+            if arr.shape != (self.num_states,):
+                raise ValueError(
+                    f"{name} has shape {arr.shape}, expected ({self.num_states},)"
+                )
+            object.__setattr__(self, name, arr)
+
+    @property
+    def num_states(self) -> int:
+        return self.transition_table.shape[0]
+
+    @property
+    def num_ego_actions(self) -> int:
+        return self.transition_table.shape[1]
+
+    @property
+    def num_env_actions(self) -> int:
+        return self.transition_table.shape[2]
 
     def num_actions(self, player: int) -> int:
         if player == EGO:
             return self.num_ego_actions
         if player == ENV:
             return self.num_env_actions
+        raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
+
+    def rewards(self, player: int) -> np.ndarray:
+        """Vector of per-state reward values ``R^player(x)`` over all states."""
+        if player == EGO:
+            return self.ego_reward_table
+        if player == ENV:
+            return self.env_reward_table
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
 
 
@@ -126,48 +154,6 @@ class ValidationReport:
         return self.ok
 
 
-def tabulate_transitions(spec: GameSpec) -> np.ndarray:
-    """Dense successor table ``T[x, u1, u2] -> next state index``.
-
-    Returns the precomputed table when the spec carries one, otherwise
-    evaluates the transition callable over the whole product space.
-    """
-    if spec.transition_table is not None:
-        return spec.transition_table
-    table = np.empty(
-        (spec.num_states, spec.num_ego_actions, spec.num_env_actions), dtype=np.int64
-    )
-    for x in range(spec.num_states):
-        for u1 in range(spec.num_ego_actions):
-            for u2 in range(spec.num_env_actions):
-                table[x, u1, u2] = spec.transition(x, u1, u2)
-    return table
-
-
-def reward_table(spec: GameSpec, player: int) -> np.ndarray:
-    """Vector of per-state reward values ``R^player(x)`` over all states."""
-    if player == EGO and spec.ego_reward_table is not None:
-        return spec.ego_reward_table
-    if player == ENV and spec.env_reward_table is not None:
-        return spec.env_reward_table
-    fn = spec.ego_reward if player == EGO else spec.env_reward
-    if player not in (EGO, ENV):
-        raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
-    return np.fromiter(
-        (fn(x) for x in range(spec.num_states)), dtype=float, count=spec.num_states
-    )
-
-
-def safe_mask(spec: GameSpec, t: int) -> np.ndarray:
-    """Boolean membership mask of the safe set ``X_t``."""
-    mask = np.asarray(spec.safe_sets(t), dtype=bool)
-    if mask.shape != (spec.num_states,):
-        raise ValueError(
-            f"safe set at t={t} has shape {mask.shape}, expected ({spec.num_states},)"
-        )
-    return mask
-
-
 def step(spec: GameSpec, state: int, u1: int, u2: int) -> tuple[int, float, float]:
     """Advance the game one step.
 
@@ -185,16 +171,15 @@ def step(spec: GameSpec, state: int, u1: int, u2: int) -> tuple[int, float, floa
         raise ValueError(f"ego action {u1} out of range [0, {spec.num_ego_actions})")
     if not 0 <= u2 < spec.num_env_actions:
         raise ValueError(f"env action {u2} out of range [0, {spec.num_env_actions})")
-    nxt = int(spec.transition(state, u1, u2))
-    return nxt, float(spec.ego_reward(nxt)), float(spec.env_reward(nxt))
+    nxt = int(spec.transition_table[state, u1, u2])
+    return nxt, float(spec.ego_reward_table[nxt]), float(spec.env_reward_table[nxt])
 
 
-def validate_game(spec: GameSpec, check_time_steps: int = 1) -> ValidationReport:
+def validate_game(spec: GameSpec) -> ValidationReport:
     """Diagnostic check of the :class:`GameSpec` invariants.
 
     Never raises for invariant violations; collects them into the report
-    instead.  ``check_time_steps`` controls how many safe-set masks are
-    inspected (time-invariant games only need one).
+    instead.  Table shapes are already checked when the spec is built.
     """
     problems: list[str] = []
     if spec.num_states < 1:
@@ -208,7 +193,7 @@ def validate_game(spec: GameSpec, check_time_steps: int = 1) -> ValidationReport
     if problems:
         return ValidationReport(False, tuple(problems))
 
-    table = tabulate_transitions(spec)
+    table = spec.transition_table
     bad = (table < 0) | (table >= spec.num_states)
     if bad.any():
         for x, u1, u2 in np.argwhere(bad)[:5]:
@@ -221,15 +206,9 @@ def validate_game(spec: GameSpec, check_time_steps: int = 1) -> ValidationReport
             problems.append(f"... and {extra} more out-of-range transitions")
 
     for player, name in ((EGO, "ego"), (ENV, "env")):
-        rewards = reward_table(spec, player)
+        rewards = spec.rewards(player)
         if not np.isfinite(rewards).all():
             idx = int(np.argmax(~np.isfinite(rewards)))
             problems.append(f"{name}_reward not finite at state {idx}")
-
-    for t in range(check_time_steps):
-        try:
-            safe_mask(spec, t)
-        except ValueError as exc:
-            problems.append(str(exc))
 
     return ValidationReport(not problems, tuple(problems))

@@ -17,19 +17,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .game import (
-    EGO,
-    ENV,
-    GameSpec,
-    PolicyTable,
-    reward_table,
-    tabulate_transitions,
-)
+from .game import EGO, ENV, GameSpec, PolicyTable
 
 __all__ = [
     "QTable",
@@ -98,14 +93,6 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     return PolicyTable(level=q.level, player=q.player, probs=probs)
 
 
-def _own_major_table(spec: GameSpec, player: int) -> np.ndarray:
-    """Successor table with the player's own action on axis 1."""
-    table = tabulate_transitions(spec)
-    if player == EGO:
-        return table
-    return table.transpose(0, 2, 1)
-
-
 def _suffix_values(
     succ: np.ndarray, opp_probs: np.ndarray, rewards: np.ndarray,
     discount: float, depth: int,
@@ -150,8 +137,11 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
             f"opponent policy shape {opponent_policy.probs.shape} does not match "
             f"({spec.num_states}, {n_opp})"
         )
-    succ = _own_major_table(spec, player)
-    rewards = reward_table(spec, player)
+    # Successor table with the player's own action on axis 1.
+    succ = spec.transition_table
+    if player == ENV:
+        succ = succ.transpose(0, 2, 1)
+    rewards = spec.rewards(player)
     opp_probs = opponent_policy.probs
     values = np.full((spec.num_states, n_own), -np.inf)
     for tail in _suffix_values(succ, opp_probs, rewards, spec.discount, spec.horizon - 1):
@@ -231,9 +221,9 @@ def hierarchy_content_hash(
     )
     h.update(header.tobytes())
     h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
-    _hash_array(h, tabulate_transitions(spec), "<i8")
-    _hash_array(h, reward_table(spec, EGO), "<f8")
-    _hash_array(h, reward_table(spec, ENV), "<f8")
+    _hash_array(h, spec.transition_table, "<i8")
+    _hash_array(h, spec.ego_reward_table, "<f8")
+    _hash_array(h, spec.env_reward_table, "<f8")
     _hash_array(h, level0_ego.probs, "<f8")
     _hash_array(h, level0_env.probs, "<f8")
     return h.hexdigest()
@@ -243,6 +233,9 @@ def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:
     """Write a hierarchy to ``path`` as an ``.npz`` archive.
 
     The format is versioned; arrays are stored as little-endian float64.
+    The archive is written to a temporary file in the same directory and
+    then renamed over ``path``, so an interrupted write never leaves a
+    partial archive under the final name.
     """
     meta = {
         "format_version": CACHE_FORMAT_VERSION,
@@ -255,7 +248,14 @@ def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:
         arrays[f"ego_{k}"] = pol.probs.astype("<f8")
     for k, pol in enumerate(hierarchy.env_policies):
         arrays[f"env_{k}"] = pol.probs.astype("<f8")
-    np.savez(path, **arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_hierarchy(path) -> tuple[Hierarchy, str]:

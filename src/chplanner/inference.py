@@ -18,10 +18,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import ENV, ROW_SUM_TOL, GameSpec, PolicyTable, tabulate_transitions
+from .game import ENV, ROW_SUM_TOL, GameSpec, PolicyTable
 
 __all__ = [
-    "AugmentedState",
     "Belief",
     "History",
     "AugmentedKernel",
@@ -35,14 +34,6 @@ __all__ = [
 
 class InconsistentObservationError(ValueError):
     """The observed state has zero predicted probability under the prior."""
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Physical state index paired with the opponent's (hidden) level index."""
-
-    state: int
-    level: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +139,7 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
     nx = spec.num_states
     nu1 = spec.num_ego_actions
     nu2 = spec.num_env_actions
-    table = tabulate_transitions(spec)
+    table = spec.transition_table
 
     row_chunks: list[np.ndarray] = []
     tgt_chunks: list[np.ndarray] = []
@@ -166,7 +157,7 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
         rows = ((base + np.arange(nx, dtype=np.int64))[:, None, None] * nu1
                 + np.arange(nu1, dtype=np.int64)[None, :, None])
         rows = np.broadcast_to(rows, (nx, nu1, nu2)).ravel()
-        targets = (base + table.astype(np.int64)).ravel()
+        targets = (base + table).ravel()
         probs = np.broadcast_to(policy.probs[:, None, :], (nx, nu1, nu2)).ravel()
         keep = probs > 0.0
         row_chunks.append(rows[keep])

@@ -7,7 +7,7 @@ actions.  Two exact evaluators drive the solver:
   level-mixture opponent model, computed by propagating the predicted
   augmented-state distribution forward and taking reward inner products; and
 * the probability that the whole predicted trajectory stays inside the safe
-  sets, computed by the propagate / accumulate-violation / zero-out
+  set, computed by the propagate / accumulate-violation / zero-out
   recursion, so that trajectories are never double counted once they have
   left the safe region.
 
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .game import EGO, ROW_SUM_TOL, GameSpec, reward_table, safe_mask, tabulate_transitions
+from .game import EGO, ROW_SUM_TOL, GameSpec
 from .inference import AugmentedKernel, Belief
 
 __all__ = [
@@ -45,8 +45,12 @@ __all__ = [
 ]
 
 
+# Iteration cap of each projected-gradient ascent run in :func:`optimize`.
+ASCENT_ITERS = 40
+
+
 class NoRobustPlanError(RuntimeError):
-    """Every open-loop ego sequence violates the safe sets under some opponent."""
+    """Every open-loop ego sequence violates the safe set under some opponent."""
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,11 @@ class _CompiledHorizon:
         self,
         kernel: AugmentedKernel,
         reward_aug: np.ndarray,
-        safe_masks: Sequence[np.ndarray],
+        safe_set: np.ndarray,
+        horizon: int,
         belief: Belief,
         discount: float,
     ):
-        horizon = len(safe_masks)
         nu = kernel.num_ego_actions
         nx = kernel.num_states
         if reward_aug.shape != (kernel.num_augmented,):
@@ -147,11 +151,6 @@ class _CompiledHorizon:
             rows = (reach[:, None] * nu + np.arange(nu, dtype=np.int64)[None, :]).ravel()
             which, targets, probs = kernel.expand_rows(rows)
             uniq, dst_local = np.unique(targets, return_inverse=True)
-            mask = np.asarray(safe_masks[tau], dtype=bool)
-            if mask.shape != (nx,):
-                raise ValueError(
-                    f"safe mask at stage {tau} has shape {mask.shape}, expected ({nx},)"
-                )
             self.steps.append(
                 _Step(
                     src=which // nu,
@@ -160,7 +159,7 @@ class _CompiledHorizon:
                     probs=probs,
                     n_next=uniq.size,
                     rewards=reward_aug[uniq],
-                    safe=mask[uniq % nx],
+                    safe=safe_set[uniq % nx],
                 )
             )
             reach = uniq
@@ -208,20 +207,6 @@ def lift_reward(reward_x: np.ndarray, num_levels: int) -> np.ndarray:
     return np.tile(np.asarray(reward_x, dtype=float), num_levels)
 
 
-def _stage_masks(safe_sets: Callable[[int], np.ndarray], t: int, horizon: int,
-                 num_states: int) -> list[np.ndarray]:
-    masks = []
-    for tau in range(horizon):
-        mask = np.asarray(safe_sets(t + tau + 1), dtype=bool)
-        if mask.shape != (num_states,):
-            raise ValueError(
-                f"safe set at t={t + tau + 1} has shape {mask.shape}, "
-                f"expected ({num_states},)"
-            )
-        masks.append(mask)
-    return masks
-
-
 def expected_reward(
     kernel: AugmentedKernel,
     reward_aug: np.ndarray,
@@ -234,29 +219,29 @@ def expected_reward(
     Stage ``tau`` contributes ``discount^tau * r' pi_{tau+1}`` where
     ``pi_{tau+1}`` is the predicted augmented-state distribution.
     """
-    trivial = [np.ones(kernel.num_states, dtype=bool)] * profile.horizon
-    compiled = _CompiledHorizon(kernel, np.asarray(reward_aug, float), trivial, belief, discount)
+    compiled = _CompiledHorizon(
+        kernel, np.asarray(reward_aug, float), np.ones(kernel.num_states, dtype=bool),
+        profile.horizon, belief, discount,
+    )
     reward, _ = compiled.evaluate(profile.stages)
     return reward
 
 
 def constraint_probability(
     kernel: AugmentedKernel,
-    safe_sets: Callable[[int], np.ndarray],
+    safe_set: np.ndarray,
     belief: Belief,
     profile: DecisionProfile,
-    t: int = 0,
 ) -> float:
-    """Probability that all of the next ``horizon`` predicted states are safe.
+    """Probability that all of the next ``horizon`` predicted states are in ``safe_set``.
 
     Evaluated by the exact forward recursion: propagate, add the mass that
-    falls outside the stage's safe set to the violation total, zero that
+    falls outside the safe set to the violation total, zero that
     mass, continue.  The zeroing prevents double counting of trajectories
     that have already violated.
     """
-    masks = _stage_masks(safe_sets, t, profile.horizon, kernel.num_states)
     reward0 = np.zeros(kernel.num_augmented)
-    compiled = _CompiledHorizon(kernel, reward0, masks, belief, 1.0)
+    compiled = _CompiledHorizon(kernel, reward0, safe_set, profile.horizon, belief, 1.0)
     _, prob = compiled.evaluate(profile.stages)
     return prob
 
@@ -290,14 +275,13 @@ def _ascend(
     stages: np.ndarray,
     threshold: float,
     rho: float,
-    max_iters: int,
 ) -> tuple[np.ndarray, int]:
     """Projected gradient ascent on the penalized objective."""
     stages = stages.copy()
     reward, prob = compiled.evaluate(stages)
     phi = _penalized(reward, prob, threshold, rho)
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(ASCENT_ITERS):
         iters += 1
         grad_r, grad_p = compiled.gradients(stages)
         grad = grad_r + (rho * grad_p if prob < threshold else 0.0)
@@ -342,13 +326,11 @@ def _bisect_feasible(
 def optimize(
     kernel: AugmentedKernel,
     reward_aug: np.ndarray,
-    safe_sets: Callable[[int], np.ndarray],
+    safe_set: np.ndarray,
     belief: Belief,
     epsilon: float,
     discount: float,
     horizon: int,
-    t: int = 0,
-    max_iters: int = 40,
 ) -> PlanResult:
     """Maximize expected reward subject to the time-joint chance constraint.
 
@@ -363,8 +345,7 @@ def optimize(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of [0, 1]: {epsilon!r}")
     reward_aug = np.asarray(reward_aug, dtype=float)
-    masks = _stage_masks(safe_sets, t, horizon, kernel.num_states)
-    compiled = _CompiledHorizon(kernel, reward_aug, masks, belief, discount)
+    compiled = _CompiledHorizon(kernel, reward_aug, safe_set, horizon, belief, discount)
     nu = kernel.num_ego_actions
     threshold = 1.0 - epsilon
 
@@ -418,7 +399,7 @@ def optimize(
         rho = max(10.0 * reward_span, 1.0) / max(epsilon, 1e-6)
         stages = start
         for _ in range(2):
-            stages, used = _ascend(compiled, stages, threshold, rho, max_iters)
+            stages, used = _ascend(compiled, stages, threshold, rho)
             iterations += used
             _, p_end = compiled.evaluate(stages)
             if p_end >= threshold:
@@ -463,35 +444,32 @@ def optimize(
 
 @dataclass(frozen=True)
 class Planner:
-    """Bundle of everything :func:`optimize` needs except the belief and time."""
+    """Bundle of everything :func:`optimize` needs except the belief."""
 
     kernel: AugmentedKernel
     reward_aug: np.ndarray
-    safe_sets: Callable[[int], np.ndarray]
+    safe_set: np.ndarray
     epsilon: float
     discount: float
     horizon: int
-    max_iters: int = 40
 
-    def plan(self, belief: Belief, t: int = 0) -> PlanResult:
+    def plan(self, belief: Belief) -> PlanResult:
         return optimize(
             self.kernel,
             self.reward_aug,
-            self.safe_sets,
+            self.safe_set,
             belief,
             self.epsilon,
             self.discount,
             self.horizon,
-            t=t,
-            max_iters=self.max_iters,
         )
 
 
 def receding_horizon_step(
-    planner: Planner, belief: Belief, t: int, rng: np.random.Generator
+    planner: Planner, belief: Belief, rng: np.random.Generator
 ) -> tuple[int, PlanResult]:
-    """Plan at time ``t`` and sample the executed action from the first stage."""
-    result = planner.plan(belief, t)
+    """Plan from ``belief`` and sample the executed action from the first stage."""
+    result = planner.plan(belief)
     gamma0 = result.profile.stages[0]
     action = int(rng.choice(gamma0.size, p=gamma0 / gamma0.sum()))
     return action, result
@@ -502,27 +480,25 @@ def maximin_plan(
     state: int,
     horizon: int | None = None,
     discount: float | None = None,
-    t: int = 0,
 ) -> tuple[int, ...]:
     """Robust open-loop baseline: best ego sequence against the worst opponent.
 
     Enumerates all ego action sequences; each is scored by its worst-case
     discounted reward over all opponent sequences, with any sequence pair
-    that leaves a safe set scored as minus infinity.  Ties go to the
+    that leaves the safe set scored as minus infinity.  Ties go to the
     lexicographically smallest ego sequence.
 
     Raises
     ------
     NoRobustPlanError
-        If every ego sequence can be forced to violate the safe sets.
+        If every ego sequence can be forced to violate the safe set.
     """
     horizon = spec.horizon if horizon is None else horizon
     discount = spec.discount if discount is None else discount
     if not 0 <= state < spec.num_states:
         raise ValueError(f"state {state} out of range")
-    table = tabulate_transitions(spec)
-    rewards = reward_table(spec, EGO)
-    masks = [safe_mask(spec, t + tau + 1) for tau in range(horizon)]
+    table = spec.transition_table
+    rewards = spec.rewards(EGO)
     env_seqs = list(itertools.product(range(spec.num_env_actions), repeat=horizon))
 
     best_val = -np.inf
@@ -535,7 +511,7 @@ def maximin_plan(
             disc = 1.0
             for tau in range(horizon):
                 x = int(table[x, ego_seq[tau], env_seq[tau]])
-                if not masks[tau][x]:
+                if not spec.safe_set[x]:
                     val = -np.inf
                     break
                 val += disc * float(rewards[x])

@@ -7,7 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
-from .traffic import Scenario, VehicleState
+from .traffic import MERGE_SECTION, Scenario, VehicleState
 
 _CAR_WIDTH = 2.0
 _SCALE = 6.0  # pixels per meter
@@ -103,10 +103,11 @@ def render_step(scenario: Scenario, ego: VehicleState | None,
         canvas.rect_world((lo + hi) / 2, w, hi - lo, 2 * w, "#d9d9d9")
         if config.name == "merging":
             # Shade the section where the merge is allowed.
-            canvas.rect_world(60.0, w, 80.0, 2 * w, "#bfbfbf", 0.6)
-            canvas.line_world(lo, w, 20.0, w, "#ffffff")
-            canvas.line_world(20.0, w, 100.0, w, "#8a8a8a", "4,4")
-            canvas.line_world(100.0, w, hi, w, "#ffffff")
+            start, end = MERGE_SECTION
+            canvas.rect_world((start + end) / 2, w, end - start, 2 * w, "#bfbfbf", 0.6)
+            canvas.line_world(lo, w, start, w, "#ffffff")
+            canvas.line_world(start, w, end, w, "#8a8a8a", "4,4")
+            canvas.line_world(end, w, hi, w, "#ffffff")
         else:
             canvas.line_world(lo, w, hi, w, "#ffffff", "6,6")
         if ego is not None:

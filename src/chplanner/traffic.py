@@ -45,11 +45,17 @@ __all__ = [
     "load_config",
     "episode_complete",
     "classify_outcome",
+    "MERGE_SECTION",
 ]
 
 SCENARIO_NAMES = ("intersection", "overtaking", "merging")
 LANE_COMMANDS = ("keep", "left", "right")
 CONFIG_SCHEMA_VERSION = 1
+
+# Ego world-x range (m) of the merging scenario's merge section: the ego may
+# be in either lane for ego_x in (start, end]; before it, only the right lane
+# is safe, after it only the left lane.
+MERGE_SECTION = (20.0, 100.0)
 
 # Sentinels used for absorbed vehicles when evaluating pairwise geometry;
 # they keep every done pairing trivially far apart.
@@ -376,7 +382,6 @@ class Scenario:
     env_actions: tuple[tuple[float, str], ...]
     ego_objective: np.ndarray  # raw (unpenalized) per-state planner reward
     env_objective: np.ndarray
-    safe_joint: np.ndarray  # bool over joint states
     initial_state: int
 
     @property
@@ -400,7 +405,7 @@ class Scenario:
         return self.join(e, h)
 
     def is_safe(self, state: int) -> bool:
-        return bool(self.safe_joint[state])
+        return bool(self.spec.safe_set[state])
 
 
 def _pairwise_safe(config: ScenarioConfig, ego_grid: VehicleGrid,
@@ -421,10 +426,11 @@ def _pairwise_safe(config: ScenarioConfig, ego_grid: VehicleGrid,
             left = 3.0 * w / 2.0
             in_right = np.isclose(ey, right)
             in_left = np.isclose(ey, left)
+            start, end = MERGE_SECTION
             section = (
-                ((ex <= 20.0) & in_right)
-                | ((ex > 20.0) & (ex <= 100.0))
-                | ((ex > 100.0) & in_left)
+                ((ex <= start) & in_right)
+                | ((ex > start) & (ex <= end))
+                | ((ex > end) & in_left)
             )
             safe = safe & section[:, None]
     ego_done = np.zeros(ego_grid.num_codes, dtype=bool)
@@ -477,18 +483,12 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     env_pen = env_obj + np.where(safe_joint, 0.0, penalty)
 
     spec = GameSpec(
-        num_states=num_states,
-        num_ego_actions=len(ego_actions),
-        num_env_actions=len(env_actions),
-        transition=lambda x, u1, u2: int(table[x, u1, u2]),
-        ego_reward=lambda x: float(ego_pen[x]),
-        env_reward=lambda x: float(env_pen[x]),
-        safe_sets=lambda t: safe_joint,
-        discount=config.discount,
-        horizon=config.horizon,
         transition_table=table,
         ego_reward_table=ego_pen,
         env_reward_table=env_pen,
+        safe_set=safe_joint,
+        discount=config.discount,
+        horizon=config.horizon,
     )
 
     ego_start = VehicleState(
@@ -512,7 +512,6 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
         env_actions=env_actions,
         ego_objective=ego_obj,
         env_objective=env_obj,
-        safe_joint=safe_joint,
         initial_state=initial,
     )
 
@@ -653,7 +652,7 @@ def classify_outcome(scenario: Scenario, states: Sequence[int]) -> dict:
         if step is not None:
             e, h = decoded[step]
             merged_ahead = h is None or e.s_x > h.s_x
-            in_section = 20.0 < e.s_x <= 100.0
+            in_section = MERGE_SECTION[0] < e.s_x <= MERGE_SECTION[1]
         out.update(
             merged=step is not None,
             merge_step=step,

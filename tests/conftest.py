@@ -1,7 +1,6 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -13,18 +12,11 @@ from chplanner.traffic import default_config
 
 def make_spec(table, r1, r2, safe, discount=0.9, horizon=3) -> GameSpec:
     """GameSpec from plain arrays (transition table, rewards, safe mask)."""
-    table = np.asarray(table)
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    safe = np.asarray(safe, dtype=bool)
     return GameSpec(
-        num_states=table.shape[0],
-        num_ego_actions=table.shape[1],
-        num_env_actions=table.shape[2],
-        transition=lambda x, u1, u2: int(table[x, u1, u2]),
-        ego_reward=lambda x: float(r1[x]),
-        env_reward=lambda x: float(r2[x]),
-        safe_sets=lambda t: safe,
+        transition_table=table,
+        ego_reward_table=r1,
+        env_reward_table=r2,
+        safe_set=safe,
         discount=discount,
         horizon=horizon,
     )

@@ -1,8 +1,8 @@
 """Brute-force reference implementations the fast code is tested against.
 
-Everything here enumerates paths through the game's transition callable
-directly; nothing touches the kernels, compiled horizons or vectorized
-Q-backups being verified.
+Everything here enumerates paths one state at a time by indexing the game's
+transition table entry by entry; nothing touches the kernels, compiled
+horizons or vectorized Q-backups being verified.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from chplanner.game import EGO, GameSpec, PolicyTable, reward_table
+from chplanner.game import EGO, GameSpec, PolicyTable
 
 
 def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
@@ -23,13 +23,10 @@ def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
     if not safe.any():
         safe[rng.integers(0, nx)] = True
     spec = GameSpec(
-        num_states=nx,
-        num_ego_actions=nu1,
-        num_env_actions=nu2,
-        transition=lambda x, u1, u2: int(table[x, u1, u2]),
-        ego_reward=lambda x: float(r1[x]),
-        env_reward=lambda x: float(r2[x]),
-        safe_sets=lambda t: safe,
+        transition_table=table,
+        ego_reward_table=r1,
+        env_reward_table=r2,
+        safe_set=safe,
         discount=discount,
         horizon=horizon,
     )
@@ -44,7 +41,8 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
     """Q(x, u) by enumerating every own sequence and every opponent path."""
     n_own = spec.num_actions(player)
     n_opp = opponent.num_actions
-    rewards = reward_table(spec, player)
+    rewards = spec.rewards(player)
+    table = spec.transition_table
     q = np.full((spec.num_states, n_own), -np.inf)
     for x in range(spec.num_states):
         for u0 in range(n_own):
@@ -62,9 +60,9 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
                         if pw == 0.0:
                             continue
                         if player == EGO:
-                            ns = spec.transition(s, own[tau], o)
+                            ns = int(table[s, own[tau], o])
                         else:
-                            ns = spec.transition(s, o, own[tau])
+                            ns = int(table[s, o, own[tau]])
                         stack.append(
                             (ns, tau + 1, w * pw, acc + spec.discount**tau * rewards[ns])
                         )
@@ -78,7 +76,7 @@ def profile_value_oracle(
     level_prior,
     start_state: int,
     stages: np.ndarray,
-    safe_masks,
+    safe_set,
     reward_of,
     discount: float,
 ) -> tuple[float, float]:
@@ -111,14 +109,14 @@ def profile_value_oracle(
                     pw = probs[s, o]
                     if pw == 0.0:
                         continue
-                    ns = spec.transition(s, useq[tau], o)
+                    ns = int(spec.transition_table[s, useq[tau], o])
                     stack.append(
                         (
                             ns,
                             tau + 1,
                             w * pw,
                             acc + discount**tau * reward_of(ns),
-                            alive and bool(safe_masks[tau][ns]),
+                            alive and bool(safe_set[ns]),
                         )
                     )
     return expected, p_safe
@@ -159,18 +157,13 @@ def monte_carlo_joint_safety(
     level_prior,
     start_state: int,
     stages: np.ndarray,
-    safe_masks,
+    safe_set,
     num_samples: int,
     rng,
 ) -> tuple[float, float]:
     """Sampled joint-safety probability and its standard error."""
     levels = sorted(env_policies)
     horizon = stages.shape[0]
-    table = np.empty((spec.num_states, spec.num_ego_actions, spec.num_env_actions), int)
-    for x in range(spec.num_states):
-        for a in range(spec.num_ego_actions):
-            for b in range(spec.num_env_actions):
-                table[x, a, b] = spec.transition(x, a, b)
     level_idx = rng.choice(len(levels), size=num_samples, p=np.asarray(level_prior))
     pol = np.stack([env_policies[k].probs for k in levels])  # (K, X, U2)
     states = np.full(num_samples, start_state, dtype=np.int64)
@@ -181,8 +174,8 @@ def monte_carlo_joint_safety(
         cum = np.cumsum(rows, axis=1)
         draws = rng.random(num_samples)
         u2 = (draws[:, None] > cum).sum(axis=1)
-        states = table[states, u1, u2]
-        alive &= np.asarray(safe_masks[tau], bool)[states]
+        states = spec.transition_table[states, u1, u2]
+        alive &= safe_set[states]
     p_hat = alive.mean()
     se = np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / num_samples)
     return float(p_hat), float(se)

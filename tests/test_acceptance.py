@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chplanner.cli import main, run_episode
-from chplanner.game import ENV, safe_mask
+from chplanner.game import ENV
 from chplanner.hierarchy import compute_q, softmax_policy
 from chplanner.inference import bayes_update, build_kernel, init_belief
 from chplanner.planner import (
@@ -93,7 +93,7 @@ def test_criterion_1_expected_reward_oracle_equivalence():
         )
         slow, _ = profile_value_oracle(
             spec, policies, prior, start, stages,
-            [safe] * stages.shape[0], lambda s: r1[s], spec.discount,
+            safe, lambda s: r1[s], spec.discount,
         )
         worst = max(worst, abs(fast - slow))
     elapsed = time.perf_counter() - tic
@@ -113,11 +113,11 @@ def test_criterion_2_constraint_probability_oracle_and_monte_carlo():
             _random_planning_instance(rng)
         )
         fast = constraint_probability(
-            kernel, lambda t: safe, belief, DecisionProfile(stages)
+            kernel, safe, belief, DecisionProfile(stages)
         )
         _, slow = profile_value_oracle(
             spec, policies, prior, start, stages,
-            [safe] * stages.shape[0], lambda s: 0.0, spec.discount,
+            safe, lambda s: 0.0, spec.discount,
         )
         worst = max(worst, abs(fast - slow))
     enum_elapsed = time.perf_counter() - tic
@@ -129,11 +129,11 @@ def test_criterion_2_constraint_probability_oracle_and_monte_carlo():
             _random_planning_instance(rng)
         )
         exact = constraint_probability(
-            kernel, lambda t: safe, belief, DecisionProfile(stages)
+            kernel, safe, belief, DecisionProfile(stages)
         )
         p_hat, se = monte_carlo_joint_safety(
             spec, policies, prior, start, stages,
-            [safe] * stages.shape[0], 1_000_000, rng,
+            safe, 1_000_000, rng,
         )
         mc_ok &= abs(exact - p_hat) <= 3.0 * se + 1e-12
         mc_detail.append(abs(exact - p_hat) / max(se, 1e-12))
@@ -289,7 +289,6 @@ def test_criterion_7_maximin_baseline(built_scenarios, seed_batches):
     horizon = scenario.config.horizon
     seq = maximin_plan(scenario.spec, scenario.initial_state)
     table = scenario.spec.transition_table
-    masks = [safe_mask(scenario.spec, t + 1) for t in range(horizon)]
     robust = True
     for env_seq in itertools.product(
         range(scenario.spec.num_env_actions), repeat=horizon
@@ -297,7 +296,7 @@ def test_criterion_7_maximin_baseline(built_scenarios, seed_batches):
         x = scenario.initial_state
         for tau in range(horizon):
             x = int(table[x, seq[tau], env_seq[tau]])
-            robust &= bool(masks[tau][x])
+            robust &= bool(scenario.spec.safe_set[x])
 
     mm_log = run_episode(
         scenario, hierarchy, kernel, 1, seed=0, ego_controller="maximin"
@@ -339,7 +338,7 @@ def test_criterion_9_performance_envelope(built_scenarios, seed_batches):
         scenario.initial_state, scenario.config.level_prior, scenario.spec.num_states
     )
     tic = time.perf_counter()
-    planner.plan(belief, 0)
+    planner.plan(belief)
     step_time = time.perf_counter() - tic
 
     _, timings = seed_batches

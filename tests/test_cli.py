@@ -5,6 +5,7 @@ import yaml
 from importlib import resources
 
 from chplanner.cli import main, run_episode
+from chplanner.hierarchy import load_hierarchy
 
 
 def _write_config(tmp_path, name="intersection", mutate=None):
@@ -26,6 +27,22 @@ def test_build_prints_stable_hash(tmp_path, cache_dir, capsys):
     second = capsys.readouterr().out.strip()
     assert first == second
     assert len(first) == 64
+
+
+def test_build_recovers_from_truncated_cache(tmp_path, cache_dir, capsys):
+    # A cache file cut short by an interrupted write is a miss, not a crash.
+    assert main(["build", "--config", "intersection", "--cache-dir", str(cache_dir)]) == 0
+    content_hash = capsys.readouterr().out.strip()
+    name = f"hierarchy-{content_hash[:16]}.npz"
+    data = (cache_dir / name).read_bytes()
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    (own_cache / name).write_bytes(data[: len(data) // 2])
+
+    assert main(["build", "--config", "intersection", "--cache-dir", str(own_cache)]) == 0
+    assert capsys.readouterr().out.strip() == content_hash
+    assert [p.name for p in own_cache.iterdir()] == [name]
+    assert load_hierarchy(own_cache / name)[1] == content_hash
 
 
 def test_build_rejects_bad_epsilon(tmp_path, cache_dir, capsys):
@@ -85,6 +102,23 @@ def test_simulate_rejects_unknown_level(tmp_path, cache_dir, capsys):
     assert code == 2
 
 
+def test_simulate_level0_human(tmp_path, cache_dir):
+    # The content hash ignores the inference levels, so this reuses the
+    # cached intersection hierarchy.
+    def mutate(tree):
+        tree["inference"]["levels"] = [0, 1, 2]
+        tree["inference"]["prior"] = [0.2, 0.4, 0.4]
+
+    config = _write_config(tmp_path, mutate=mutate)
+    code = main([
+        "simulate", "--config", str(config), "--cache-dir", str(cache_dir),
+        "--human-level", "0", "--seed", "0", "--out", str(tmp_path / "episode"),
+    ])
+    assert code == 0
+    header = (tmp_path / "episode.csv").read_text().splitlines()[0]
+    assert "posterior_level_0" in header.split(",")
+
+
 def _doomed_config(tmp_path):
     # Full-speed ego 8 m behind a stopped car, lane changes disabled: the
     # start is (barely) safe but every successor tailgates, so the very
@@ -120,6 +154,23 @@ def test_simulate_fallback_on_infeasible_completes(tmp_path, cache_dir):
     header = lines[0].split(",")
     assert "fallback" in header
     assert any(row.split(",")[header.index("fallback")] == "1" for row in lines[1:])
+
+
+def test_evaluate_exits_1_when_seeds_fail(tmp_path, cache_dir, capsys):
+    config = _doomed_config(tmp_path)
+    tree = yaml.safe_load(config.read_text())
+    tree["planning"]["on_infeasible"] = "abort"
+    config.write_text(yaml.safe_dump(tree))
+    out = tmp_path / "report.json"
+    code = main([
+        "evaluate", "--config", str(config), "--cache-dir", str(cache_dir),
+        "--human-level", "1", "--seeds", "2", "--out", str(out),
+    ])
+    assert code == 1
+    failed = json.loads(out.read_text())["per_level"]["1"]["failed_seeds"]
+    assert [f["seed"] for f in failed] == [0, 1]
+    assert all(f["error"].startswith("InfeasiblePlanAbort") for f in failed)
+    assert "failed" in capsys.readouterr().err
 
 
 def test_episode_log_record_count_and_flag_consistency(built_scenarios):

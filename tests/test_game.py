@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chplanner.game import EGO, ENV, PolicyTable, step, validate_game
+from chplanner.game import EGO, ENV, GameSpec, PolicyTable, step, validate_game
 from chplanner.traffic import default_config, make_scenario, vehicle_step
 
 from conftest import make_spec
@@ -19,6 +19,19 @@ def test_validate_well_formed_game_passes():
     assert report.ok
     assert report.problems == ()
     assert bool(report)
+
+
+def test_spec_rejects_mismatched_table_shapes():
+    table = np.zeros((2, 2, 2), dtype=int)
+    ok = dict(transition_table=table, ego_reward_table=[0.0, 1.0],
+              env_reward_table=[1.0, 0.0], safe_set=[True, True], discount=0.9, horizon=3)
+    spec = GameSpec(**ok)
+    assert (spec.num_states, spec.num_ego_actions, spec.num_env_actions) == (2, 2, 2)
+    for field, bad in (("transition_table", np.zeros((2, 2), int)),
+                       ("env_reward_table", [0.0]),
+                       ("safe_set", [True, True, False])):
+        with pytest.raises(ValueError, match=field):
+            GameSpec(**{**ok, field: bad})
 
 
 def test_validate_flags_out_of_range_transition():

@@ -19,7 +19,7 @@ from chplanner.planner import (
     project_to_simplex,
     receding_horizon_step,
 )
-from chplanner.planner import _CompiledHorizon, _stage_masks
+from chplanner.planner import _CompiledHorizon
 
 from conftest import make_spec
 from oracles import profile_value_oracle, random_game, random_policy
@@ -81,7 +81,7 @@ def test_expected_reward_matches_enumeration_oracle():
         kernel, lift_reward(r1, 2), belief, DecisionProfile(stages), spec.discount
     )
     oracle, _ = profile_value_oracle(
-        spec, policies, prior, start, stages, [safe] * 2, lambda s: r1[s], spec.discount
+        spec, policies, prior, start, stages, safe, lambda s: r1[s], spec.discount
     )
     assert value == pytest.approx(oracle, abs=1e-10)
 
@@ -90,7 +90,7 @@ def test_constraint_probability_all_safe_is_one():
     rng = np.random.default_rng(2)
     spec, _, _, _, _, kernel, _, belief, stages = _random_instance(rng, horizon=3)
     prob = constraint_probability(
-        kernel, lambda t: np.ones(spec.num_states, bool), belief, DecisionProfile(stages)
+        kernel, np.ones(spec.num_states, bool), belief, DecisionProfile(stages)
     )
     assert prob == pytest.approx(1.0, abs=1e-12)
 
@@ -103,7 +103,7 @@ def test_constraint_probability_single_step_violation_mass():
     kernel = build_kernel(spec, {1: policy})
     belief = init_belief(0, [1.0], 3)
     prob = constraint_probability(
-        kernel, spec.safe_sets, belief, DecisionProfile.deterministic([0], 1)
+        kernel, spec.safe_set, belief, DecisionProfile.deterministic([0], 1)
     )
     assert prob == pytest.approx(0.7, abs=1e-12)
 
@@ -118,10 +118,10 @@ def test_constraint_probability_zeroing_matches_path_enumeration():
         )
         start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
         prob = constraint_probability(
-            kernel, spec.safe_sets, belief, DecisionProfile(stages)
+            kernel, spec.safe_set, belief, DecisionProfile(stages)
         )
         _, oracle = profile_value_oracle(
-            spec, policies, prior, start, stages, [safe] * 3, lambda s: 0.0, spec.discount
+            spec, policies, prior, start, stages, safe, lambda s: 0.0, spec.discount
         )
         assert prob == pytest.approx(oracle, abs=1e-12)
 
@@ -130,12 +130,12 @@ def test_constraint_probability_monotone_in_safe_sets():
     rng = np.random.default_rng(4)
     spec, _, _, safe, _, kernel, _, belief, stages = _random_instance(rng, horizon=3)
     prob_small = constraint_probability(
-        kernel, lambda t: safe, belief, DecisionProfile(stages)
+        kernel, safe, belief, DecisionProfile(stages)
     )
     bigger = safe.copy()
     bigger[np.flatnonzero(~bigger)[:1]] = True
     prob_big = constraint_probability(
-        kernel, lambda t: bigger, belief, DecisionProfile(stages)
+        kernel, bigger, belief, DecisionProfile(stages)
     )
     assert prob_big >= prob_small - 1e-12
 
@@ -155,7 +155,7 @@ def test_objective_affine_per_stage():
             s = stages.copy()
             s[tau] = gamma
             r = expected_reward(kernel, reward_aug, belief, DecisionProfile(s), spec.discount)
-            p = constraint_probability(kernel, lambda t: safe, belief, DecisionProfile(s))
+            p = constraint_probability(kernel, safe, belief, DecisionProfile(s))
             vals.append((r, p))
         assert vals[2][0] == pytest.approx(0.5 * (vals[0][0] + vals[1][0]), abs=1e-10)
         assert vals[2][1] == pytest.approx(0.5 * (vals[0][1] + vals[1][1]), abs=1e-10)
@@ -167,8 +167,7 @@ def test_analytic_gradients_match_finite_differences():
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
     reward_aug = lift_reward(r1, 2)
-    masks = _stage_masks(lambda t: safe, 0, 3, spec.num_states)
-    compiled = _CompiledHorizon(kernel, reward_aug, masks, belief, spec.discount)
+    compiled = _CompiledHorizon(kernel, reward_aug, safe, 3, belief, spec.discount)
     grad_r, grad_p = compiled.gradients(stages)
     h = 1e-5
     for tau in range(3):
@@ -193,7 +192,7 @@ def test_optimize_unconstrained_attains_best_vertex():
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
     reward_aug = lift_reward(r1, 2)
-    result = optimize(kernel, reward_aug, lambda t: safe, belief, 1.0, spec.discount, 3)
+    result = optimize(kernel, reward_aug, safe, belief, 1.0, spec.discount, 3)
     assert result.feasible
     best = -np.inf
     for actions in itertools.product(range(3), repeat=3):
@@ -207,7 +206,7 @@ def test_optimize_empty_safe_set_reports_infeasible():
     spec, _, r1, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     empty = np.zeros(spec.num_states, bool)
     result = optimize(
-        kernel, lift_reward(r1, 2), lambda t: empty, belief, 0.01, spec.discount, 2
+        kernel, lift_reward(r1, 2), empty, belief, 0.01, spec.discount, 2
     )
     assert not result.feasible
     assert result.fallback
@@ -222,7 +221,7 @@ def test_optimize_concentrates_on_dominant_safe_action():
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
-        kernel, lift_reward([0.0, 10.0, 2.0], 1), spec.safe_sets, belief,
+        kernel, lift_reward([0.0, 10.0, 2.0], 1), spec.safe_set, belief,
         0.01, spec.discount, 3,
     )
     assert result.feasible
@@ -237,7 +236,7 @@ def test_optimize_randomizes_at_the_constraint_boundary():
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
-        kernel, lift_reward([0.0, 1.0, 100.0], 1), spec.safe_sets, belief,
+        kernel, lift_reward([0.0, 1.0, 100.0], 1), spec.safe_set, belief,
         0.05, spec.discount, 1,
     )
     assert result.feasible
@@ -251,7 +250,7 @@ def test_optimize_is_deterministic():
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
-    args = (kernel, lift_reward(r1, 2), lambda t: safe, belief, 0.1, spec.discount, 3)
+    args = (kernel, lift_reward(r1, 2), safe, belief, 0.1, spec.discount, 3)
     a = optimize(*args)
     b = optimize(*args)
     assert np.array_equal(a.profile.stages, b.profile.stages)
@@ -267,7 +266,7 @@ def test_optimize_result_honors_feasibility_invariant():
         spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng)
         epsilon = float(rng.choice([0.0, 0.01, 0.2, 0.5, 1.0]))
         result = optimize(
-            kernel, lift_reward(r1, 2), lambda t: safe, belief,
+            kernel, lift_reward(r1, 2), safe, belief,
             epsilon, spec.discount, spec.horizon,
         )
         assert 0.0 <= result.constraint_probability <= 1.0
@@ -281,7 +280,7 @@ def test_optimize_rejects_bad_epsilon():
     rng = np.random.default_rng(10)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     with pytest.raises(ValueError):
-        optimize(kernel, lift_reward(r1, 2), lambda t: safe, belief, 1.5, spec.discount, 2)
+        optimize(kernel, lift_reward(r1, 2), safe, belief, 1.5, spec.discount, 2)
 
 
 class _StubPlanner:
@@ -293,29 +292,29 @@ class _StubPlanner:
             feasible=True,
         )
 
-    def plan(self, belief, t=0):
+    def plan(self, belief):
         return self.result
 
 
 def test_receding_horizon_step_one_hot_is_deterministic():
     planner = _StubPlanner([[0.0, 1.0], [1.0, 0.0]])
     rng = np.random.default_rng(0)
-    actions = {receding_horizon_step(planner, None, 0, rng)[0] for _ in range(20)}
+    actions = {receding_horizon_step(planner, None, rng)[0] for _ in range(20)}
     assert actions == {1}
 
 
 def test_receding_horizon_step_seed_reproducibility():
     planner = _StubPlanner([[0.25, 0.75]])
     seq1 = [
-        receding_horizon_step(planner, None, 0, np.random.default_rng(42))[0]
+        receding_horizon_step(planner, None, np.random.default_rng(42))[0]
         for _ in range(10)
     ]
     rng = np.random.default_rng(42)
     # A fresh generator restarted per draw must reproduce the first element.
-    assert seq1[0] == receding_horizon_step(planner, None, 0, np.random.default_rng(42))[0]
-    seq2 = [receding_horizon_step(planner, None, 0, rng)[0] for _ in range(10)]
+    assert seq1[0] == receding_horizon_step(planner, None, np.random.default_rng(42))[0]
+    seq2 = [receding_horizon_step(planner, None, rng)[0] for _ in range(10)]
     rng = np.random.default_rng(42)
-    seq3 = [receding_horizon_step(planner, None, 0, rng)[0] for _ in range(10)]
+    seq3 = [receding_horizon_step(planner, None, rng)[0] for _ in range(10)]
     assert seq2 == seq3
 
 
@@ -323,7 +322,7 @@ def test_receding_horizon_step_sampling_frequencies():
     planner = _StubPlanner([[0.25, 0.75]])
     rng = np.random.default_rng(123)
     n = 100_000
-    draws = np.array([receding_horizon_step(planner, None, 0, rng)[0] for _ in range(n)])
+    draws = np.array([receding_horizon_step(planner, None, rng)[0] for _ in range(n)])
     assert abs((draws == 1).mean() - 0.75) < 0.01
 
 
