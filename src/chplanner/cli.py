@@ -468,13 +468,13 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config_or_exit(args.config)
-    scenario, hierarchy, _ = build_artifacts(config, args.cache_dir)
-    kernel = scenario_kernel(scenario, hierarchy)
     human_level = args.human_level
     if human_level not in config.levels:
         print(f"config error: human level {human_level} not in {config.levels}",
               file=sys.stderr)
         return 2
+    scenario, hierarchy, _ = build_artifacts(config, args.cache_dir)
+    kernel = scenario_kernel(scenario, hierarchy)
     seed = config.seed if args.seed is None else args.seed
     try:
         log = run_episode(

@@ -11,12 +11,25 @@ actions.  Two exact evaluators drive the solver:
   recursion, so that trajectories are never double counted once they have
   left the safe region.
 
-Both quantities are multilinear in the profile, which gives exact
-coordinate gradients from stage-forced evaluations.  The solver enumerates
-all deterministic profiles (vertices of the simplex product) and improves
-on them with projected gradient ascent only when the chance constraint
-binds; randomization can beat every vertex only near the constraint
-boundary.
+Both quantities are multilinear in the profile.  The solver scores all
+deterministic profiles (vertices of the simplex product) and improves on
+them with projected gradient ascent only when the chance constraint binds;
+randomization can beat every vertex only near the constraint boundary.
+
+Each solver stage is one batched pass over the compiled reachable sets:
+
+* the last stage is folded into per-(action, source state) expected reward
+  and violation matrices, so it costs two small products, not a bincount;
+* the vertex sweep shares propagation between profiles with a common
+  action prefix: stage ``tau`` carries one distribution per prefix and is
+  one bincount over (prefix, action, target) triples, then the folded last
+  stage closes all |U1|^H vertices with one matrix product;
+* the coordinate gradients (stage-forced evaluations, exact by
+  multilinearity) come from one forward pass that stores each stage's
+  distributions and one backward pass of value-to-go vectors (an adjoint
+  pass), instead of H x |U1| forward evaluations;
+* the projection onto the simplex product is row-wise, so one call
+  projects every stage of every step size an ascent line search may try.
 """
 
 from __future__ import annotations
@@ -113,13 +126,23 @@ class _Step(NamedTuple):
     safe: np.ndarray     # safe-set membership per next-stage local state
 
 
+def _fold(pair: np.ndarray, weights: np.ndarray, nu: int, n: int) -> np.ndarray:
+    """Sum ``weights`` into an ``(nu, n)`` matrix at flat indices ``pair = u * n + j``."""
+    return np.bincount(pair, weights=weights, minlength=nu * n).reshape(nu, n)
+
+
 class _CompiledHorizon:
     """Reachable-set propagation graph for one planning instance.
 
     Unrolls the kernel over the states reachable from the belief support
-    within the horizon, with per-step local index spaces.  Evaluating a
-    profile then costs one gather + bincount pass per stage, independent of
-    the full augmented-space size.
+    within the horizon, with per-step local index spaces.  Stages
+    ``0..H-2`` are kept as sparse steps; the last stage is folded into two
+    ``(actions, sources)`` matrices, ``last_reward[u, j]`` (expected reward
+    of the successor of local state ``j`` under action ``u``) and
+    ``last_unsafe[u, j]`` (probability that successor is unsafe).
+    Evaluating a profile then costs one gather + bincount pass per kept
+    stage plus two small products, independent of the full augmented-space
+    size.
     """
 
     def __init__(
@@ -140,7 +163,8 @@ class _CompiledHorizon:
             )
         if belief.probs.size != kernel.num_augmented:
             raise ValueError("belief does not match the kernel's augmented space")
-        self.horizon = horizon
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.num_actions = nu
         self.discount = discount
         support = np.flatnonzero(belief.probs)
@@ -150,11 +174,17 @@ class _CompiledHorizon:
         for tau in range(horizon):
             rows = (reach[:, None] * nu + np.arange(nu, dtype=np.int64)[None, :]).ravel()
             which, targets, probs = kernel.expand_rows(rows)
+            src, u_idx = which // nu, which % nu
+            if tau + 1 == horizon:
+                pair = u_idx * reach.size + src
+                self.last_reward = _fold(pair, probs * reward_aug[targets], nu, reach.size)
+                self.last_unsafe = _fold(pair, probs * ~safe_set[targets % nx], nu, reach.size)
+                break
             uniq, dst_local = np.unique(targets, return_inverse=True)
             self.steps.append(
                 _Step(
-                    src=which // nu,
-                    u_idx=which % nu,
+                    src=src,
+                    u_idx=u_idx,
                     dst=dst_local,
                     probs=probs,
                     n_next=uniq.size,
@@ -164,42 +194,98 @@ class _CompiledHorizon:
             )
             reach = uniq
 
-    def evaluate(self, stages: np.ndarray) -> tuple[float, float]:
-        """Exact ``(expected reward, joint safe probability)`` of a profile."""
-        d = self.p0
-        dv = self.p0
-        reward = 0.0
-        violation = 0.0
+    def _forward(self, stages: np.ndarray) -> list[tuple]:
+        """Per stage: ``(d, dv, reward, violation, discount)`` before it.
+
+        ``d`` is the predicted distribution over the stage's local source
+        states, ``dv`` the same with violated mass zeroed, and ``reward`` /
+        ``violation`` what the earlier stages accrued.
+        """
+        d = dv = self.p0
+        reward = violation = 0.0
         disc = 1.0
+        trace = []
         for tau, step in enumerate(self.steps):
+            trace.append((d, dv, reward, violation, disc))
             w = step.probs * stages[tau][step.u_idx]
             d = np.bincount(step.dst, weights=w * d[step.src], minlength=step.n_next)
             dv = np.bincount(step.dst, weights=w * dv[step.src], minlength=step.n_next)
             reward += disc * float(d @ step.rewards)
             violation += float(dv[~step.safe].sum())
-            if tau + 1 < self.horizon:
-                dv = np.where(step.safe, dv, 0.0)
+            dv = np.where(step.safe, dv, 0.0)
             disc *= self.discount
+        trace.append((d, dv, reward, violation, disc))
+        return trace
+
+    def evaluate(self, stages: np.ndarray) -> tuple[float, float]:
+        """Exact ``(expected reward, joint safe probability)`` of a profile."""
+        d, dv, reward, violation, disc = self._forward(stages)[-1]
+        last = stages[-1]
+        reward += disc * float(last @ (self.last_reward @ d))
+        violation += float(last @ (self.last_unsafe @ dv))
         return reward, min(max(1.0 - violation, 0.0), 1.0)
 
-    def gradients(self, stages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Exact profile gradients of reward and constraint probability.
+    def vertex_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(expected reward, joint safe probability)`` of every deterministic profile.
 
-        By multilinearity, the partial derivative with respect to one stage
-        coordinate equals the evaluation with that stage forced to the
-        corresponding vertex.
+        Entries follow ``itertools.product(range(num_actions), repeat=H)``
+        order.  Profiles sharing an action prefix share its propagation: the
+        sweep carries one row of ``d``/``dv`` per prefix, so stage ``tau``
+        is one bincount over (prefix, action, target) triples.
         """
+        nu = self.num_actions
+        d = dv = self.p0[None, :]
+        reward = violation = np.zeros(1)
+        disc = 1.0
+        for step in self.steps:
+            prefixes = np.arange(d.shape[0])[:, None]
+            triple = ((prefixes * nu + step.u_idx) * step.n_next + step.dst).ravel()
+            size = d.shape[0] * nu * step.n_next
+            d = np.bincount(
+                triple, weights=(d[:, step.src] * step.probs).ravel(), minlength=size
+            ).reshape(-1, step.n_next)
+            dv = np.bincount(
+                triple, weights=(dv[:, step.src] * step.probs).ravel(), minlength=size
+            ).reshape(-1, step.n_next)
+            reward = np.repeat(reward, nu) + disc * (d @ step.rewards)
+            violation = np.repeat(violation, nu) + dv[:, ~step.safe].sum(axis=1)
+            dv = np.where(step.safe, dv, 0.0)
+            disc *= self.discount
+        reward = (reward[:, None] + disc * (d @ self.last_reward.T)).ravel()
+        violation = (violation[:, None] + dv @ self.last_unsafe.T).ravel()
+        return reward, np.clip(1.0 - violation, 0.0, 1.0)
+
+    def gradients(self, stages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stage-forced evaluations of a profile, one per stage and action.
+
+        Entry ``[tau, u]`` is :meth:`evaluate` with stage ``tau`` forced to
+        action ``u``.  By multilinearity it is an exact partial derivative
+        of the reward; the probability entry is the clamped forced value
+        ``clip(1 - violation, 0, 1)``.  One forward pass stores each stage's
+        distributions and accrued totals; one backward pass carries the
+        reward and violation still to come from every local state.
+        """
+        trace = self._forward(stages)
         grad_r = np.empty_like(stages)
-        grad_p = np.empty_like(stages)
-        forced = np.array(stages, copy=True)
-        for tau in range(self.horizon):
-            saved = forced[tau].copy()
-            for u in range(self.num_actions):
-                forced[tau] = 0.0
-                forced[tau, u] = 1.0
-                grad_r[tau, u], grad_p[tau, u] = self.evaluate(forced)
-            forced[tau] = saved
-        return grad_r, grad_p
+        grad_v = np.empty_like(stages)
+        nu = self.num_actions
+        for tau in range(len(trace) - 1, -1, -1):
+            d, dv, reward, violation, disc = trace[tau]
+            if tau == len(self.steps):
+                q_r = disc * self.last_reward
+                q_v = self.last_unsafe
+            else:
+                step = self.steps[tau]
+                pair = step.u_idx * d.size + step.src
+                togo_r = (disc * step.rewards + value_r)[step.dst]
+                togo_v = np.where(step.safe, value_v, 1.0)[step.dst]
+                q_r = _fold(pair, step.probs * togo_r, nu, d.size)
+                q_v = _fold(pair, step.probs * togo_v, nu, d.size)
+            grad_r[tau] = reward + q_r @ d
+            grad_v[tau] = violation + q_v @ dv
+            value_r = stages[tau] @ q_r
+            value_v = stages[tau] @ q_v
+        return grad_r, np.clip(1.0 - grad_v, 0.0, 1.0)
 
 
 def lift_reward(reward_x: np.ndarray, num_levels: int) -> np.ndarray:
@@ -247,23 +333,22 @@ def constraint_probability(
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
+    """Euclidean projection of each row of ``v`` (last axis) onto the probability simplex."""
     v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u * np.arange(1, v.size + 1) > (css - 1.0))
-    if rho.size == 0:
-        out = np.zeros_like(v)
-        out[int(np.argmax(v))] = 1.0
-        return out
-    theta = (css[rho[-1]] - 1.0) / (rho[-1] + 1.0)
+    n = v.shape[-1]
+    u = np.sort(v, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    support = u * np.arange(1, n + 1) > (css - 1.0)
+    # Last index where the support condition holds, per row.
+    rho = n - 1 - support[..., ::-1].argmax(axis=-1)[..., None]
+    theta = (np.take_along_axis(css, rho, axis=-1) - 1.0) / (rho + 1.0)
     out = np.maximum(v - theta, 0.0)
-    s = out.sum()
-    return out / s if s > 0 else np.full_like(v, 1.0 / v.size)
-
-
-def _project_stages(stages: np.ndarray) -> np.ndarray:
-    return np.vstack([project_to_simplex(row) for row in stages])
+    s = out.sum(axis=-1, keepdims=True)
+    out = np.divide(out, s, out=np.full_like(out, 1.0 / n), where=s > 0)
+    # A row with no support index (non-finite or huge entries) puts all its
+    # mass on its largest entry.
+    one_hot = np.arange(n) == v.argmax(axis=-1)[..., None]
+    return np.where(support.any(axis=-1, keepdims=True), out, one_hot)
 
 
 def _penalized(reward: float, prob: float, threshold: float, rho: float) -> float:
@@ -288,18 +373,16 @@ def _ascend(
         scale = np.abs(grad).max()
         if scale <= 0.0:
             break
-        lr = 0.5 / scale
-        improved = False
-        for _ in range(12):
-            cand = _project_stages(stages + lr * grad)
+        # Backtracking line search over halving step sizes; every candidate
+        # is projected in one call, then evaluated until one improves.
+        lrs = (0.5 / scale) * 0.5 ** np.arange(12)
+        for cand in project_to_simplex(stages + lrs[:, None, None] * grad):
             r_c, p_c = compiled.evaluate(cand)
             phi_c = _penalized(r_c, p_c, threshold, rho)
             if phi_c > phi + 1e-12:
                 stages, reward, prob, phi = cand, r_c, p_c, phi_c
-                improved = True
                 break
-            lr *= 0.5
-        if not improved:
+        else:
             break
     return stages, iters
 
@@ -349,14 +432,12 @@ def optimize(
     nu = kernel.num_ego_actions
     threshold = 1.0 - epsilon
 
-    vertices = list(itertools.product(range(nu), repeat=horizon))
-    vertex_r = np.empty(len(vertices))
-    vertex_p = np.empty(len(vertices))
-    stages_buf = np.zeros((horizon, nu))
-    for i, actions in enumerate(vertices):
-        stages_buf[:] = 0.0
-        stages_buf[np.arange(horizon), actions] = 1.0
-        vertex_r[i], vertex_p[i] = compiled.evaluate(stages_buf)
+    vertex_r, vertex_p = compiled.vertex_values()
+
+    def vertex(index: int) -> np.ndarray:
+        stages = np.zeros((horizon, nu))
+        stages[np.arange(horizon), np.unravel_index(index, (nu,) * horizon)] = 1.0
+        return stages
 
     feasible = vertex_p >= threshold
     if not feasible.any():
@@ -366,7 +447,7 @@ def optimize(
         near = vertex_p >= best_p - 1e-15
         pick = int(np.flatnonzero(near)[np.argmax(vertex_r[near])])
         return PlanResult(
-            profile=DecisionProfile.deterministic(vertices[pick], nu),
+            profile=DecisionProfile(vertex(pick)),
             expected_reward=float(vertex_r[pick]),
             constraint_probability=float(vertex_p[pick]),
             feasible=False,
@@ -376,8 +457,7 @@ def optimize(
 
     feas_idx = np.flatnonzero(feasible)
     best_feas = int(feas_idx[np.argmax(vertex_r[feas_idx])])
-    best_stages = np.zeros((horizon, nu))
-    best_stages[np.arange(horizon), vertices[best_feas]] = 1.0
+    best_stages = vertex(best_feas)
     best_r = float(vertex_r[best_feas])
     best_p = float(vertex_p[best_feas])
 
@@ -416,9 +496,7 @@ def optimize(
     # with the reward-maximizing (infeasible) vertex; push as much mass
     # toward the latter as the constraint allows.
     r_best, _, stages_best = max(candidates, key=lambda c: c[0])
-    top = int(np.argmax(vertex_r))
-    top_stages = np.zeros((horizon, nu))
-    top_stages[np.arange(horizon), vertices[top]] = 1.0
+    top_stages = vertex(int(np.argmax(vertex_r)))
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)

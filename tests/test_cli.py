@@ -94,12 +94,18 @@ def test_simulate_snapshots_written(tmp_path, cache_dir):
     assert files[0].read_text().startswith("<svg")
 
 
-def test_simulate_rejects_unknown_level(tmp_path, cache_dir, capsys):
+def test_simulate_rejects_unknown_level(tmp_path, capsys):
+    # The level is checked before anything is built, so an empty cache
+    # directory stays empty.
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
     code = main([
-        "simulate", "--config", "intersection", "--cache-dir", str(cache_dir),
+        "simulate", "--config", "intersection", "--cache-dir", str(own_cache),
         "--human-level", "7", "--out", str(tmp_path / "e"),
     ])
     assert code == 2
+    assert "human level 7" in capsys.readouterr().err
+    assert list(own_cache.glob("hierarchy-*.npz")) == []
 
 
 def test_simulate_level0_human(tmp_path, cache_dir):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from chplanner.game import ENV, PolicyTable
 from chplanner.inference import build_kernel, init_belief
@@ -186,6 +187,59 @@ def test_analytic_gradients_match_finite_differences():
                 assert fd_p == pytest.approx(grad_p[tau, u] - grad_p[tau, w], abs=1e-4)
 
 
+def test_gradients_equal_stage_forced_evaluations():
+    # The identity the adjoint pass relies on: each entry is the evaluation
+    # with that stage forced to that action.  The empty and the full safe
+    # set make the forced probability clamp at 0 and sit at 1.
+    rng = np.random.default_rng(12)
+    for trial in range(12):
+        spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(rng)
+        if trial == 0:
+            safe = np.zeros(spec.num_states, bool)
+        elif trial == 1:
+            safe = np.ones(spec.num_states, bool)
+        horizon, nu = stages.shape
+        compiled = _CompiledHorizon(
+            kernel, lift_reward(r1, 2), safe, horizon, belief, spec.discount
+        )
+        grad_r, grad_p = compiled.gradients(stages)
+        for tau in range(horizon):
+            for u in range(nu):
+                forced = stages.copy()
+                forced[tau] = np.eye(nu)[u]
+                r, p = compiled.evaluate(forced)
+                assert grad_r[tau, u] == pytest.approx(r, rel=1e-12)
+                assert grad_p[tau, u] == pytest.approx(p, rel=1e-12)
+        if trial == 0:
+            assert not grad_p.any()
+        elif trial == 1:
+            assert (grad_p == 1.0).all()
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_vertex_values_match_enumeration_oracle(horizon):
+    rng = np.random.default_rng(30 + horizon)
+    for _ in range(3):
+        spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(
+            rng, horizon=horizon
+        )
+        nu = spec.num_ego_actions
+        compiled = _CompiledHorizon(
+            kernel, lift_reward(r1, 2), safe, horizon, belief, spec.discount
+        )
+        rewards, probs = compiled.vertex_values()
+        assert rewards.shape == probs.shape == (nu**horizon,)
+        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        for i, actions in enumerate(itertools.product(range(nu), repeat=horizon)):
+            oracle_r, oracle_p = profile_value_oracle(
+                spec, policies, prior, start,
+                DecisionProfile.deterministic(actions, nu).stages,
+                safe, lambda s: r1[s], spec.discount,
+            )
+            assert rewards[i] == pytest.approx(oracle_r, abs=1e-10)
+            assert probs[i] == pytest.approx(oracle_p, abs=1e-10)
+
+
 def test_optimize_unconstrained_attains_best_vertex():
     rng = np.random.default_rng(7)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
@@ -283,6 +337,13 @@ def test_optimize_rejects_bad_epsilon():
         optimize(kernel, lift_reward(r1, 2), safe, belief, 1.5, spec.discount, 2)
 
 
+def test_optimize_rejects_empty_horizon():
+    rng = np.random.default_rng(10)
+    spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    with pytest.raises(ValueError, match="horizon"):
+        optimize(kernel, lift_reward(r1, 2), safe, belief, 0.1, spec.discount, 0)
+
+
 class _StubPlanner:
     def __init__(self, stages):
         self.result = PlanResult(
@@ -375,12 +436,19 @@ def test_maximin_raises_when_everything_violates():
         maximin_plan(spec, 0)
 
 
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=8))
-@settings(max_examples=100, deadline=None)
+@given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=8),
+              elements=st.floats(-10, 10)))
+@settings(max_examples=200, deadline=None)
 def test_project_to_simplex_returns_simplex_point(values):
-    out = project_to_simplex(np.asarray(values))
+    out = project_to_simplex(values)
+    assert out.shape == values.shape
     assert out.min() >= 0.0
-    assert out.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.allclose(out.sum(axis=-1), 1.0, rtol=0.0, atol=1e-9)
+    if values.ndim == 2:
+        # Rows are projected independently, with the same arithmetic as a
+        # one-row call.
+        rows = np.vstack([project_to_simplex(row) for row in values])
+        assert np.array_equal(out, rows)
 
 
 def test_project_to_simplex_fixed_point():
