@@ -199,6 +199,8 @@ def run_episode(
     if not 0 <= human_level <= hierarchy.k_max:
         raise ValueError(f"human level {human_level} not in the built hierarchy")
     step_cap = config.step_cap if step_cap is None else step_cap
+    if step_cap < 0:
+        raise ValueError(f"step cap must be >= 0, got {step_cap}")
     on_infeasible = config.on_infeasible if on_infeasible is None else on_infeasible
     if on_infeasible not in ("abort", "fallback"):
         raise ValueError(f"on_infeasible must be 'abort' or 'fallback': {on_infeasible!r}")
@@ -473,9 +475,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"config error: human level {human_level} not in {config.levels}",
               file=sys.stderr)
         return 2
+    if args.steps is not None and args.steps < 0:
+        print(f"config error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
+        return 2
+    seed = config.seed if args.seed is None else args.seed
+    if seed < 0:
+        print(f"config error: seed must be >= 0, got {seed}", file=sys.stderr)
+        return 2
     scenario, hierarchy, _ = build_artifacts(config, args.cache_dir)
     kernel = scenario_kernel(scenario, hierarchy)
-    seed = config.seed if args.seed is None else args.seed
     try:
         log = run_episode(
             scenario,
@@ -504,7 +512,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _load_config_or_exit(args.config)
+    if args.seeds < 0:
+        print(f"config error: --seeds must be >= 0, got {args.seeds}", file=sys.stderr)
+        return 2
     base = config.seed if args.seed is None else args.seed
+    if base < 0:
+        print(f"config error: seed must be >= 0, got {base}", file=sys.stderr)
+        return 2
     seeds = [base + i for i in range(args.seeds)]
     levels = config.levels if args.human_level is None else (args.human_level,)
     if any(level not in config.levels for level in levels):

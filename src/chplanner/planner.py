@@ -12,9 +12,29 @@ actions.  Two exact evaluators drive the solver:
   left the safe region.
 
 Both quantities are multilinear in the profile.  The solver scores all
-deterministic profiles (vertices of the simplex product) and improves on
-them with projected gradient ascent only when the chance constraint binds;
-randomization can beat every vertex only near the constraint boundary.
+deterministic profiles (vertices of the simplex product) and then takes the
+first of four paths that applies:
+
+* ``infeasible`` -- no vertex reaches ``1 - epsilon``, so no profile does
+  (a multilinear function attains its maximum over the simplex product at
+  a vertex); the probability-maximizing vertex is returned;
+* ``unconstrained`` -- the reward-maximizing vertex is feasible;
+* ``closed-form`` -- a certified boundary mix.  With every stage but one
+  fixed at a vertex, reward and probability are linear in the free stage,
+  so mixing a feasible and an infeasible vertex that differ in that stage
+  to probability exactly ``1 - epsilon`` is an exact product profile whose
+  value comes from the vertex values.  Every product profile is also a
+  mixture of vertices with the same reward and probability, so the
+  one-constraint LP over vertex mixtures (solved by the best feasible
+  vertex or feasible/infeasible pair) bounds the optimum.  When the best
+  single-stage mix meets that bound, it is optimal and returned at once;
+* ``ascent`` -- otherwise (the gap stays open) projected gradient ascent
+  on a penalized objective, a feasibility bisection and a boundary polish
+  run as before, and the closed-form mix joins their candidates, so the
+  result is never worse than either.
+
+Every plan reports ``gap``, the LP bound minus its expected reward: a gap
+of 0 proves the plan optimal.
 
 Each solver stage is one batched pass over the compiled reachable sets:
 
@@ -60,6 +80,13 @@ __all__ = [
 
 # Iteration cap of each projected-gradient ascent run in :func:`optimize`.
 ASCENT_ITERS = 40
+# A certificate gap at most this fraction of the vertex reward span is the
+# float noise of the two evaluators and counts as closed.
+GAP_TOL = 1e-12
+# Re-scorings of the closed-form mix before it is given up, each moving a
+# little more weight onto the feasible vertex when rounding left the exact
+# probability a float short of ``1 - epsilon``.
+NUDGE_STEPS = 4
 
 
 class NoRobustPlanError(RuntimeError):
@@ -104,7 +131,16 @@ class DecisionProfile:
 
 @dataclass(frozen=True)
 class PlanResult:
-    """Solver output: the chosen profile plus its exact evaluations."""
+    """Solver output: the chosen profile plus its exact evaluations.
+
+    ``path`` names the solver path that produced the plan (``"infeasible"``,
+    ``"unconstrained"``, ``"closed-form"`` or ``"ascent"``, see the module
+    docstring) and ``iterations`` counts its ascent iterations.  ``gap`` is
+    the LP bound over vertex mixtures minus ``expected_reward``, never
+    negative and 0 within ``GAP_TOL`` of the reward span; a gap of 0 proves
+    the plan optimal.  An infeasible plan is the exact probability maximizer
+    and reports a gap of 0.
+    """
 
     profile: DecisionProfile
     expected_reward: float
@@ -112,6 +148,8 @@ class PlanResult:
     feasible: bool
     iterations: int = 0
     fallback: bool = False
+    path: str = "unconstrained"
+    gap: float = 0.0
 
 
 class _Step(NamedTuple):
@@ -406,6 +444,100 @@ def _bisect_feasible(
     return (1.0 - hi) * stages + hi * anchor
 
 
+def _vertex(index: int, horizon: int, nu: int) -> np.ndarray:
+    """Stages of the deterministic profile at ``index`` in vertex-sweep order."""
+    stages = np.zeros((horizon, nu))
+    stages[np.arange(horizon), np.unravel_index(index, (nu,) * horizon)] = 1.0
+    return stages
+
+
+def _boundary_mix(r_a, p_a, r_b, p_b, threshold):
+    """Weight on ``a`` and value of the ``a``/``b`` mix whose probability is ``threshold``.
+
+    The bound and the closed-form candidate both use this one expression,
+    so the same pair gives bit-identical values in both.
+    """
+    lam = (threshold - p_b) / (p_a - p_b)
+    return lam, lam * r_a + (1.0 - lam) * r_b
+
+
+def _lp_bound(vertex_r: np.ndarray, vertex_p: np.ndarray, threshold: float) -> float:
+    """Largest reward of a vertex mixture whose probability reaches ``threshold``.
+
+    Every product profile is such a mixture (its vertex weights are the
+    products of its stage weights), so this bounds every feasible profile.
+    With one constraint the LP optimum is a feasible vertex or the boundary
+    mix of a feasible and an infeasible vertex, and only vertices on the
+    Pareto front of (probability, reward) can take part: a partner with
+    more of both gives a better mix.  At least one vertex must be feasible.
+    """
+    order = np.lexsort((-vertex_r, -vertex_p))
+    r, p = vertex_r[order], vertex_p[order]
+    front = r > np.maximum.accumulate(np.concatenate(([-np.inf], r[:-1])))
+    r, p = r[front], p[front]
+    # Along the front probability falls and reward rises, so every feasible
+    # member has less reward than every infeasible one.
+    feas = p >= threshold
+    bound = r[feas].max()
+    if not feas.all():
+        _, value = _boundary_mix(
+            r[feas][:, None], p[feas][:, None], r[~feas][None, :], p[~feas][None, :],
+            threshold,
+        )
+        bound = max(bound, value.max())
+    return float(bound)
+
+
+def _closed_form(
+    compiled: _CompiledHorizon,
+    vertex_r: np.ndarray,
+    vertex_p: np.ndarray,
+    threshold: float,
+    best_feas: int,
+) -> tuple[float, np.ndarray, float, float]:
+    """Best boundary mix of a feasible and an infeasible vertex differing in one stage.
+
+    Stage ``tau`` is one vectorised pass over (prefix, feasible action ``a``,
+    infeasible action ``b``, suffix) with ``R_b > R_a``.  Returns the mix's
+    closed-form value, its stages and the stages re-scored by
+    :meth:`_CompiledHorizon.evaluate`.  When the re-scored probability lands
+    a float below ``threshold``, up to ``NUDGE_STEPS`` re-scorings move
+    weight onto ``a``; the caller checks the last probability.  Without an
+    improving pair the best feasible vertex is the candidate.
+    """
+    nu = compiled.num_actions
+    horizon = len(compiled.steps) + 1
+    best_value, best_pair = float(vertex_r[best_feas]), None
+    for tau in range(horizon):
+        post = nu ** (horizon - 1 - tau)
+        r_a = vertex_r.reshape(-1, nu, 1, post)
+        p_a = vertex_p.reshape(-1, nu, 1, post)
+        r_b, p_b = r_a.swapaxes(1, 2), p_a.swapaxes(1, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _, value = _boundary_mix(r_a, p_a, r_b, p_b, threshold)
+        value = np.where((p_a >= threshold) & (p_b < threshold) & (r_b > r_a), value, -np.inf)
+        i, a, b, j = np.unravel_index(np.argmax(value), value.shape)
+        if value[i, a, b, j] > best_value:
+            best_value = float(value[i, a, b, j])
+            best_pair = (tau, (i * nu + a) * post + j, (i * nu + b) * post + j)
+
+    if best_pair is None:
+        stages = _vertex(best_feas, horizon, nu)
+        return best_value, stages, *compiled.evaluate(stages)
+    tau, ia, ib = best_pair
+    p_a, p_b = vertex_p[ia], vertex_p[ib]
+    lam, _ = _boundary_mix(vertex_r[ia], p_a, vertex_r[ib], p_b, threshold)
+    stages = _vertex(ia, horizon, nu)
+    row_a, row_b = stages[tau].copy(), _vertex(ib, horizon, nu)[tau]
+    for k in range(NUDGE_STEPS):
+        stages[tau] = lam * row_a + (1.0 - lam) * row_b
+        reward, prob = compiled.evaluate(stages)
+        if prob >= threshold:
+            break
+        lam = min(1.0, lam + (threshold - prob) / (p_a - p_b) + 2.0**k * np.finfo(float).eps)
+    return best_value, stages, reward, prob
+
+
 def optimize(
     kernel: AugmentedKernel,
     reward_aug: np.ndarray,
@@ -417,13 +549,26 @@ def optimize(
 ) -> PlanResult:
     """Maximize expected reward subject to the time-joint chance constraint.
 
-    All deterministic profiles are enumerated first; their best feasible
-    member both warm-starts and lower-bounds the solution.  If no profile
-    can reach ``1 - epsilon`` joint-safety probability (the maximum of a
-    multilinear function over a product of simplices is attained at a
-    vertex, so vertex enumeration decides this exactly), the result carries
-    ``feasible=False`` and the probability-maximizing profile, ties broken
-    by expected reward -- the caller chooses what to do with it.
+    All deterministic profiles are scored first, then the paths of the
+    module docstring are tried in order:
+
+    1. ``infeasible``: if no vertex reaches ``1 - epsilon`` joint-safety
+       probability, no profile does (vertex enumeration decides this
+       exactly); the result carries ``feasible=False`` and the
+       probability-maximizing vertex, ties broken by expected reward -- the
+       caller chooses what to do with it.
+    2. ``unconstrained``: the reward-maximizing vertex is feasible.
+    3. ``closed-form``: the best single-stage boundary mix of a feasible and
+       an infeasible vertex meets the LP bound over vertex mixtures within
+       ``GAP_TOL`` of the reward span, so it is optimal; it is returned with
+       ``iterations=0``, re-scored by the exact evaluator.
+    4. ``ascent``: projected gradient ascent from the best feasible vertex
+       and from the uniform profile, a feasibility bisection and a boundary
+       polish; the best of their results, the best feasible vertex and the
+       closed-form mix is returned.
+
+    Every feasible result has an exact probability of at least
+    ``1 - epsilon`` and a ``gap`` to the LP bound.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of [0, 1]: {epsilon!r}")
@@ -434,11 +579,6 @@ def optimize(
 
     vertex_r, vertex_p = compiled.vertex_values()
 
-    def vertex(index: int) -> np.ndarray:
-        stages = np.zeros((horizon, nu))
-        stages[np.arange(horizon), np.unravel_index(index, (nu,) * horizon)] = 1.0
-        return stages
-
     feasible = vertex_p >= threshold
     if not feasible.any():
         # Exact infeasibility: no profile (randomized or not) can do better
@@ -447,17 +587,18 @@ def optimize(
         near = vertex_p >= best_p - 1e-15
         pick = int(np.flatnonzero(near)[np.argmax(vertex_r[near])])
         return PlanResult(
-            profile=DecisionProfile(vertex(pick)),
+            profile=DecisionProfile(_vertex(pick, horizon, nu)),
             expected_reward=float(vertex_r[pick]),
             constraint_probability=float(vertex_p[pick]),
             feasible=False,
             iterations=0,
             fallback=True,
+            path="infeasible",
         )
 
     feas_idx = np.flatnonzero(feasible)
     best_feas = int(feas_idx[np.argmax(vertex_r[feas_idx])])
-    best_stages = vertex(best_feas)
+    best_stages = _vertex(best_feas, horizon, nu)
     best_r = float(vertex_r[best_feas])
     best_p = float(vertex_p[best_feas])
 
@@ -470,9 +611,30 @@ def optimize(
             constraint_probability=best_p,
             feasible=True,
             iterations=0,
+            path="unconstrained",
         )
 
     reward_span = float(vertex_r.max() - vertex_r.min())
+    bound = _lp_bound(vertex_r, vertex_p, threshold)
+    tol = GAP_TOL * reward_span
+
+    def gap(reward: float) -> float:
+        return bound - reward if bound - reward > tol else 0.0
+
+    cf_value, cf_stages, cf_r, cf_p = _closed_form(
+        compiled, vertex_r, vertex_p, threshold, best_feas
+    )
+    if cf_p >= threshold and bound - cf_value <= tol:
+        return PlanResult(
+            profile=DecisionProfile(cf_stages),
+            expected_reward=float(cf_r),
+            constraint_probability=float(cf_p),
+            feasible=True,
+            iterations=0,
+            path="closed-form",
+            gap=gap(cf_r),
+        )
+
     iterations = 0
     candidates = [(best_r, best_p, best_stages)]
     for start in (best_stages, np.full((horizon, nu), 1.0 / nu)):
@@ -496,7 +658,7 @@ def optimize(
     # with the reward-maximizing (infeasible) vertex; push as much mass
     # toward the latter as the constraint allows.
     r_best, _, stages_best = max(candidates, key=lambda c: c[0])
-    top_stages = vertex(int(np.argmax(vertex_r)))
+    top_stages = _vertex(int(np.argmax(vertex_r)), horizon, nu)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -510,6 +672,9 @@ def optimize(
         else:
             hi = mid
 
+    # The closed-form mix joins last, so it wins only when strictly better.
+    if cf_p >= threshold:
+        candidates.append((cf_r, cf_p, cf_stages))
     r_fin, p_fin, stages_fin = max(candidates, key=lambda c: c[0])
     return PlanResult(
         profile=DecisionProfile(stages_fin),
@@ -517,6 +682,8 @@ def optimize(
         constraint_probability=float(p_fin),
         feasible=True,
         iterations=iterations,
+        path="ascent",
+        gap=gap(r_fin),
     )
 
 

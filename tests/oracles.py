@@ -122,6 +122,41 @@ def profile_value_oracle(
     return expected, p_safe
 
 
+def lp_bound_oracle(
+    spec: GameSpec,
+    env_policies: dict[int, PolicyTable],
+    level_prior,
+    start_state: int,
+    horizon: int,
+    safe_set,
+    reward_of,
+    discount: float,
+    threshold: float,
+) -> float:
+    """Best reward of a vertex mixture whose probability reaches ``threshold``.
+
+    Scores every vertex with :func:`profile_value_oracle`, then takes the
+    best feasible vertex or boundary mix of a feasible and an infeasible
+    vertex, trying every pair.  At least one vertex must be feasible.
+    """
+    nu = spec.num_ego_actions
+    values = [
+        profile_value_oracle(
+            spec, env_policies, level_prior, start_state,
+            np.eye(nu)[list(actions)], safe_set, reward_of, discount,
+        )
+        for actions in itertools.product(range(nu), repeat=horizon)
+    ]
+    feasible = [(r, p) for r, p in values if p >= threshold]
+    infeasible = [(r, p) for r, p in values if p < threshold]
+    best = max(r for r, _ in feasible)
+    for r_a, p_a in feasible:
+        for r_b, p_b in infeasible:
+            lam = (threshold - p_b) / (p_a - p_b)
+            best = max(best, lam * r_a + (1.0 - lam) * r_b)
+    return best
+
+
 def dense_kernel_matrix(kernel, u1: int) -> np.ndarray:
     """Dense ``P[target, source]`` transition matrix for one ego action."""
     n = kernel.num_augmented

@@ -108,6 +108,30 @@ def test_simulate_rejects_unknown_level(tmp_path, capsys):
     assert list(own_cache.glob("hierarchy-*.npz")) == []
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--steps", "-2"], "--steps"),
+        (["evaluate", "--seeds", "-3"], "--seeds"),
+        (["simulate", "--seed", "-1"], "seed"),
+        (["evaluate", "--seed", "-1"], "seed"),
+    ],
+    ids=["simulate-steps", "evaluate-seeds", "simulate-seed", "evaluate-seed"],
+)
+def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag):
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    code = main(argv + [
+        "--config", "intersection", "--cache-dir", str(own_cache),
+        "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and flag in err
+    assert list(own_cache.glob("hierarchy-*.npz")) == []
+    assert list(tmp_path.glob("out*")) == []
+
+
 def test_simulate_level0_human(tmp_path, cache_dir):
     # The content hash ignores the inference levels, so this reuses the
     # cached intersection hierarchy.
@@ -197,6 +221,8 @@ def test_episode_rejects_unbuilt_level(built_scenarios):
     scenario, hierarchy, kernel, _ = built_scenarios("intersection")
     with pytest.raises(ValueError):
         run_episode(scenario, hierarchy, kernel, 3, seed=0)
+    with pytest.raises(ValueError, match="step cap"):
+        run_episode(scenario, hierarchy, kernel, 1, seed=0, step_cap=-1)
 
 
 def test_evaluate_zero_seeds_empty_report(tmp_path, cache_dir, capsys):

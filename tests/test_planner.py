@@ -20,10 +20,10 @@ from chplanner.planner import (
     project_to_simplex,
     receding_horizon_step,
 )
-from chplanner.planner import _CompiledHorizon
+from chplanner.planner import _CompiledHorizon, _closed_form
 
 from conftest import make_spec
-from oracles import profile_value_oracle, random_game, random_policy
+from oracles import lp_bound_oracle, profile_value_oracle, random_game, random_policy
 
 
 def _random_instance(rng, nx=None, nu1=None, nu2=None, horizon=None, num_levels=2):
@@ -297,6 +297,101 @@ def test_optimize_randomizes_at_the_constraint_boundary():
     assert result.constraint_probability == pytest.approx(0.95, abs=1e-6)
     assert result.profile.stages[0, 1] == pytest.approx(0.05, abs=1e-6)
     assert result.expected_reward > 1.0 + 1e-6  # better than the safe vertex
+    # With one stage the single-stage mix is the LP optimum itself.
+    assert result.path == "closed-form"
+    assert result.gap == 0.0
+    assert result.iterations == 0
+
+
+@pytest.mark.parametrize("epsilon", [0.126, 0.144, 0.16])
+def test_closed_form_nudges_a_rounded_down_mix_back_to_feasible(epsilon):
+    # Action 0 stays safe with probability 0.9, action 1 is unsafe but worth
+    # more.  For these epsilons the exact boundary weight threshold / 0.9
+    # evaluates a float below the threshold; the plan must still take the
+    # closed-form path and be feasible.
+    table = np.array([[[1, 2], [2, 2]], [[1, 1], [1, 1]], [[2, 2], [2, 2]]])
+    spec = make_spec(table, [0.0, 1.0, 10.0], np.zeros(3), [True, True, False], horizon=1)
+    policy = PolicyTable(1, ENV, np.array([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]]))
+    kernel = build_kernel(spec, {1: policy})
+    belief = init_belief(0, [1.0], 3)
+    threshold = 1.0 - epsilon
+    lam = threshold / 0.9
+    exact = DecisionProfile(np.array([[lam, 1.0 - lam]]))
+    assert constraint_probability(kernel, spec.safe_set, belief, exact) < threshold
+    result = optimize(
+        kernel, lift_reward([0.0, 1.0, 10.0], 1), spec.safe_set, belief,
+        epsilon, spec.discount, 1,
+    )
+    assert result.path == "closed-form" and result.gap == 0.0
+    assert result.constraint_probability >= threshold
+    assert constraint_probability(
+        kernel, spec.safe_set, belief, result.profile
+    ) == result.constraint_probability
+    assert result.profile.stages[0, 0] == pytest.approx(lam, abs=1e-12)
+
+
+def test_closed_form_plans_match_oracle_and_stay_feasible():
+    # Every closed-form plan's reward and probability agree with path
+    # enumeration, and the probability reaches 1 - epsilon.
+    rng = np.random.default_rng(40)
+    seen = 0
+    while seen < 25:
+        nu1 = int(rng.integers(2, 5))
+        spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(rng, nu1=nu1)
+        epsilon = float(rng.choice([0.01, 0.05, 0.2, 0.5]))
+        result = optimize(
+            kernel, lift_reward(r1, 2), safe, belief, epsilon, spec.discount, spec.horizon
+        )
+        if result.path != "closed-form":
+            continue
+        seen += 1
+        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        oracle_r, oracle_p = profile_value_oracle(
+            spec, policies, prior, start, result.profile.stages, safe,
+            lambda s: r1[s], spec.discount,
+        )
+        assert result.expected_reward == pytest.approx(oracle_r, abs=1e-10)
+        assert result.constraint_probability == pytest.approx(oracle_p, abs=1e-10)
+        assert result.feasible and result.iterations == 0 and result.gap == 0.0
+        assert result.constraint_probability >= 1.0 - epsilon
+
+
+def test_optimize_gap_is_bound_minus_value():
+    # On random instances: the gap is never negative, no plan beats the
+    # brute-force LP bound, and reward plus gap is that bound.
+    rng = np.random.default_rng(41)
+    paths = set()
+    for _ in range(200):
+        nu1 = int(rng.integers(2, 5))
+        spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(rng, nu1=nu1)
+        epsilon = float(rng.choice([0.01, 0.05, 0.2, 0.5]))
+        result = optimize(
+            kernel, lift_reward(r1, 2), safe, belief, epsilon, spec.discount, spec.horizon
+        )
+        paths.add(result.path)
+        assert result.gap >= 0.0
+        if not result.feasible:
+            assert result.path == "infeasible" and result.gap == 0.0
+            continue
+        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        bound = lp_bound_oracle(
+            spec, policies, prior, start, spec.horizon, safe,
+            lambda s: r1[s], spec.discount, 1.0 - epsilon,
+        )
+        assert result.expected_reward <= bound + 1e-10
+        assert result.expected_reward + result.gap == pytest.approx(bound, abs=1e-10)
+        if result.path == "ascent":
+            # The closed-form mix is among the ascent path's candidates.
+            compiled = _CompiledHorizon(
+                kernel, lift_reward(r1, 2), safe, spec.horizon, belief, spec.discount
+            )
+            vertex_r, vertex_p = compiled.vertex_values()
+            feasible = np.flatnonzero(vertex_p >= 1.0 - epsilon)
+            best_feas = int(feasible[np.argmax(vertex_r[feasible])])
+            *_, cf_r, cf_p = _closed_form(compiled, vertex_r, vertex_p, 1.0 - epsilon, best_feas)
+            if cf_p >= 1.0 - epsilon:
+                assert result.expected_reward >= cf_r
+    assert paths == {"infeasible", "unconstrained", "closed-form", "ascent"}
 
 
 def test_optimize_is_deterministic():
