@@ -30,12 +30,10 @@ from .hierarchy import (
 from .inference import (
     AugmentedKernel,
     Belief,
-    History,
     InconsistentObservationError,
     bayes_update,
     build_kernel,
     init_belief,
-    predict,
 )
 from .planner import (
     DecisionProfile,
@@ -44,7 +42,6 @@ from .planner import (
     PlanResult,
     constraint_probability,
     expected_reward,
-    lift_reward,
     maximin_plan,
     optimize,
     receding_horizon_step,

@@ -48,7 +48,7 @@ from .inference import (
     build_kernel,
     init_belief,
 )
-from .planner import Planner, lift_reward, maximin_plan, receding_horizon_step
+from .planner import Planner, maximin_plan, receding_horizon_step
 from .render import render_step
 from .traffic import (
     Scenario,
@@ -167,7 +167,7 @@ def scenario_planner(scenario: Scenario, kernel: AugmentedKernel) -> Planner:
     """Planner over the raw scenario objective (safety lives in the constraint)."""
     return Planner(
         kernel=kernel,
-        reward_aug=lift_reward(scenario.ego_objective, len(kernel.levels)),
+        reward=scenario.ego_objective,
         safe_set=scenario.spec.safe_set,
         epsilon=scenario.config.epsilon,
         discount=scenario.config.discount,

@@ -1,18 +1,23 @@
-"""Belief propagation over the augmented state space (physical state x level).
+"""Level inference over the augmented state space (physical state x level).
 
 The opponent's reasoning level is a hidden, static component of the state.
 Conditioned on it, the opponent's action is a stochastic disturbance drawn
 from the corresponding level-k policy, which makes the joint system a Markov
-chain per ego action.  This module builds that chain as a sparse kernel,
-propagates predicted distributions through it, and performs the Bayesian
-posterior update from the observed physical state and the executed ego
-action.
+chain per ego action.  This module builds that chain as a sparse kernel and
+performs the Bayesian posterior update from the observed physical state and
+the executed ego action.
 
-Augmented states are indexed level-major: ``aug = level_index * |X| + x``.
+The physical state is observed exactly and the level never changes, so
+every belief the filter forms is a point mass in physical state: a
+:class:`Belief` is the observed state plus a K-vector of level weights,
+never a dense |X|·K vector.  Its support in the augmented space is
+``{state} x K``, indexed level-major: ``aug = level_index * |X| + x``.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -22,11 +27,9 @@ from .game import ENV, ROW_SUM_TOL, GameSpec, PolicyTable
 
 __all__ = [
     "Belief",
-    "History",
     "AugmentedKernel",
     "InconsistentObservationError",
     "build_kernel",
-    "predict",
     "bayes_update",
     "init_belief",
 ]
@@ -37,50 +40,54 @@ class InconsistentObservationError(ValueError):
 
 
 @dataclass(frozen=True)
-class History:
-    """Observations ``y_0..y_t`` and executed ego actions ``u_0..u_{t-1}``."""
-
-    observations: tuple[int, ...]
-    actions: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.observations) != len(self.actions) + 1:
-            raise ValueError(
-                "history must hold exactly one more observation than actions; "
-                f"got {len(self.observations)} observations, {len(self.actions)} actions"
-            )
-
-    def extended(self, action: int, observation: int) -> "History":
-        return History(self.observations + (observation,), self.actions + (action,))
-
-
-@dataclass(frozen=True)
 class Belief:
-    """Probability vector over augmented states at one decision step."""
+    """Point-mass belief: the observed physical state and the level weights.
 
-    probs: np.ndarray
-    num_states: int
+    ``weights[i]`` is the posterior mass of the kernel's ``i``-th level; the
+    belief puts it on augmented state ``i * |X| + state``.  Only the weights
+    are checked here; :meth:`support` checks the state and the level count
+    against a kernel.
+    """
+
+    state: int
+    weights: np.ndarray
     time_stamp: int = 0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size % self.num_states != 0:
-            raise ValueError(
-                f"belief length {probs.size} not a multiple of num_states={self.num_states}"
-            )
-        if probs.min(initial=0.0) < -1e-12:
-            raise ValueError("belief entries must be nonnegative")
-        if abs(probs.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"belief must sum to 1 within {ROW_SUM_TOL}, got {probs.sum()!r}")
-        object.__setattr__(self, "probs", probs)
+        if not isinstance(self.state, numbers.Integral):
+            raise ValueError(f"belief state must be an integer, got {self.state!r}")
+        weights = np.array(self.weights, dtype=float)
+        if weights.ndim != 1 or weights.size == 0:
+            raise ValueError("belief weights must be a nonempty vector")
+        if not weights.min() >= 0.0:
+            raise ValueError("belief weights must be nonnegative")
+        if abs(weights.sum() - 1.0) > ROW_SUM_TOL:
+            raise ValueError(f"belief must sum to 1 within {ROW_SUM_TOL}, got {weights.sum()!r}")
+        weights.flags.writeable = False
+        object.__setattr__(self, "state", int(self.state))
+        object.__setattr__(self, "weights", weights)
 
     @property
     def num_levels(self) -> int:
-        return self.probs.size // self.num_states
+        return self.weights.size
 
     def level_marginals(self) -> np.ndarray:
         """Posterior mass per level (the quantity the planner conditions on)."""
-        return self.probs.reshape(self.num_levels, self.num_states).sum(axis=1)
+        return self.weights
+
+    def support(self, kernel: "AugmentedKernel") -> tuple[np.ndarray, np.ndarray]:
+        """Augmented states carrying mass, level-major, and their mass."""
+        if not 0 <= self.state < kernel.num_states:
+            raise ValueError(
+                f"belief state {self.state} out of range [0, {kernel.num_states})"
+            )
+        if self.weights.size != len(kernel.levels):
+            raise ValueError(
+                f"belief has {self.weights.size} level weights, "
+                f"the kernel {len(kernel.levels)} levels"
+            )
+        levels = np.flatnonzero(self.weights)
+        return levels * kernel.num_states + self.state, self.weights[levels]
 
 
 @dataclass(frozen=True)
@@ -200,57 +207,16 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
     return kernel
 
 
-def _as_probs(dist) -> np.ndarray:
-    if isinstance(dist, Belief):
-        return dist.probs
-    return np.asarray(dist, dtype=float)
-
-
-def predict(kernel: AugmentedKernel, dist, gamma) -> np.ndarray:
-    """One-step predicted distribution over augmented states.
-
-    ``next(i) = sum_j sum_l gamma(l) P(i | j, l) dist(j)`` -- the sparse form
-    of the dense one-step matrix recursion.  ``dist`` may be a
-    :class:`Belief` or a raw probability vector; the result is a raw vector.
-    """
-    p = _as_probs(dist)
-    if p.size != kernel.num_augmented:
-        raise ValueError(
-            f"distribution length {p.size} does not match kernel ({kernel.num_augmented})"
-        )
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (kernel.num_ego_actions,):
-        raise ValueError(
-            f"gamma length {gamma.size} does not match {kernel.num_ego_actions} ego actions"
-        )
-    out = np.zeros(kernel.num_augmented)
-    support = np.flatnonzero(p)
-    for u1 in range(kernel.num_ego_actions):
-        g = gamma[u1]
-        if g == 0.0:
-            continue
-        which, targets, probs = kernel.expand_rows(support * kernel.num_ego_actions + u1)
-        np.add.at(out, targets, probs * (g * p[support][which]))
-    return out
-
-
 def _level_likelihoods(
     kernel: AugmentedKernel, prior: Belief, executed_u1: int, observed_y: int
 ) -> np.ndarray:
     """Unnormalized posterior mass arriving at ``(observed_y, k)`` per level."""
     nx = kernel.num_states
     masses = np.zeros(len(kernel.levels))
-    support = np.flatnonzero(prior.probs)
-    if support.size == 0:
-        return masses
+    support, mass = prior.support(kernel)
     which, targets, probs = kernel.expand_rows(support * kernel.num_ego_actions + executed_u1)
     hit = (targets % nx) == observed_y
-    if hit.any():
-        np.add.at(
-            masses,
-            targets[hit] // nx,
-            probs[hit] * prior.probs[support][which[hit]],
-        )
+    np.add.at(masses, targets[hit] // nx, probs[hit] * mass[which[hit]])
     return masses
 
 
@@ -263,7 +229,7 @@ def bayes_update(
 ) -> Belief:
     """Posterior belief after executing ``u1`` and observing the next state.
 
-    The posterior is supported on ``{observed_y} x K`` with each level's mass
+    The posterior sits on ``observed_y`` with each level's weight
     proportional to the one-step predicted probability of reaching
     ``(observed_y, k)`` from the prior.  With the default ``floor=0`` an
     observation whose total predicted mass is zero raises
@@ -275,8 +241,8 @@ def bayes_update(
         raise ValueError(f"observed state {observed_y} out of range")
     if not 0 <= executed_u1 < kernel.num_ego_actions:
         raise ValueError(f"executed action {executed_u1} out of range")
-    if prior.probs.size != kernel.num_augmented:
-        raise ValueError("prior does not match the kernel's augmented space")
+    if not (math.isfinite(floor) and floor >= 0.0):
+        raise ValueError(f"likelihood floor must be finite and >= 0, got {floor!r}")
     masses = _level_likelihoods(kernel, prior, executed_u1, observed_y)
     if floor > 0.0:
         masses = np.maximum(masses, floor)
@@ -286,24 +252,13 @@ def bayes_update(
             f"observation y={observed_y} has zero predicted probability "
             f"under action u1={executed_u1}"
         )
-    probs = np.zeros(kernel.num_augmented)
-    probs[np.arange(len(kernel.levels)) * kernel.num_states + observed_y] = masses / total
-    return Belief(probs=probs, num_states=kernel.num_states, time_stamp=prior.time_stamp + 1)
+    return Belief(state=observed_y, weights=masses / total, time_stamp=prior.time_stamp + 1)
 
 
 def init_belief(
     physical_state: int, level_prior: Sequence[float], num_states: int
 ) -> Belief:
     """Point-mass belief on ``physical_state`` with the given prior over levels."""
-    prior = np.asarray(level_prior, dtype=float)
-    if prior.ndim != 1 or prior.size == 0:
-        raise ValueError("level_prior must be a nonempty vector")
-    if prior.min(initial=0.0) < 0.0:
-        raise ValueError("level_prior entries must be nonnegative")
-    if abs(prior.sum() - 1.0) > ROW_SUM_TOL:
-        raise ValueError(f"level_prior must sum to 1 within {ROW_SUM_TOL}")
     if not 0 <= physical_state < num_states:
         raise ValueError(f"physical state {physical_state} out of range [0, {num_states})")
-    probs = np.zeros(num_states * prior.size)
-    probs[np.arange(prior.size) * num_states + physical_state] = prior
-    return Belief(probs=probs, num_states=num_states, time_stamp=0)
+    return Belief(state=physical_state, weights=level_prior, time_stamp=0)

@@ -74,7 +74,6 @@ __all__ = [
     "receding_horizon_step",
     "maximin_plan",
     "project_to_simplex",
-    "lift_reward",
 ]
 
 
@@ -172,12 +171,13 @@ def _fold(pair: np.ndarray, weights: np.ndarray, nu: int, n: int) -> np.ndarray:
 class _CompiledHorizon:
     """Reachable-set propagation graph for one planning instance.
 
-    Unrolls the kernel over the states reachable from the belief support
-    within the horizon, with per-step local index spaces.  Stages
-    ``0..H-2`` are kept as sparse steps; the last stage is folded into two
-    ``(actions, sources)`` matrices, ``last_reward[u, j]`` (expected reward
-    of the successor of local state ``j`` under action ``u``) and
-    ``last_unsafe[u, j]`` (probability that successor is unsafe).
+    Unrolls the kernel over the augmented states reachable from the belief
+    support ``{state} x K`` within the horizon, with per-step local index
+    spaces; rewards and the safe set are read at each target's physical
+    state.  Stages ``0..H-2`` are kept as sparse steps; the last stage is
+    folded into two ``(actions, sources)`` matrices, ``last_reward[u, j]``
+    (expected reward of the successor of local state ``j`` under action
+    ``u``) and ``last_unsafe[u, j]`` (probability that successor is unsafe).
     Evaluating a profile then costs one gather + bincount pass per kept
     stage plus two small products, independent of the full augmented-space
     size.
@@ -186,7 +186,7 @@ class _CompiledHorizon:
     def __init__(
         self,
         kernel: AugmentedKernel,
-        reward_aug: np.ndarray,
+        reward: np.ndarray,
         safe_set: np.ndarray,
         horizon: int,
         belief: Belief,
@@ -194,31 +194,29 @@ class _CompiledHorizon:
     ):
         nu = kernel.num_ego_actions
         nx = kernel.num_states
-        if reward_aug.shape != (kernel.num_augmented,):
+        if reward.shape != (nx,):
             raise ValueError(
-                f"reward vector length {reward_aug.size} does not match the "
-                f"augmented space ({kernel.num_augmented})"
+                f"reward vector length {reward.size} does not match the "
+                f"{nx} physical states"
             )
-        if belief.probs.size != kernel.num_augmented:
-            raise ValueError("belief does not match the kernel's augmented space")
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         self.num_actions = nu
         self.discount = discount
-        support = np.flatnonzero(belief.probs)
-        self.p0 = belief.probs[support]
+        reach, self.p0 = belief.support(kernel)
         self.steps: list[_Step] = []
-        reach = support
         for tau in range(horizon):
             rows = (reach[:, None] * nu + np.arange(nu, dtype=np.int64)[None, :]).ravel()
             which, targets, probs = kernel.expand_rows(rows)
             src, u_idx = which // nu, which % nu
             if tau + 1 == horizon:
                 pair = u_idx * reach.size + src
-                self.last_reward = _fold(pair, probs * reward_aug[targets], nu, reach.size)
-                self.last_unsafe = _fold(pair, probs * ~safe_set[targets % nx], nu, reach.size)
+                targets_x = targets % nx
+                self.last_reward = _fold(pair, probs * reward[targets_x], nu, reach.size)
+                self.last_unsafe = _fold(pair, probs * ~safe_set[targets_x], nu, reach.size)
                 break
             uniq, dst_local = np.unique(targets, return_inverse=True)
+            uniq_x = uniq % nx
             self.steps.append(
                 _Step(
                     src=src,
@@ -226,8 +224,8 @@ class _CompiledHorizon:
                     dst=dst_local,
                     probs=probs,
                     n_next=uniq.size,
-                    rewards=reward_aug[uniq],
-                    safe=safe_set[uniq % nx],
+                    rewards=reward[uniq_x],
+                    safe=safe_set[uniq_x],
                 )
             )
             reach = uniq
@@ -326,14 +324,9 @@ class _CompiledHorizon:
         return grad_r, np.clip(1.0 - grad_v, 0.0, 1.0)
 
 
-def lift_reward(reward_x: np.ndarray, num_levels: int) -> np.ndarray:
-    """Tile a per-physical-state reward vector over the level axis."""
-    return np.tile(np.asarray(reward_x, dtype=float), num_levels)
-
-
 def expected_reward(
     kernel: AugmentedKernel,
-    reward_aug: np.ndarray,
+    reward: np.ndarray,
     belief: Belief,
     profile: DecisionProfile,
     discount: float,
@@ -341,10 +334,11 @@ def expected_reward(
     """Expected discounted sum of successor-state rewards under a profile.
 
     Stage ``tau`` contributes ``discount^tau * r' pi_{tau+1}`` where
-    ``pi_{tau+1}`` is the predicted augmented-state distribution.
+    ``pi_{tau+1}`` is the predicted augmented-state distribution and ``r``
+    the per-physical-state reward, the same for every level.
     """
     compiled = _CompiledHorizon(
-        kernel, np.asarray(reward_aug, float), np.ones(kernel.num_states, dtype=bool),
+        kernel, np.asarray(reward, float), np.ones(kernel.num_states, dtype=bool),
         profile.horizon, belief, discount,
     )
     reward, _ = compiled.evaluate(profile.stages)
@@ -364,7 +358,7 @@ def constraint_probability(
     mass, continue.  The zeroing prevents double counting of trajectories
     that have already violated.
     """
-    reward0 = np.zeros(kernel.num_augmented)
+    reward0 = np.zeros(kernel.num_states)
     compiled = _CompiledHorizon(kernel, reward0, safe_set, profile.horizon, belief, 1.0)
     _, prob = compiled.evaluate(profile.stages)
     return prob
@@ -540,7 +534,7 @@ def _closed_form(
 
 def optimize(
     kernel: AugmentedKernel,
-    reward_aug: np.ndarray,
+    reward: np.ndarray,
     safe_set: np.ndarray,
     belief: Belief,
     epsilon: float,
@@ -572,8 +566,8 @@ def optimize(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of [0, 1]: {epsilon!r}")
-    reward_aug = np.asarray(reward_aug, dtype=float)
-    compiled = _CompiledHorizon(kernel, reward_aug, safe_set, horizon, belief, discount)
+    reward = np.asarray(reward, dtype=float)
+    compiled = _CompiledHorizon(kernel, reward, safe_set, horizon, belief, discount)
     nu = kernel.num_ego_actions
     threshold = 1.0 - epsilon
 
@@ -692,7 +686,7 @@ class Planner:
     """Bundle of everything :func:`optimize` needs except the belief."""
 
     kernel: AugmentedKernel
-    reward_aug: np.ndarray
+    reward: np.ndarray
     safe_set: np.ndarray
     epsilon: float
     discount: float
@@ -701,7 +695,7 @@ class Planner:
     def plan(self, belief: Belief) -> PlanResult:
         return optimize(
             self.kernel,
-            self.reward_aug,
+            self.reward,
             self.safe_set,
             belief,
             self.epsilon,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from typing import Sequence
 
@@ -124,17 +125,19 @@ class VehicleGrid:
     lane_centers: tuple[float, ...]
     heading: str  # "east" or "north"
 
-    @property
+    # The axes are computed once per grid: decoding a state reads them
+    # several times, and the closed loop decodes every step.
+    @cached_property
     def positions(self) -> np.ndarray:
         n = int(round((self.pos_max - self.pos_min) / self.pos_step)) + 1
         return self.pos_min + self.pos_step * np.arange(n)
 
-    @property
+    @cached_property
     def speeds(self) -> np.ndarray:
         n = int(round(self.v_max / self.v_step)) + 1
         return self.v_step * np.arange(n)
 
-    @property
+    @cached_property
     def num_cells(self) -> int:
         return self.positions.size * self.speeds.size * len(self.lane_centers)
 
@@ -239,6 +242,10 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing and nonnegative")
         if abs(sum(self.level_prior) - 1.0) > 1e-9 or min(self.level_prior) < 0:
             raise ValueError("level_prior must be a probability vector")
+        if not (math.isfinite(self.likelihood_floor) and self.likelihood_floor > 0.0):
+            raise ValueError(
+                f"likelihood_floor must be finite and > 0, got {self.likelihood_floor!r}"
+            )
         if 0.0 not in self.accel_set:
             raise ValueError("accel_set must contain 0")
         if self.name == "intersection" and (self.ego_lane_change or self.human_lane_change):

@@ -1,8 +1,9 @@
 """Brute-force reference implementations the fast code is tested against.
 
 Everything here enumerates paths one state at a time by indexing the game's
-transition table entry by entry; nothing touches the kernels, compiled
-horizons or vectorized Q-backups being verified.
+transition table entry by entry, or writes the paper's dense recursions
+over the whole augmented space; nothing touches the compiled horizons,
+point-mass beliefs or vectorized Q-backups being verified.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import itertools
 import numpy as np
 
 from chplanner.game import EGO, GameSpec, PolicyTable
+from chplanner.inference import Belief
 
 
 def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
@@ -184,6 +186,62 @@ def dense_predict_oracle(kernel, dist: np.ndarray, gamma: np.ndarray) -> np.ndar
     left = np.kron(np.eye(n), gamma.reshape(1, m))
     right = np.kron(np.ones((n, 1)), dist.reshape(n, 1))
     return (left @ diag @ right).ravel()
+
+
+def dense_belief(belief: Belief, num_states: int) -> np.ndarray:
+    """The |X|·K probability vector of a point-mass belief, level-major."""
+    probs = np.zeros(num_states * belief.num_levels)
+    probs[np.arange(belief.num_levels) * num_states + belief.state] = belief.weights
+    return probs
+
+
+def predict(kernel, dist, gamma) -> np.ndarray:
+    """One-step predicted distribution over augmented states.
+
+    ``next(i) = sum_j sum_l gamma(l) P(i | j, l) dist(j)`` -- the sparse form
+    of the dense one-step matrix recursion.  ``dist`` may be a
+    :class:`Belief` or a raw probability vector; the result is a raw vector.
+    """
+    if isinstance(dist, Belief):
+        dist = dense_belief(dist, kernel.num_states)
+    p = np.asarray(dist, dtype=float)
+    if p.size != kernel.num_augmented:
+        raise ValueError(
+            f"distribution length {p.size} does not match kernel ({kernel.num_augmented})"
+        )
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (kernel.num_ego_actions,):
+        raise ValueError(
+            f"gamma length {gamma.size} does not match {kernel.num_ego_actions} ego actions"
+        )
+    out = np.zeros(kernel.num_augmented)
+    support = np.flatnonzero(p)
+    for u1 in range(kernel.num_ego_actions):
+        g = gamma[u1]
+        if g == 0.0:
+            continue
+        which, targets, probs = kernel.expand_rows(support * kernel.num_ego_actions + u1)
+        np.add.at(out, targets, probs * (g * p[support][which]))
+    return out
+
+
+def dense_posterior_oracle(kernel, prior: Belief, u1: int, y: int, floor: float):
+    """Level weights of the posterior by the dense recursion.
+
+    Predicts the prior's dense vector one step under the deterministic
+    action ``u1`` with :func:`dense_predict_oracle`, keeps the mass on
+    ``{y} x K``, lifts it to ``floor`` when ``floor > 0`` and normalises.
+    Returns ``None`` when no mass is left to normalise.
+    """
+    nx = kernel.num_states
+    predicted = dense_predict_oracle(
+        kernel, dense_belief(prior, nx), np.eye(kernel.num_ego_actions)[u1]
+    )
+    masses = predicted[np.arange(len(kernel.levels)) * nx + y]
+    if floor > 0.0:
+        masses = np.maximum(masses, floor)
+    total = masses.sum()
+    return None if total == 0.0 else masses / total
 
 
 def monte_carlo_joint_safety(

@@ -21,7 +21,6 @@ from chplanner.planner import (
     DecisionProfile,
     constraint_probability,
     expected_reward,
-    lift_reward,
     maximin_plan,
 )
 
@@ -89,7 +88,7 @@ def test_criterion_1_expected_reward_oracle_equivalence():
             _random_planning_instance(rng)
         )
         fast = expected_reward(
-            kernel, lift_reward(r1, k), belief, DecisionProfile(stages), spec.discount
+            kernel, r1, belief, DecisionProfile(stages), spec.discount
         )
         slow, _ = profile_value_oracle(
             spec, policies, prior, start, stages,

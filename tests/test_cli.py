@@ -132,6 +132,25 @@ def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag
     assert list(tmp_path.glob("out*")) == []
 
 
+def test_simulate_rejects_bad_likelihood_floor(tmp_path, capsys):
+    # A floor of -1 would leave an observation the model rules out without
+    # its fallback; the config is rejected before anything is built.
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+
+    def mutate(tree):
+        tree["inference"]["likelihood_floor"] = -1
+
+    code = main([
+        "simulate", "--config", str(_write_config(tmp_path, mutate=mutate)),
+        "--cache-dir", str(own_cache), "--out", str(tmp_path / "out"),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "likelihood_floor" in err
+    assert list(own_cache.glob("hierarchy-*.npz")) == []
+
+
 def test_simulate_level0_human(tmp_path, cache_dir):
     # The content hash ignores the inference levels, so this reuses the
     # cached intersection hierarchy.

@@ -6,16 +6,20 @@ from hypothesis import strategies as st
 from chplanner.game import ENV, PolicyTable
 from chplanner.inference import (
     Belief,
-    History,
     InconsistentObservationError,
     bayes_update,
     build_kernel,
     init_belief,
-    predict,
 )
 
 from conftest import make_spec
-from oracles import dense_predict_oracle, random_game, random_policy
+from oracles import (
+    dense_posterior_oracle,
+    dense_predict_oracle,
+    predict,
+    random_game,
+    random_policy,
+)
 
 
 def _kernel_for(table, policies, horizon=3):
@@ -142,7 +146,7 @@ def test_bayes_update_direct_arithmetic():
     assert np.allclose(post.level_marginals(), [0.8, 0.2], atol=1e-12)
     assert post.time_stamp == 1
     # Posterior lives on the observed physical state only.
-    assert post.probs[0] == 0.0 and post.probs[2] == 0.0
+    assert post.state == 1
 
 
 def test_bayes_update_uninformative_likelihood_keeps_prior():
@@ -175,9 +179,7 @@ def test_bayes_update_floor_recovers_from_impossible_observation():
 
 def test_bayes_update_floor_resurrects_excluded_level():
     kernel = _two_level_observation_kernel(0.8, 0.5)
-    dead = np.zeros(4)
-    dead[0] = 1.0  # all mass on level 1, state 0
-    prior = Belief(probs=dead, num_states=2)
+    prior = Belief(state=0, weights=[1.0, 0.0])  # all mass on level 1
     post = bayes_update(kernel, prior, 0, 1, floor=1e-9)
     marg = post.level_marginals()
     assert marg[1] > 0.0
@@ -186,9 +188,9 @@ def test_bayes_update_floor_resurrects_excluded_level():
 
 def test_init_belief_examples():
     b = init_belief(3, [0.5, 0.5], 5)
-    assert b.probs[3] == 0.5 and b.probs[8] == 0.5
-    assert np.count_nonzero(b.probs) == 2
-    assert init_belief(0, [1.0], 4).probs[0] == 1.0
+    assert b.state == 3 and list(b.weights) == [0.5, 0.5]
+    assert b.time_stamp == 0
+    assert init_belief(0, [1.0], 4).weights[0] == 1.0
     b = init_belief(1, [0.3, 0.7], 2)
     assert np.allclose(b.level_marginals(), [0.3, 0.7])
     with pytest.raises(ValueError):
@@ -198,15 +200,68 @@ def test_init_belief_examples():
 
 
 def test_belief_validation():
+    kernel = _two_level_observation_kernel(0.8, 0.2)  # 2 states, 2 levels
     with pytest.raises(ValueError):
-        Belief(probs=np.array([0.5, 0.6]), num_states=1)
+        Belief(state=0, weights=np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
-        Belief(probs=np.array([0.5, 0.5, 0.0]), num_states=2)
+        Belief(state=0, weights=np.array([1.5, -0.5]))
+    with pytest.raises(ValueError):
+        Belief(state=0, weights=np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError):
+        Belief(state=0, weights=np.array([]))
+    with pytest.raises(ValueError):
+        Belief(state=0.5, weights=np.array([1.0]))
+    belief = Belief(state=1, weights=np.array([0.25, 0.75]))
+    assert belief.num_levels == 2
+    assert list(belief.level_marginals()) == [0.25, 0.75]
+    support, mass = belief.support(kernel)
+    assert list(support) == [1, 3] and list(mass) == [0.25, 0.75]
+    for bad in (Belief(state=2, weights=[0.5, 0.5]), Belief(state=-1, weights=[0.5, 0.5]),
+                Belief(state=0, weights=[1.0]), Belief(state=0, weights=[0.2, 0.3, 0.5])):
+        with pytest.raises(ValueError):
+            bayes_update(kernel, bad, 0, 1)
+        with pytest.raises(ValueError):
+            bad.support(kernel)
 
 
-def test_history_invariant():
-    h = History(observations=(4,), actions=())
-    h2 = h.extended(action=1, observation=7)
-    assert h2.observations == (4, 7) and h2.actions == (1,)
-    with pytest.raises(ValueError):
-        History(observations=(1, 2), actions=())
+def test_bayes_update_rejects_bad_floor():
+    kernel = _two_level_observation_kernel(0.8, 0.2)
+    prior = init_belief(0, [0.5, 0.5], 2)
+    for floor in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            bayes_update(kernel, prior, 0, 1, floor=floor)
+
+
+@given(st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bayes_update_matches_dense_recursion(seed):
+    # The point-mass update against the dense recursion over the whole
+    # augmented space: predict the prior's dense vector under the executed
+    # action, keep {y} x K, (floor,) normalise.
+    rng = np.random.default_rng(seed)
+    nx = int(rng.integers(2, 6))
+    nu1, nu2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    num_levels = int(rng.integers(1, 4))
+    spec, *_ = random_game(rng, nx, nu1, nu2)
+    policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in range(1, num_levels + 1)}
+    for k in policies:  # sparse rows make some observations impossible
+        probs = policies[k].probs * (rng.random((nx, nu2)) < 0.5)
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        policies[k] = PolicyTable(k, ENV, probs / probs.sum(axis=1, keepdims=True))
+    kernel = build_kernel(spec, policies)
+    weights = rng.dirichlet(np.ones(num_levels))
+    if num_levels > 1 and rng.random() < 0.5:
+        weights[rng.integers(num_levels)] = 0.0  # a level the prior rules out
+        weights /= weights.sum()
+    prior = Belief(state=int(rng.integers(nx)), weights=weights, time_stamp=3)
+    u1 = int(rng.integers(nu1))
+    for y in range(nx):
+        for floor in (0.0, 1e-3):
+            expected = dense_posterior_oracle(kernel, prior, u1, y, floor)
+            if expected is None:
+                with pytest.raises(InconsistentObservationError):
+                    bayes_update(kernel, prior, u1, y, floor=floor)
+                continue
+            post = bayes_update(kernel, prior, u1, y, floor=floor)
+            assert post.state == y and post.time_stamp == 4
+            assert np.abs(post.weights - expected).max() < 1e-12

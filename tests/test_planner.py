@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from chplanner.game import ENV, PolicyTable
-from chplanner.inference import build_kernel, init_belief
+from chplanner.inference import Belief, build_kernel, init_belief
 from chplanner.planner import (
     DecisionProfile,
     NoRobustPlanError,
     PlanResult,
     constraint_probability,
     expected_reward,
-    lift_reward,
     maximin_plan,
     optimize,
     project_to_simplex,
@@ -59,15 +58,15 @@ def test_expected_reward_single_step_deterministic():
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((2, 1)))})
     belief = init_belief(0, [1.0], 2)
     profile = DecisionProfile.deterministic([0], 1)
-    value = expected_reward(kernel, lift_reward([0.0, 5.0], 1), belief, profile, 0.9)
+    value = expected_reward(kernel, np.array([0.0, 5.0]), belief, profile, 0.9)
     assert value == pytest.approx(5.0, abs=1e-12)
 
 
 def test_expected_reward_zero_vector_gives_zero():
     rng = np.random.default_rng(0)
-    _, _, _, _, _, kernel, _, belief, stages = _random_instance(rng, horizon=3)
+    spec, _, _, _, _, kernel, _, belief, stages = _random_instance(rng, horizon=3)
     value = expected_reward(
-        kernel, np.zeros(kernel.num_augmented), belief, DecisionProfile(stages), 0.9
+        kernel, np.zeros(spec.num_states), belief, DecisionProfile(stages), 0.9
     )
     assert value == 0.0
 
@@ -77,9 +76,9 @@ def test_expected_reward_matches_enumeration_oracle():
     spec, _, r1, safe, policies, kernel, prior, belief, stages = _random_instance(
         rng, nx=4, nu1=2, nu2=2, horizon=2
     )
-    start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+    start = belief.state
     value = expected_reward(
-        kernel, lift_reward(r1, 2), belief, DecisionProfile(stages), spec.discount
+        kernel, r1, belief, DecisionProfile(stages), spec.discount
     )
     oracle, _ = profile_value_oracle(
         spec, policies, prior, start, stages, safe, lambda s: r1[s], spec.discount
@@ -117,7 +116,7 @@ def test_constraint_probability_zeroing_matches_path_enumeration():
         spec, _, r1, safe, policies, kernel, prior, belief, stages = _random_instance(
             rng, nx=4, nu1=2, nu2=2, horizon=3, num_levels=2
         )
-        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        start = belief.state
         prob = constraint_probability(
             kernel, spec.safe_set, belief, DecisionProfile(stages)
         )
@@ -147,7 +146,7 @@ def test_objective_affine_per_stage():
     spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
-    reward_aug = lift_reward(r1, 2)
+    reward = r1
     for tau in range(3):
         a = rng.dirichlet(np.ones(3))
         b = rng.dirichlet(np.ones(3))
@@ -155,7 +154,7 @@ def test_objective_affine_per_stage():
         for gamma in (a, b, 0.5 * (a + b)):
             s = stages.copy()
             s[tau] = gamma
-            r = expected_reward(kernel, reward_aug, belief, DecisionProfile(s), spec.discount)
+            r = expected_reward(kernel, reward, belief, DecisionProfile(s), spec.discount)
             p = constraint_probability(kernel, safe, belief, DecisionProfile(s))
             vals.append((r, p))
         assert vals[2][0] == pytest.approx(0.5 * (vals[0][0] + vals[1][0]), abs=1e-10)
@@ -167,8 +166,8 @@ def test_analytic_gradients_match_finite_differences():
     spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
-    reward_aug = lift_reward(r1, 2)
-    compiled = _CompiledHorizon(kernel, reward_aug, safe, 3, belief, spec.discount)
+    reward = r1
+    compiled = _CompiledHorizon(kernel, reward, safe, 3, belief, spec.discount)
     grad_r, grad_p = compiled.gradients(stages)
     h = 1e-5
     for tau in range(3):
@@ -200,7 +199,7 @@ def test_gradients_equal_stage_forced_evaluations():
             safe = np.ones(spec.num_states, bool)
         horizon, nu = stages.shape
         compiled = _CompiledHorizon(
-            kernel, lift_reward(r1, 2), safe, horizon, belief, spec.discount
+            kernel, r1, safe, horizon, belief, spec.discount
         )
         grad_r, grad_p = compiled.gradients(stages)
         for tau in range(horizon):
@@ -218,18 +217,23 @@ def test_gradients_equal_stage_forced_evaluations():
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_vertex_values_match_enumeration_oracle(horizon):
+    # The point-mass belief against the path oracle, which weighs every
+    # level separately; the last draw's prior rules one of three levels out.
     rng = np.random.default_rng(30 + horizon)
-    for _ in range(3):
+    for trial in range(4):
         spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(
-            rng, horizon=horizon
+            rng, horizon=horizon, num_levels=3 if trial == 3 else 2
         )
+        if trial == 3:
+            prior = np.array([prior[0] + prior[1], 0.0, prior[2]])
+            belief = Belief(state=belief.state, weights=prior)
         nu = spec.num_ego_actions
         compiled = _CompiledHorizon(
-            kernel, lift_reward(r1, 2), safe, horizon, belief, spec.discount
+            kernel, r1, safe, horizon, belief, spec.discount
         )
         rewards, probs = compiled.vertex_values()
         assert rewards.shape == probs.shape == (nu**horizon,)
-        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        start = belief.state
         for i, actions in enumerate(itertools.product(range(nu), repeat=horizon)):
             oracle_r, oracle_p = profile_value_oracle(
                 spec, policies, prior, start,
@@ -245,13 +249,13 @@ def test_optimize_unconstrained_attains_best_vertex():
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
-    reward_aug = lift_reward(r1, 2)
-    result = optimize(kernel, reward_aug, safe, belief, 1.0, spec.discount, 3)
+    reward = r1
+    result = optimize(kernel, reward, safe, belief, 1.0, spec.discount, 3)
     assert result.feasible
     best = -np.inf
     for actions in itertools.product(range(3), repeat=3):
         profile = DecisionProfile.deterministic(actions, 3)
-        best = max(best, expected_reward(kernel, reward_aug, belief, profile, spec.discount))
+        best = max(best, expected_reward(kernel, reward, belief, profile, spec.discount))
     assert result.expected_reward >= best - 1e-6
 
 
@@ -260,7 +264,7 @@ def test_optimize_empty_safe_set_reports_infeasible():
     spec, _, r1, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     empty = np.zeros(spec.num_states, bool)
     result = optimize(
-        kernel, lift_reward(r1, 2), empty, belief, 0.01, spec.discount, 2
+        kernel, r1, empty, belief, 0.01, spec.discount, 2
     )
     assert not result.feasible
     assert result.fallback
@@ -275,7 +279,7 @@ def test_optimize_concentrates_on_dominant_safe_action():
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
-        kernel, lift_reward([0.0, 10.0, 2.0], 1), spec.safe_set, belief,
+        kernel, np.array([0.0, 10.0, 2.0]), spec.safe_set, belief,
         0.01, spec.discount, 3,
     )
     assert result.feasible
@@ -290,7 +294,7 @@ def test_optimize_randomizes_at_the_constraint_boundary():
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
-        kernel, lift_reward([0.0, 1.0, 100.0], 1), spec.safe_set, belief,
+        kernel, np.array([0.0, 1.0, 100.0]), spec.safe_set, belief,
         0.05, spec.discount, 1,
     )
     assert result.feasible
@@ -319,7 +323,7 @@ def test_closed_form_nudges_a_rounded_down_mix_back_to_feasible(epsilon):
     exact = DecisionProfile(np.array([[lam, 1.0 - lam]]))
     assert constraint_probability(kernel, spec.safe_set, belief, exact) < threshold
     result = optimize(
-        kernel, lift_reward([0.0, 1.0, 10.0], 1), spec.safe_set, belief,
+        kernel, np.array([0.0, 1.0, 10.0]), spec.safe_set, belief,
         epsilon, spec.discount, 1,
     )
     assert result.path == "closed-form" and result.gap == 0.0
@@ -340,12 +344,12 @@ def test_closed_form_plans_match_oracle_and_stay_feasible():
         spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(rng, nu1=nu1)
         epsilon = float(rng.choice([0.01, 0.05, 0.2, 0.5]))
         result = optimize(
-            kernel, lift_reward(r1, 2), safe, belief, epsilon, spec.discount, spec.horizon
+            kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon
         )
         if result.path != "closed-form":
             continue
         seen += 1
-        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        start = belief.state
         oracle_r, oracle_p = profile_value_oracle(
             spec, policies, prior, start, result.profile.stages, safe,
             lambda s: r1[s], spec.discount,
@@ -366,14 +370,14 @@ def test_optimize_gap_is_bound_minus_value():
         spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(rng, nu1=nu1)
         epsilon = float(rng.choice([0.01, 0.05, 0.2, 0.5]))
         result = optimize(
-            kernel, lift_reward(r1, 2), safe, belief, epsilon, spec.discount, spec.horizon
+            kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon
         )
         paths.add(result.path)
         assert result.gap >= 0.0
         if not result.feasible:
             assert result.path == "infeasible" and result.gap == 0.0
             continue
-        start = int(np.flatnonzero(belief.probs)[0] % spec.num_states)
+        start = belief.state
         bound = lp_bound_oracle(
             spec, policies, prior, start, spec.horizon, safe,
             lambda s: r1[s], spec.discount, 1.0 - epsilon,
@@ -383,7 +387,7 @@ def test_optimize_gap_is_bound_minus_value():
         if result.path == "ascent":
             # The closed-form mix is among the ascent path's candidates.
             compiled = _CompiledHorizon(
-                kernel, lift_reward(r1, 2), safe, spec.horizon, belief, spec.discount
+                kernel, r1, safe, spec.horizon, belief, spec.discount
             )
             vertex_r, vertex_p = compiled.vertex_values()
             feasible = np.flatnonzero(vertex_p >= 1.0 - epsilon)
@@ -399,7 +403,7 @@ def test_optimize_is_deterministic():
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
-    args = (kernel, lift_reward(r1, 2), safe, belief, 0.1, spec.discount, 3)
+    args = (kernel, r1, safe, belief, 0.1, spec.discount, 3)
     a = optimize(*args)
     b = optimize(*args)
     assert np.array_equal(a.profile.stages, b.profile.stages)
@@ -415,7 +419,7 @@ def test_optimize_result_honors_feasibility_invariant():
         spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng)
         epsilon = float(rng.choice([0.0, 0.01, 0.2, 0.5, 1.0]))
         result = optimize(
-            kernel, lift_reward(r1, 2), safe, belief,
+            kernel, r1, safe, belief,
             epsilon, spec.discount, spec.horizon,
         )
         assert 0.0 <= result.constraint_probability <= 1.0
@@ -429,14 +433,14 @@ def test_optimize_rejects_bad_epsilon():
     rng = np.random.default_rng(10)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     with pytest.raises(ValueError):
-        optimize(kernel, lift_reward(r1, 2), safe, belief, 1.5, spec.discount, 2)
+        optimize(kernel, r1, safe, belief, 1.5, spec.discount, 2)
 
 
 def test_optimize_rejects_empty_horizon():
     rng = np.random.default_rng(10)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     with pytest.raises(ValueError, match="horizon"):
-        optimize(kernel, lift_reward(r1, 2), safe, belief, 0.1, spec.discount, 0)
+        optimize(kernel, r1, safe, belief, 0.1, spec.discount, 0)
 
 
 class _StubPlanner:

@@ -3,6 +3,7 @@ import pytest
 
 from chplanner.game import EGO, ENV
 from chplanner.traffic import (
+    VehicleGrid,
     VehicleState,
     config_from_dict,
     default_config,
@@ -306,3 +307,32 @@ def test_config_rejects_unknown_schema_version():
     tree["schema_version"] = 99
     with pytest.raises(ValueError, match="schema_version"):
         config_from_dict(tree)
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+def test_config_rejects_bad_likelihood_floor(floor):
+    with pytest.raises(ValueError, match="likelihood_floor"):
+        with_overrides(default_config("overtaking"), likelihood_floor=floor)
+    tree = _config_tree("overtaking")
+    tree["inference"]["likelihood_floor"] = floor
+    with pytest.raises(ValueError, match="likelihood_floor"):
+        config_from_dict(tree)
+
+
+def test_grid_decode_inverts_encode_on_every_cell():
+    grid = VehicleGrid(
+        pos_min=-4.0, pos_max=6.0, pos_step=2.5, v_max=3.0, v_step=1.5,
+        lane_centers=(1.8, 5.4), heading="east",
+    )
+    assert grid.num_cells == 5 * 3 * 2
+    assert grid.positions is grid.positions  # computed once per grid
+    seen = set()
+    for pos in grid.positions:
+        for v in grid.speeds:
+            for lane in grid.lane_centers:
+                state = VehicleState(s_x=float(pos), s_y=lane, v=float(v))
+                code = grid.encode(state)
+                assert grid.decode(code) == state
+                seen.add(code)
+    assert seen == set(range(grid.num_cells))
+    assert grid.decode(grid.done_code) is None
