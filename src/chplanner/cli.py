@@ -599,6 +599,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    cache_dir = Path(args.cache_dir)
+    if any(p.exists() and not p.is_dir() for p in (cache_dir, *cache_dir.parents)):
+        print(f"config error: --cache-dir {cache_dir} is not a directory", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -1,16 +1,17 @@
-"""Recursive construction of level-k softmax policies for both players.
+"""Recursive construction of the human's level-k softmax policies.
 
 A level-k policy is the softmax of a Q-table computed against the opponent's
-level-(k-1) policy.  The Q-value of ``(x, u)`` is the best expected
-discounted reward over *open-loop* continuations: the maximization runs over
-fixed action sequences (first action pinned to ``u``) and sits outside the
-expectation over opponent behavior.  A closed-loop dynamic program would in
-general give different (larger) values and is intentionally not what is
-computed here.
+level-(k-1) policy.  Only the human (env) ladder is kept: the ego plans by
+receding-horizon control, so its level-k policies are built only below
+``k_max``, as the rungs the next env level responds to.
 
-Hard state constraints are never imposed during hierarchy construction;
-safety enters only through whatever penalties the game's reward functions
-carry.
+The Q-value of ``(x, u)`` is the best expected discounted reward over
+*open-loop* continuations: the maximization runs over fixed action
+sequences (first action pinned to ``u``) and sits outside the expectation
+over opponent behavior.  A closed-loop dynamic program would in general
+give different (larger) values and is intentionally not what is computed
+here.  Hard state constraints are never imposed during hierarchy
+construction; safety enters only through the game's reward penalties.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ __all__ = [
     "load_hierarchy",
 ]
 
-CACHE_FORMAT_VERSION = 1
+# Hashed into every content hash: bump it whenever the cache layout or the
+# meaning of the Q-tables changes, so no stale table is ever reused.
+CACHE_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -59,19 +62,13 @@ class QTable:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Ladder of policies ``level 0..k_max`` for both players.
+    """The human's policies ``env(0..k_max)``, one per reasoning level."""
 
-    ``provenance`` records, per constructed table, which lower-level table
-    it was built from; the two level-0 anchors are marked as supplied.
-    """
-
-    k_max: int
-    ego_policies: tuple[PolicyTable, ...]
     env_policies: tuple[PolicyTable, ...]
-    provenance: tuple[str, ...]
 
-    def ego(self, k: int) -> PolicyTable:
-        return self.ego_policies[k]
+    @property
+    def k_max(self) -> int:
+        return len(self.env_policies) - 1
 
     def env(self, k: int) -> PolicyTable:
         return self.env_policies[k]
@@ -104,7 +101,8 @@ def _suffix_values(
     player executes the suffix and the opponent draws from ``opp_probs`` at
     each visited state independently.  Shared suffix tails are evaluated
     once (depth-first enumeration), keeping the cost at
-    ``sum_d |U_own|^d`` vectorized backups.
+    ``sum_d |U_own|^d`` vectorized backups.  The first action ``a_1`` varies
+    fastest: the i-th vector belongs to a suffix starting with ``i % |U_own|``.
     """
     if depth == 0:
         yield np.zeros(succ.shape[0])
@@ -144,11 +142,9 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     rewards = spec.rewards(player)
     opp_probs = opponent_policy.probs
     values = np.full((spec.num_states, n_own), -np.inf)
-    for tail in _suffix_values(succ, opp_probs, rewards, spec.discount, spec.horizon - 1):
-        for u in range(n_own):
-            nxt = succ[:, u, :]
-            v = (opp_probs * (rewards[nxt] + spec.discount * tail[nxt])).sum(axis=1)
-            np.maximum(values[:, u], v, out=values[:, u])
+    suffixes = _suffix_values(succ, opp_probs, rewards, spec.discount, spec.horizon)
+    for i, v in enumerate(suffixes):
+        np.maximum(values[:, i % n_own], v, out=values[:, i % n_own])
     return QTable(level=opponent_policy.level + 1, player=player, values=values)
 
 
@@ -159,12 +155,14 @@ def build_hierarchy(
     level0_env: PolicyTable,
     temperature: float = 1.0,
 ) -> Hierarchy:
-    """Build softmax policies for levels ``1..k_max`` from the level-0 anchors.
+    """Build the human's softmax policies for levels ``1..k_max``.
 
     Level ``k`` of one player responds to level ``k-1`` of the other:
-    ``env[k] = softmax(Q(env | ego[k-1]))`` and symmetrically for the ego
-    side.  The construction is deterministic: identical inputs reproduce the
-    tables bit for bit.
+    ``env[k] = softmax(Q(env | ego[k-1]))`` with
+    ``ego[k] = softmax(Q(ego | env[k-1]))``.  The ego rungs are built only
+    for ``k < k_max``, to feed the next env level, and are not kept.  The
+    construction is deterministic: identical inputs reproduce the tables bit
+    for bit.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -176,22 +174,13 @@ def build_hierarchy(
         if policy.probs.shape != (spec.num_states, spec.num_actions(player)):
             raise ValueError(f"{name} shape {policy.probs.shape} does not match the game")
 
-    ego_policies = [level0_ego]
     env_policies = [level0_env]
-    provenance = ["ego[0]: supplied", "env[0]: supplied"]
+    ego = level0_ego
     for k in range(1, k_max + 1):
-        env_k = softmax_policy(compute_q(spec, ENV, ego_policies[k - 1]), temperature)
-        ego_k = softmax_policy(compute_q(spec, EGO, env_policies[k - 1]), temperature)
-        env_policies.append(env_k)
-        ego_policies.append(ego_k)
-        provenance.append(f"env[{k}]: softmax(Q vs ego[{k - 1}])")
-        provenance.append(f"ego[{k}]: softmax(Q vs env[{k - 1}])")
-    return Hierarchy(
-        k_max=k_max,
-        ego_policies=tuple(ego_policies),
-        env_policies=tuple(env_policies),
-        provenance=tuple(provenance),
-    )
+        env_policies.append(softmax_policy(compute_q(spec, ENV, ego), temperature))
+        if k < k_max:
+            ego = softmax_policy(compute_q(spec, EGO, env_policies[k - 1]), temperature)
+    return Hierarchy(env_policies=tuple(env_policies))
 
 
 def _hash_array(h, arr: np.ndarray, dtype: str) -> None:
@@ -232,7 +221,8 @@ def hierarchy_content_hash(
 def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:
     """Write a hierarchy to ``path`` as an ``.npz`` archive.
 
-    The format is versioned; arrays are stored as little-endian float64.
+    The archive holds ``meta_json`` (format version, ``k_max``, content hash)
+    and the env tables ``env_0..env_<k_max>`` as little-endian float64.
     The archive is written to a temporary file in the same directory and
     then renamed over ``path``, so an interrupted write never leaves a
     partial archive under the final name.
@@ -241,11 +231,8 @@ def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:
         "format_version": CACHE_FORMAT_VERSION,
         "k_max": hierarchy.k_max,
         "content_hash": content_hash,
-        "provenance": list(hierarchy.provenance),
     }
     arrays = {"meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for k, pol in enumerate(hierarchy.ego_policies):
-        arrays[f"ego_{k}"] = pol.probs.astype("<f8")
     for k, pol in enumerate(hierarchy.env_policies):
         arrays[f"env_{k}"] = pol.probs.astype("<f8")
     path = Path(path)
@@ -270,18 +257,8 @@ def load_hierarchy(path) -> tuple[Hierarchy, str]:
                 f"unsupported hierarchy cache version {meta['format_version']}"
             )
         k_max = int(meta["k_max"])
-        ego = tuple(
-            PolicyTable(level=k, player=EGO, probs=data[f"ego_{k}"].astype(float))
-            for k in range(k_max + 1)
-        )
         env = tuple(
             PolicyTable(level=k, player=ENV, probs=data[f"env_{k}"].astype(float))
             for k in range(k_max + 1)
         )
-    hierarchy = Hierarchy(
-        k_max=k_max,
-        ego_policies=ego,
-        env_policies=env,
-        provenance=tuple(meta["provenance"]),
-    )
-    return hierarchy, meta["content_hash"]
+    return Hierarchy(env_policies=env), meta["content_hash"]

@@ -673,13 +673,27 @@ def classify_outcome(scenario: Scenario, states: Sequence[int]) -> dict:
 # Configuration files.
 
 
-def _cfg_get(tree: dict, path: str):
+def _cfg_get(tree: dict, path: str, cast=None, default=None):
+    """Value at the dotted ``path`` passed through ``cast``, or ``default``.
+
+    A missing key without a default, or a value ``cast`` rejects, is a ValueError."""
     node = tree
     for key in path.split("."):
         if not isinstance(node, dict) or key not in node:
-            raise ValueError(f"config is missing required key {path!r}")
+            if default is None or not isinstance(node, dict):
+                raise ValueError(f"config is missing required key {path!r}")
+            return default
         node = node[key]
-    return node
+    if cast is None:
+        return node
+    try:
+        return cast(node)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config key {path!r}: bad value {node!r} ({exc})") from exc
+
+
+def _tuple_of(cast):
+    return lambda node: tuple(cast(item) for item in node)
 
 
 def config_from_dict(tree: dict) -> ScenarioConfig:
@@ -689,39 +703,40 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         raise ValueError(f"unsupported config schema_version {version!r}")
 
     def start(who: str) -> tuple[float, float, int]:
-        node = _cfg_get(tree, f"{who}.start")
-        return (float(node["pos"]), float(node["v"]), int(node.get("lane", 0)))
+        pos = _cfg_get(tree, f"{who}.start.pos", float)
+        v = _cfg_get(tree, f"{who}.start.v", float)
+        return pos, v, _cfg_get(tree, f"{who}.start.lane", int, 0)
 
     config = ScenarioConfig(
-        name=str(_cfg_get(tree, "scenario")),
-        dt=float(_cfg_get(tree, "kinematics.dt")),
-        car_length=float(_cfg_get(tree, "kinematics.car_length")),
-        lane_width=float(_cfg_get(tree, "kinematics.lane_width")),
-        accel_set=tuple(float(a) for a in _cfg_get(tree, "kinematics.accel_set")),
-        v_step=float(_cfg_get(tree, "kinematics.v_step")),
-        pos_step=float(_cfg_get(tree, "kinematics.pos_step")),
-        ego_pos_min=float(_cfg_get(tree, "ego.pos_min")),
-        ego_pos_max=float(_cfg_get(tree, "ego.pos_max")),
-        ego_v_max=float(_cfg_get(tree, "ego.v_max")),
-        ego_lane_change=bool(_cfg_get(tree, "ego.lane_change")),
+        name=_cfg_get(tree, "scenario", str),
+        dt=_cfg_get(tree, "kinematics.dt", float),
+        car_length=_cfg_get(tree, "kinematics.car_length", float),
+        lane_width=_cfg_get(tree, "kinematics.lane_width", float),
+        accel_set=_cfg_get(tree, "kinematics.accel_set", _tuple_of(float)),
+        v_step=_cfg_get(tree, "kinematics.v_step", float),
+        pos_step=_cfg_get(tree, "kinematics.pos_step", float),
+        ego_pos_min=_cfg_get(tree, "ego.pos_min", float),
+        ego_pos_max=_cfg_get(tree, "ego.pos_max", float),
+        ego_v_max=_cfg_get(tree, "ego.v_max", float),
+        ego_lane_change=_cfg_get(tree, "ego.lane_change", bool),
         ego_start=start("ego"),
-        human_pos_min=float(_cfg_get(tree, "human.pos_min")),
-        human_pos_max=float(_cfg_get(tree, "human.pos_max")),
-        human_v_max=float(_cfg_get(tree, "human.v_max")),
-        human_lane_change=bool(_cfg_get(tree, "human.lane_change")),
+        human_pos_min=_cfg_get(tree, "human.pos_min", float),
+        human_pos_max=_cfg_get(tree, "human.pos_max", float),
+        human_v_max=_cfg_get(tree, "human.v_max", float),
+        human_lane_change=_cfg_get(tree, "human.lane_change", bool),
         human_start=start("human"),
-        horizon=int(_cfg_get(tree, "planning.horizon")),
-        epsilon=float(_cfg_get(tree, "planning.epsilon")),
-        discount=float(_cfg_get(tree, "planning.discount")),
-        on_infeasible=str(tree.get("planning", {}).get("on_infeasible", "fallback")),
-        levels=tuple(int(k) for k in _cfg_get(tree, "inference.levels")),
-        level_prior=tuple(float(p) for p in _cfg_get(tree, "inference.prior")),
-        collision_penalty=float(_cfg_get(tree, "hierarchy.collision_penalty")),
-        softmax_temperature=float(tree.get("hierarchy", {}).get("temperature", 1.0)),
-        level0_softmax=bool(tree.get("hierarchy", {}).get("level0_softmax", False)),
-        likelihood_floor=float(tree.get("inference", {}).get("likelihood_floor", 1e-9)),
-        step_cap=int(tree.get("episode", {}).get("step_cap", 30)),
-        seed=int(tree.get("seed", 0)),
+        horizon=_cfg_get(tree, "planning.horizon", int),
+        epsilon=_cfg_get(tree, "planning.epsilon", float),
+        discount=_cfg_get(tree, "planning.discount", float),
+        on_infeasible=_cfg_get(tree, "planning.on_infeasible", str, "fallback"),
+        levels=_cfg_get(tree, "inference.levels", _tuple_of(int)),
+        level_prior=_cfg_get(tree, "inference.prior", _tuple_of(float)),
+        collision_penalty=_cfg_get(tree, "hierarchy.collision_penalty", float),
+        softmax_temperature=_cfg_get(tree, "hierarchy.temperature", float, 1.0),
+        level0_softmax=_cfg_get(tree, "hierarchy.level0_softmax", bool, False),
+        likelihood_floor=_cfg_get(tree, "inference.likelihood_floor", float, 1e-9),
+        step_cap=_cfg_get(tree, "episode.step_cap", int, 30),
+        seed=_cfg_get(tree, "seed", int, 0),
     )
     config.validate()
 
@@ -750,7 +765,10 @@ def load_config(path_or_name: str) -> ScenarioConfig:
     if path_or_name in SCENARIO_NAMES:
         return default_config(path_or_name)
     with open(path_or_name, "r") as fh:
-        tree = yaml.safe_load(fh)
+        try:
+            tree = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"config file {path_or_name!r} is not valid YAML: {exc}") from exc
     if not isinstance(tree, dict):
         raise ValueError(f"config file {path_or_name!r} does not hold a mapping")
     return config_from_dict(tree)

@@ -60,6 +60,42 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (None, "not valid YAML"),
+        (lambda t: t["ego"]["start"].pop("pos"), "'ego.start.pos'"),
+        (lambda t: t["ego"].__setitem__("start", 3), "'ego.start.pos'"),
+        (lambda t: t["inference"].__setitem__("levels", 2), "'inference.levels'"),
+    ],
+    ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels"],
+)
+def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
+    if mutate is None:
+        config = tmp_path / "config.yaml"
+        config.write_text("scenario: [intersection\n  bad: : :\n")
+    else:
+        config = _write_config(tmp_path, mutate=mutate)
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    code = main(["build", "--config", str(config), "--cache-dir", str(own_cache)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and fragment in err
+    assert list(own_cache.glob("hierarchy-*.npz")) == []
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
+def test_build_rejects_cache_dir_that_is_a_file(tmp_path, capsys, sub):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x")
+    code = main(["build", "--config", "intersection", "--cache-dir", str(blocker / sub)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "is not a directory" in err
+    assert blocker.read_text() == "x"
+
+
 def test_simulate_writes_byte_identical_csv(tmp_path, cache_dir):
     args = [
         "simulate", "--config", "intersection", "--cache-dir", str(cache_dir),

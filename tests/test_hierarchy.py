@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from chplanner.game import EGO, ENV, PolicyTable
 from chplanner.hierarchy import (
+    CACHE_FORMAT_VERSION,
     QTable,
     build_hierarchy,
     compute_q,
@@ -131,7 +133,6 @@ def test_build_hierarchy_k0_returns_anchors_only():
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 0, ego0, env0)
     assert h.k_max == 0
-    assert h.ego_policies == (ego0,)
     assert h.env_policies == (env0,)
 
 
@@ -154,25 +155,42 @@ def test_build_hierarchy_one_state_hand_computed():
     h = build_hierarchy(spec, 1, ego0, env0)
     # Both env actions lead to the same successor, so level 1 is uniform.
     assert np.allclose(h.env(1).probs, 0.5)
-    assert np.allclose(h.ego(1).probs, 0.5)
+    # So is the ego rung the next env level would respond to.
+    assert np.allclose(softmax_policy(compute_q(spec, EGO, env0)).probs, 0.5)
 
 
-def test_build_hierarchy_provenance_dependencies():
+def test_build_hierarchy_env_ladder_dependencies():
     rng = np.random.default_rng(5)
     spec, *_ = random_game(rng, 5, 2, 3)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
-    assert "env[1]: softmax(Q vs ego[0])" in h.provenance
-    assert "ego[1]: softmax(Q vs env[0])" in h.provenance
-    assert "env[2]: softmax(Q vs ego[1])" in h.provenance
+    ego1 = softmax_policy(compute_q(spec, EGO, env0))
+    assert np.array_equal(h.env(1).probs, softmax_policy(compute_q(spec, ENV, ego0)).probs)
+    assert np.array_equal(h.env(2).probs, softmax_policy(compute_q(spec, ENV, ego1)).probs)
+    assert (h.env(2).level, h.env(2).player) == (2, ENV)
 
-    # ego[1] depends only on env[0]: changing ego0 must not move it.
+    # env[2] responds to ego[1], which depends only on env[0]: changing ego0
+    # moves env[1] and leaves env[2] unchanged.
     other_ego0 = random_policy(rng, 0, EGO, 5, 2)
     h2 = build_hierarchy(spec, 2, other_ego0, env0)
-    assert np.array_equal(h.ego(1).probs, h2.ego(1).probs)
     assert not np.array_equal(h.env(1).probs, h2.env(1).probs)
-    # env[2] depends on ego[1], which is unchanged.
     assert np.array_equal(h.env(2).probs, h2.env(2).probs)
+
+
+def test_build_hierarchy_computes_only_the_needed_rungs(monkeypatch):
+    calls = []
+
+    def spy(spec, player, opponent_policy):
+        q = compute_q(spec, player, opponent_policy)
+        calls.append((player, q.level))
+        return q
+
+    monkeypatch.setattr("chplanner.hierarchy.compute_q", spy)
+    rng = np.random.default_rng(7)
+    spec, *_ = random_game(rng, 4, 2, 3)
+    ego0, env0 = _anchors(rng, spec)
+    build_hierarchy(spec, 2, ego0, env0)
+    assert calls == [(ENV, 1), (EGO, 1), (ENV, 2)]
 
 
 def test_build_hierarchy_is_bit_for_bit_deterministic():
@@ -181,25 +199,39 @@ def test_build_hierarchy_is_bit_for_bit_deterministic():
     ego0, env0 = _anchors(rng, spec)
     h1 = build_hierarchy(spec, 2, ego0, env0)
     h2 = build_hierarchy(spec, 2, ego0, env0)
-    for a, b in zip(h1.ego_policies + h1.env_policies, h2.ego_policies + h2.env_policies):
+    assert len(h1.env_policies) == len(h2.env_policies) == 3
+    for a, b in zip(h1.env_policies, h2.env_policies):
         assert np.array_equal(a.probs, b.probs)
 
 
-def test_hierarchy_cache_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
+def _saved_hierarchy(tmp_path, seed):
+    rng = np.random.default_rng(seed)
     spec, *_ = random_game(rng, 5, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
     content = hierarchy_content_hash(spec, 2, ego0, env0)
     path = tmp_path / "cache.npz"
     save_hierarchy(path, h, content)
+    return h, content, path
+
+
+def test_hierarchy_cache_roundtrip(tmp_path):
+    h, content, path = _saved_hierarchy(tmp_path, 8)
     loaded, stored = load_hierarchy(path)
     assert stored == content
     assert loaded.k_max == 2
+    assert len(loaded.env_policies) == 3
     for a, b in zip(loaded.env_policies, h.env_policies):
         assert np.array_equal(a.probs, b.probs)
         assert a.player == b.player and a.level == b.level
-    assert loaded.provenance == h.provenance
+
+
+def test_hierarchy_cache_holds_only_env_tables(tmp_path):
+    _, content, path = _saved_hierarchy(tmp_path, 10)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["env_0", "env_1", "env_2", "meta_json"]
+        meta = json.loads(bytes(data["meta_json"].tobytes()).decode())
+    assert meta == {"format_version": CACHE_FORMAT_VERSION, "k_max": 2, "content_hash": content}
 
 
 def test_content_hash_tracks_inputs():
