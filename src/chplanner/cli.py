@@ -90,7 +90,7 @@ class InfeasiblePlanAbort(RuntimeError):
     """Raised when the plan is infeasible and the abort policy is active."""
 
 
-@dataclass
+@dataclass(slots=True)
 class StepRecord:
     t: int
     state: int
@@ -107,7 +107,7 @@ class StepRecord:
     wall_ms: float
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeLog:
     scenario: str
     human_level: int

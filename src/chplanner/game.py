@@ -20,6 +20,7 @@ __all__ = [
     "GameSpec",
     "PolicyTable",
     "ValidationReport",
+    "read_only",
     "step",
     "validate_game",
 ]
@@ -31,6 +32,21 @@ ENV = 2
 ROW_SUM_TOL = 1e-9
 
 
+def read_only(values, dtype) -> np.ndarray:
+    """``values`` as a ``dtype`` array that no write can reach.
+
+    An array that owns its data and has the dtype is taken over, not
+    copied: it is marked read-only in place, so the caller's reference can
+    no longer write to it either.  Anything else is copied first.  This is
+    for the arrays ``planner.optimize`` keys its plan memo on.
+    """
+    arr = np.asarray(values, dtype=dtype)
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Two-player dynamic game ``<X, U1 x U2, T, {R1, R2}, X_safe, discount, horizon>``.
@@ -40,9 +56,9 @@ class GameSpec:
     ``[0, |X|)``; :func:`validate_game` checks this).  Rewards are functions
     of the successor state only, one value per state and player; the general
     ``(state, u1, u2)`` reward form is out of scope.  ``safe_set`` is one
-    boolean membership mask over states: every scenario's safe set is
-    time-invariant, so the paper's time-indexed ``{X_t}`` is the same mask
-    at every step.
+    boolean membership mask over states, held read-only (see
+    :func:`read_only`): every scenario's safe set is time-invariant, so the
+    paper's time-indexed ``{X_t}`` is the same mask at every step.
     """
 
     transition_table: np.ndarray = field(repr=False)
@@ -71,6 +87,7 @@ class GameSpec:
                     f"{name} has shape {arr.shape}, expected ({self.num_states},)"
                 )
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "safe_set", read_only(self.safe_set, bool))
 
     @property
     def num_states(self) -> int:

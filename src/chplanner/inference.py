@@ -12,6 +12,10 @@ every belief the filter forms is a point mass in physical state: a
 :class:`Belief` is the observed state plus a K-vector of level weights,
 never a dense |X|·K vector.  Its support in the augmented space is
 ``{state} x K``, indexed level-major: ``aug = level_index * |X| + x``.
+
+The kernel is assembled a block of consecutive states at a time, so its
+build needs the finished CSR arrays plus a few MB, not a sort over every
+(state, u1, u2) entry at once.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import ENV, ROW_SUM_TOL, GameSpec, PolicyTable
+from .game import ENV, ROW_SUM_TOL, GameSpec, PolicyTable, read_only
 
 __all__ = [
     "Belief",
@@ -33,6 +37,11 @@ __all__ = [
     "bayes_update",
     "init_belief",
 ]
+
+
+# Bound on the (state, u1, u2) entries :func:`build_kernel` sorts and merges
+# at once; it caps the build's temporaries at a few MB.
+KERNEL_BLOCK_ENTRIES = 1 << 17
 
 
 class InconsistentObservationError(ValueError):
@@ -97,7 +106,8 @@ class AugmentedKernel:
     Row ``aug * num_ego_actions + u1`` stores the successor augmented states
     and their probabilities.  The level component is conserved exactly: a
     row's targets always carry the source row's level.  Each row sums to one
-    within ``ROW_SUM_TOL`` and duplicate successors are merged.
+    within ``ROW_SUM_TOL`` and duplicate successors are merged.  The three
+    arrays are read-only, so planners may cache results keyed on the kernel.
     """
 
     num_states: int
@@ -106,6 +116,10 @@ class AugmentedKernel:
     indptr: np.ndarray
     targets: np.ndarray
     probs: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("indptr", np.int64), ("targets", np.int64), ("probs", float)):
+            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
 
     @property
     def num_augmented(self) -> int:
@@ -139,6 +153,12 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
     ``P((x', k) | (x, k), u1)`` sums the policy mass of every env action
     ``u2`` with ``T(x, u1, u2) = x'``; transitions across levels have zero
     probability and are not stored.
+
+    The rows are built a block of consecutive states at a time, each block
+    at most ``KERNEL_BLOCK_ENTRIES`` ``(state, u1, u2)`` entries, so the
+    sort and merge temporaries stay a constant size however large the
+    game.  Blocks ascend in row order and a row never spans two blocks, so
+    the result does not depend on the block size.
     """
     if not env_policies:
         raise ValueError("env_policies must contain at least one level")
@@ -146,9 +166,8 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
     nx = spec.num_states
     nu1 = spec.num_ego_actions
     nu2 = spec.num_env_actions
-    table = spec.transition_table
-
-    row_chunks: list[np.ndarray] = []
+    block = max(1, KERNEL_BLOCK_ENTRIES // (nu1 * nu2))
+    counts = np.empty(nx * len(levels) * nu1, dtype=np.int64)
     tgt_chunks: list[np.ndarray] = []
     prob_chunks: list[np.ndarray] = []
     for li, level in enumerate(levels):
@@ -160,51 +179,64 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
                 f"policy for level {level} has shape {policy.probs.shape}, "
                 f"expected ({nx}, {nu2})"
             )
-        base = li * nx
-        rows = ((base + np.arange(nx, dtype=np.int64))[:, None, None] * nu1
-                + np.arange(nu1, dtype=np.int64)[None, :, None])
-        rows = np.broadcast_to(rows, (nx, nu1, nu2)).ravel()
-        targets = (base + table).ravel()
-        probs = np.broadcast_to(policy.probs[:, None, :], (nx, nu1, nu2)).ravel()
-        keep = probs > 0.0
-        row_chunks.append(rows[keep])
-        tgt_chunks.append(targets[keep])
-        prob_chunks.append(probs[keep])
+        for lo in range(0, nx, block):
+            hi = min(lo + block, nx)
+            block_counts, targets, probs = _merged_block(
+                spec.transition_table[lo:hi], policy.probs[lo:hi], li * nx
+            )
+            first_row = (li * nx + lo) * nu1
+            counts[first_row:first_row + block_counts.size] = block_counts
+            tgt_chunks.append(targets)
+            prob_chunks.append(probs)
 
-    rows = np.concatenate(row_chunks)
-    targets = np.concatenate(tgt_chunks)
-    probs = np.concatenate(prob_chunks)
-
-    # Merge duplicate (row, target) pairs so each successor appears once.
-    order = np.lexsort((targets, rows))
-    rows, targets, probs = rows[order], targets[order], probs[order]
-    new_group = np.empty(rows.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (rows[1:] != rows[:-1]) | (targets[1:] != targets[:-1])
-    starts = np.flatnonzero(new_group)
-    sums = np.add.reduceat(probs, starts)
-    grp_rows = rows[starts]
-    grp_targets = targets[starts]
-
-    num_rows = nx * len(levels) * nu1
-    counts = np.bincount(grp_rows, minlength=num_rows)
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    indptr = np.zeros(counts.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-
     kernel = AugmentedKernel(
         num_states=nx,
         num_ego_actions=nu1,
         levels=levels,
         indptr=indptr,
-        targets=grp_targets.astype(np.int64),
-        probs=sums,
+        targets=np.concatenate(tgt_chunks),
+        probs=np.concatenate(prob_chunks),
     )
+    del tgt_chunks, prob_chunks  # would double the CSR's memory through the checks
     rowsums = np.add.reduceat(kernel.probs, kernel.indptr[:-1][counts > 0])
     if rowsums.size and np.abs(rowsums - 1.0).max() > ROW_SUM_TOL:
         raise ValueError("kernel rows do not sum to 1; env policies are inconsistent")
     if (counts == 0).any():
         raise ValueError("kernel has empty rows; env policies assign no mass somewhere")
     return kernel
+
+
+def _merged_block(
+    table: np.ndarray, policy: np.ndarray, base: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kernel rows of one block of consecutive states at one level.
+
+    ``table`` and ``policy`` are the block's slices of the transition table
+    and of the level's env policy, ``base`` the level's first augmented
+    state.  Returns the entry count of each of the block's (state, u1) rows
+    and the rows' entries, concatenated: targets ascending within a row,
+    and the mass of env actions that reach the same target summed in
+    env-action order.
+    """
+    n, nu1, nu2 = table.shape
+    targets = (base + table).reshape(n * nu1, nu2)
+    probs = np.broadcast_to(policy[:, None, :], (n, nu1, nu2)).reshape(n * nu1, nu2)
+    order = np.argsort(targets, axis=1, kind="stable")
+    targets = np.take_along_axis(targets, order, axis=1)
+    probs = np.take_along_axis(probs, order, axis=1)
+    keep = probs > 0.0
+    rows = np.broadcast_to(np.arange(n * nu1)[:, None], keep.shape)[keep]
+    targets, probs = targets[keep], probs[keep]
+
+    # Merge duplicate (row, target) pairs so each successor appears once.
+    new_group = np.empty(rows.size, dtype=bool)
+    new_group[:1] = True
+    new_group[1:] = (rows[1:] != rows[:-1]) | (targets[1:] != targets[:-1])
+    starts = np.flatnonzero(new_group)
+    counts = np.bincount(rows[starts], minlength=n * nu1)
+    return counts, targets[starts], np.add.reduceat(probs, starts)
 
 
 def _level_likelihoods(

@@ -50,11 +50,21 @@ Each solver stage is one batched pass over the compiled reachable sets:
   pass), instead of H x |U1| forward evaluations;
 * the projection onto the simplex product is row-wise, so one call
   projects every stage of every step size an ascent line search may try.
+
+A receding-horizon loop re-plans from the same few beliefs over and over,
+so :func:`optimize` memoises its plans.  The key is exact: the kernel,
+reward and safe set by identity (arrays no write can reach), the scalar
+parameters, and the belief's state and level-weight bytes; rebinding a
+function of this module empties the memo.  A hit returns the plan the
+first call produced.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
+import types
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -86,6 +96,17 @@ GAP_TOL = 1e-12
 # little more weight onto the feasible vertex when rounding left the exact
 # probability a float short of ``1 - epsilon``.
 NUDGE_STEPS = 4
+# Plans :func:`optimize` keeps, the oldest dropped first; each is about 1 KB.
+PLAN_MEMO_SIZE = 4096
+
+# (id(kernel), id(reward), id(safe_set), epsilon, discount, horizon, state,
+# weight bytes) -> (weak references to kernel, reward and safe set, plan).
+# The weak references keep no kernel alive and tell a reused id from the
+# object the plan was solved for.
+_plan_memo: dict[tuple, tuple[tuple[weakref.ref, ...], "PlanResult"]] = {}
+# The module functions the memo's plans were solved with; see
+# ``_solver_bindings``.
+_memo_solver: tuple = ()
 
 
 class NoRobustPlanError(RuntimeError):
@@ -94,12 +115,16 @@ class NoRobustPlanError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecisionProfile:
-    """Sequence of per-stage probability distributions over the ego action set."""
+    """Sequence of per-stage probability distributions over the ego action set.
+
+    ``stages`` is a read-only copy of the input, so a profile (and a plan
+    that holds it) never changes after construction.
+    """
 
     stages: np.ndarray
 
     def __post_init__(self):
-        stages = np.asarray(self.stages, dtype=float)
+        stages = np.array(self.stages, dtype=float)
         if stages.ndim != 2:
             raise ValueError("profile must be 2-D (stages x ego actions)")
         if stages.min(initial=0.0) < -1e-12 or stages.max(initial=0.0) > 1.0 + 1e-12:
@@ -107,6 +132,7 @@ class DecisionProfile:
         sums = stages.sum(axis=1)
         if np.abs(sums - 1.0).max(initial=0.0) > ROW_SUM_TOL:
             raise ValueError(f"profile stages must sum to 1 within {ROW_SUM_TOL}")
+        stages.flags.writeable = False
         object.__setattr__(self, "stages", stages)
 
     @property
@@ -563,7 +589,70 @@ def optimize(
 
     Every feasible result has an exact probability of at least
     ``1 - epsilon`` and a ``gap`` to the LP bound.
+
+    Plans are memoised.  The solver is deterministic and reads nothing but
+    its arguments, and a belief is a point mass, so a plan is a function of
+    the kernel, reward and safe set, ``epsilon``, ``discount``, ``horizon``,
+    the belief's state and its level weights, and of the solver code.  A
+    call that repeats all of them exactly returns the plan the first one
+    produced, the same object.  The memo holds up to ``PLAN_MEMO_SIZE``
+    plans and only weak references to the inputs it keys by identity.
+
+    The identity keys are sound only for inputs no write can reach: a
+    ``reward`` or ``safe_set`` that is writeable, or a read-only view of a
+    writeable array, bypasses the memo (see :func:`_frozen`).  The kernel's
+    arrays are always read-only, and ``GameSpec.safe_set`` and
+    ``Scenario.ego_objective`` are made so (see :func:`game.read_only`).
+    Rebinding any function or class of this module -- a spy, a tracer,
+    another projection -- empties the memo, so no plan outlives the code
+    that solved it.
     """
+    if not (_frozen(reward) and _frozen(safe_set)):
+        return _solve(kernel, reward, safe_set, belief, epsilon, discount, horizon)
+    global _memo_solver
+    solver = _solver_bindings(globals())
+    if solver != _memo_solver:
+        _plan_memo.clear()
+        _memo_solver = solver
+    inputs = (kernel, reward, safe_set)
+    key = (
+        *map(id, inputs), epsilon, discount, horizon,
+        belief.state, belief.weights.tobytes(),
+    )
+    hit = _plan_memo.get(key)
+    if hit is not None and all(ref() is obj for ref, obj in zip(hit[0], inputs)):
+        return hit[1]
+    result = _solve(kernel, reward, safe_set, belief, epsilon, discount, horizon)
+    _plan_memo.pop(key, None)  # an entry for objects that have died
+    if len(_plan_memo) >= PLAN_MEMO_SIZE:
+        del _plan_memo[next(iter(_plan_memo))]
+    _plan_memo[key] = (tuple(map(weakref.ref, inputs)), result)
+    return result
+
+
+def _frozen(values) -> bool:
+    """True if no write can reach ``values``.
+
+    That holds for a read-only array that owns its data, or views only
+    read-only arrays down to an owner or an immutable ``bytes`` buffer.
+    """
+    while isinstance(values, np.ndarray):
+        if values.flags.writeable:
+            return False
+        values = values.base
+    return values is None or isinstance(values, bytes)
+
+
+def _solve(
+    kernel: AugmentedKernel,
+    reward: np.ndarray,
+    safe_set: np.ndarray,
+    belief: Belief,
+    epsilon: float,
+    discount: float,
+    horizon: int,
+) -> PlanResult:
+    """The solver behind :func:`optimize`, without the memo."""
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon out of [0, 1]: {epsilon!r}")
     reward = np.asarray(reward, dtype=float)
@@ -767,3 +856,12 @@ def maximin_plan(
             f"no ego sequence of length {horizon} is safe against every opponent"
         )
     return best_seq
+
+
+# Every function and class of this module, as bound when called with the
+# module's globals.  :func:`_solve` looks its helpers up there at call
+# time, so rebinding any of them changes the solver.
+_solver_bindings = operator.itemgetter(*(
+    name for name, value in list(globals().items())
+    if isinstance(value, (types.FunctionType, type)) and value.__module__ == __name__
+))

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 import yaml
 
-from .game import EGO, ENV, GameSpec, PolicyTable
+from .game import EGO, ENV, GameSpec, PolicyTable, read_only
 from .hierarchy import softmax_policy, QTable
 
 __all__ = [
@@ -64,7 +64,7 @@ _DONE_EGO_XY = (1.0e9, 1.0e9)
 _DONE_HUMAN_XY = (-1.0e9, -1.0e9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     """Travel-frame kinematic state: longitudinal position, lane center, speed."""
 
@@ -391,9 +391,18 @@ class Scenario:
     env_objective: np.ndarray
     initial_state: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "ego_objective", read_only(self.ego_objective, float))
+
     @property
     def name(self) -> str:
         return self.config.name
+
+    # Decoded pairs are shared: episode logs hold one pair per visited state,
+    # not one per step.
+    @cached_property
+    def _decoded(self) -> dict[int, tuple[VehicleState | None, VehicleState | None]]:
+        return {}
 
     def split(self, state: int) -> tuple[int, int]:
         n_h = self.human_grid.num_codes
@@ -403,8 +412,11 @@ class Scenario:
         return ego_code * self.human_grid.num_codes + human_code
 
     def decode(self, state: int) -> tuple[VehicleState | None, VehicleState | None]:
-        e, h = self.split(state)
-        return self.ego_grid.decode(e), self.human_grid.decode(h)
+        pair = self._decoded.get(state)
+        if pair is None:
+            e, h = self.split(state)
+            pair = self._decoded[state] = (self.ego_grid.decode(e), self.human_grid.decode(h))
+        return pair
 
     def encode(self, ego: VehicleState | None, human: VehicleState | None) -> int:
         e = self.ego_grid.done_code if ego is None else self.ego_grid.encode(ego)
@@ -696,6 +708,13 @@ def _tuple_of(cast):
     return lambda node: tuple(cast(item) for item in node)
 
 
+def _flag(node) -> bool:
+    """A YAML boolean; ``bool()`` would read any non-empty string as true."""
+    if not isinstance(node, bool):
+        raise ValueError("expected true or false")
+    return node
+
+
 def config_from_dict(tree: dict) -> ScenarioConfig:
     """Parse and validate the nested config-file structure."""
     version = _cfg_get(tree, "schema_version")
@@ -718,12 +737,12 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         ego_pos_min=_cfg_get(tree, "ego.pos_min", float),
         ego_pos_max=_cfg_get(tree, "ego.pos_max", float),
         ego_v_max=_cfg_get(tree, "ego.v_max", float),
-        ego_lane_change=_cfg_get(tree, "ego.lane_change", bool),
+        ego_lane_change=_cfg_get(tree, "ego.lane_change", _flag),
         ego_start=start("ego"),
         human_pos_min=_cfg_get(tree, "human.pos_min", float),
         human_pos_max=_cfg_get(tree, "human.pos_max", float),
         human_v_max=_cfg_get(tree, "human.v_max", float),
-        human_lane_change=_cfg_get(tree, "human.lane_change", bool),
+        human_lane_change=_cfg_get(tree, "human.lane_change", _flag),
         human_start=start("human"),
         horizon=_cfg_get(tree, "planning.horizon", int),
         epsilon=_cfg_get(tree, "planning.epsilon", float),
@@ -733,7 +752,7 @@ def config_from_dict(tree: dict) -> ScenarioConfig:
         level_prior=_cfg_get(tree, "inference.prior", _tuple_of(float)),
         collision_penalty=_cfg_get(tree, "hierarchy.collision_penalty", float),
         softmax_temperature=_cfg_get(tree, "hierarchy.temperature", float, 1.0),
-        level0_softmax=_cfg_get(tree, "hierarchy.level0_softmax", bool, False),
+        level0_softmax=_cfg_get(tree, "hierarchy.level0_softmax", _flag, False),
         likelihood_floor=_cfg_get(tree, "inference.likelihood_floor", float, 1e-9),
         step_cap=_cfg_get(tree, "episode.step_cap", int, 30),
         seed=_cfg_get(tree, "seed", int, 0),

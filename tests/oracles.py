@@ -277,3 +277,30 @@ def monte_carlo_joint_safety(
 def pure_minimax_value(payoff: np.ndarray) -> float:
     """max_i min_j of a finite payoff matrix."""
     return float(payoff.min(axis=1).max())
+
+
+def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, targets, probs)`` of the augmented kernel, one row at a time.
+
+    Row ``(k * |X| + x) * |U1| + u1`` lists each target ``k * |X| + T[x, u1, u2]``
+    once, in ascending order, with the policy mass of its env actions added
+    up in env-action order; zero-mass env actions contribute no entry.
+    """
+    nx, nu1, nu2 = spec.transition_table.shape
+    indptr, targets, probs = [0], [], []
+    for li, level in enumerate(sorted(env_policies)):
+        policy = env_policies[level].probs
+        for x in range(nx):
+            for u1 in range(nu1):
+                row: dict[int, float] = {}
+                for u2 in range(nu2):
+                    p = float(policy[x, u2])
+                    if p > 0.0:
+                        target = li * nx + int(spec.transition_table[x, u1, u2])
+                        row[target] = row.get(target, 0.0) + p
+                for target in sorted(row):
+                    targets.append(target)
+                    probs.append(row[target])
+                indptr.append(len(targets))
+    return (np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
+            np.array(probs, dtype=float))

@@ -328,10 +328,13 @@ def test_criterion_8_byte_identical_simulation(tmp_path, cache_dir):
     _report(8, same, "two cmd_simulate runs, identical (config, level, seed)")
 
 
-def test_criterion_9_performance_envelope(built_scenarios, seed_batches):
+def test_criterion_9_performance_envelope(built_scenarios, seed_batches, monkeypatch):
     scenario, hierarchy, kernel, _ = built_scenarios("intersection")
+    from chplanner import planner as planner_module
     from chplanner.cli import scenario_planner
 
+    # seed_batches has planned this belief already: time a solve, not a lookup.
+    monkeypatch.setattr(planner_module, "_plan_memo", {})
     planner = scenario_planner(scenario, kernel)
     belief = init_belief(
         scenario.initial_state, scenario.config.level_prior, scenario.spec.num_states
@@ -346,5 +349,5 @@ def test_criterion_9_performance_envelope(built_scenarios, seed_batches):
         9,
         step_time < 1.0 and slowest < 600.0,
         f"planning step {step_time * 1000:.0f} ms; slowest 100-episode batch "
-        f"{slowest:.0f}s",
+        f"{slowest:.2f}s",
     )

@@ -67,8 +67,13 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
         (lambda t: t["ego"]["start"].pop("pos"), "'ego.start.pos'"),
         (lambda t: t["ego"].__setitem__("start", 3), "'ego.start.pos'"),
         (lambda t: t["inference"].__setitem__("levels", 2), "'inference.levels'"),
+        (lambda t: t["ego"].__setitem__("lane_change", "false"), "'ego.lane_change'"),
+        (lambda t: t["human"].__setitem__("lane_change", "no"), "'human.lane_change'"),
+        (lambda t: t["hierarchy"].__setitem__("level0_softmax", 0),
+         "'hierarchy.level0_softmax'"),
     ],
-    ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels"],
+    ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels",
+         "quoted-ego-flag", "string-human-flag", "integer-softmax-flag"],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     if mutate is None:
@@ -270,6 +275,40 @@ def test_episode_log_record_count_and_flag_consistency(built_scenarios):
         replay.append(scenario.is_safe(state))
         assert rec.safe == replay[-1]
     assert log.violated == (not all(replay))
+
+
+def test_episode_log_shares_decoded_states(built_scenarios):
+    scenario, hierarchy, kernel, _ = built_scenarios("intersection")
+    log = run_episode(scenario, hierarchy, kernel, 1, seed=3)
+    for rec in (*log.records, log):
+        assert not hasattr(rec, "__dict__")  # slotted: no per-object dict
+    for rec in log.records:
+        ego, human = scenario.decode(rec.state)
+        assert rec.ego is ego and rec.human is human
+        assert not hasattr(ego, "__dict__")
+
+
+def test_episode_makes_one_optimize_call_per_planning_step(built_scenarios, monkeypatch):
+    # The way an external tracer counts planning work: by wrapping the names
+    # the episode loop and the planner look up at call time.
+    from chplanner import cli, planner
+
+    calls = {"optimize": 0, "step": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(planner, "optimize", counting("optimize", planner.optimize))
+    monkeypatch.setattr(cli, "receding_horizon_step",
+                        counting("step", cli.receding_horizon_step))
+    scenario, hierarchy, kernel, _ = built_scenarios("intersection")
+    steps = 0
+    for seed in (4, 4, 5):  # the repeat is planned from memoised plans
+        steps += run_episode(scenario, hierarchy, kernel, 2, seed).num_steps
+    assert calls == {"optimize": steps, "step": steps}
 
 
 def test_episode_rejects_unbuilt_level(built_scenarios):

@@ -21,6 +21,27 @@ def test_validate_well_formed_game_passes():
     assert bool(report)
 
 
+def test_memo_keyed_arrays_are_read_only():
+    # planner.optimize keys its plan memo on the safe set and the ego objective.
+    table = np.zeros((2, 2, 2), dtype=np.int64)
+    safe = np.array([True, True])
+    spec = make_spec(table, np.array([0.0, 1.0]), [1.0, 0.0], safe)
+    assert spec.safe_set is safe  # taken over, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        spec.safe_set[0] = False
+    assert spec.transition_table.flags.writeable and spec.ego_reward_table.flags.writeable
+
+    pair = np.array([[True, False]])
+    spec = make_spec(table, [0.0, 1.0], [1.0, 0.0], pair.ravel())
+    pair[0, 0] = False  # a view is copied, so a write to its base cannot reach it
+    assert spec.safe_set.tolist() == [True, False]
+
+    scenario = make_scenario(default_config("merging"))
+    with pytest.raises(ValueError, match="read-only"):
+        scenario.ego_objective[0] = 0.0
+    assert scenario.env_objective.flags.writeable
+
+
 def test_spec_rejects_mismatched_table_shapes():
     table = np.zeros((2, 2, 2), dtype=int)
     ok = dict(transition_table=table, ego_reward_table=[0.0, 1.0],

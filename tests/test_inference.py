@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chplanner import inference
 from chplanner.game import ENV, PolicyTable
 from chplanner.inference import (
     Belief,
@@ -16,6 +17,7 @@ from conftest import make_spec
 from oracles import (
     dense_posterior_oracle,
     dense_predict_oracle,
+    kernel_csr_oracle,
     predict,
     random_game,
     random_policy,
@@ -70,6 +72,39 @@ def test_kernel_rows_stochastic_and_level_conserving():
             targets, probs = kernel.row(aug, u1)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert (targets // 7 == aug // 7).all()  # level never changes
+
+
+@pytest.mark.parametrize("block_entries", [30, 1 << 17])
+def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entries):
+    # 23 states of 2 x 3 entries: with 30 entries a block holds 5 states, so
+    # each level spans 5 blocks and the last block is short.
+    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(12)
+    nx, nu1, nu2 = 23, 2, 3
+    spec, table, *_ = random_game(rng, nx, nu1, nu2)
+    table[::2, :, 2] = table[::2, :, 0]  # duplicate successors to merge
+    spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
+    policies = {}
+    for k in (1, 2):
+        probs = rng.dirichlet(np.ones(nu2), size=nx)
+        probs[rng.random((nx, nu2)) < 0.3] = 0.0  # zero-mass env actions
+        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+        policies[k] = PolicyTable(k, ENV, probs / probs.sum(axis=1, keepdims=True))
+
+    kernel = build_kernel(spec, policies)
+    for got, want in zip((kernel.indptr, kernel.targets, kernel.probs),
+                         kernel_csr_oracle(spec, policies)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_kernel_arrays_are_read_only():
+    rng = np.random.default_rng(3)
+    spec, *_ = random_game(rng, nx=4, nu1=2, nu2=2)
+    kernel = build_kernel(spec, {1: random_policy(rng, 1, ENV, 4, 2)})
+    for arr in (kernel.indptr, kernel.targets, kernel.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]
 
 
 def test_kernel_rejects_wrong_player_or_shape():

@@ -1,4 +1,8 @@
+import builtins
+import dataclasses
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from chplanner.game import ENV, PolicyTable
-from chplanner.inference import Belief, build_kernel, init_belief
+from chplanner.game import ENV, PolicyTable, read_only
+from chplanner.inference import AugmentedKernel, Belief, build_kernel, init_belief
 from chplanner.planner import (
     DecisionProfile,
     NoRobustPlanError,
@@ -19,7 +23,9 @@ from chplanner.planner import (
     project_to_simplex,
     receding_horizon_step,
 )
-from chplanner.planner import _CompiledHorizon, _closed_form
+from chplanner import planner
+from chplanner.cli import run_episode, scenario_planner
+from chplanner.planner import _CompiledHorizon, _closed_form, _solve
 
 from conftest import make_spec
 from oracles import lp_bound_oracle, profile_value_oracle, random_game, random_policy
@@ -50,6 +56,15 @@ def test_decision_profile_validation():
     assert p.horizon == 3 and p.num_actions == 4
     d = DecisionProfile.deterministic([2, 0], 3)
     assert d.stages[0, 2] == 1.0 and d.stages[1, 0] == 1.0
+
+
+def test_decision_profile_holds_a_read_only_copy():
+    stages = np.array([[0.25, 0.75]])
+    profile = DecisionProfile(stages)
+    stages[0] = [1.0, 0.0]
+    assert profile.stages[0, 0] == 0.25
+    with pytest.raises(ValueError, match="read-only"):
+        profile.stages[0, 0] = 1.0
 
 
 def test_expected_reward_single_step_deterministic():
@@ -404,8 +419,8 @@ def test_optimize_is_deterministic():
         rng, nx=5, nu1=3, nu2=2, horizon=3
     )
     args = (kernel, r1, safe, belief, 0.1, spec.discount, 3)
-    a = optimize(*args)
-    b = optimize(*args)
+    a = _solve(*args)  # the memo's premise, so not through the memo
+    b = _solve(*args)
     assert np.array_equal(a.profile.stages, b.profile.stages)
     assert (a.expected_reward, a.constraint_probability, a.feasible, a.iterations) == (
         b.expected_reward, b.constraint_probability, b.feasible, b.iterations
@@ -441,6 +456,185 @@ def test_optimize_rejects_empty_horizon():
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     with pytest.raises(ValueError, match="horizon"):
         optimize(kernel, r1, safe, belief, 0.1, spec.discount, 0)
+
+
+def _assert_same_plan(a: PlanResult, b: PlanResult) -> None:
+    for f in dataclasses.fields(PlanResult):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if f.name == "profile":
+            assert x.stages.dtype == y.stages.dtype
+            assert np.array_equal(x.stages, y.stages)
+        else:
+            assert x == y, f.name
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(planner, "_plan_memo", memo)
+    return memo
+
+
+def _frozen_reward(spec):
+    """The spec's ego reward as an array the memo may key on."""
+    return read_only(spec.ego_reward_table.copy(), float)
+
+
+def test_optimize_memo_returns_the_exact_first_plan(empty_memo):
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng)
+        epsilon = float(rng.choice([0.0, 0.05, 0.2, 1.0]))
+        args = (kernel, _frozen_reward(spec), spec.safe_set, belief, epsilon,
+                spec.discount, spec.horizon)
+        first = optimize(*args)
+        assert optimize(*args) is first
+        assert optimize(*args[:3], Belief(belief.state, belief.weights.copy()),
+                        *args[4:]) is first
+        _assert_same_plan(first, _solve(*args))
+    assert len(empty_memo) == 20
+
+
+def test_optimize_memo_exact_on_scenario_beliefs(built_scenarios, empty_memo):
+    scenario, hierarchy, kernel, _ = built_scenarios("intersection")
+    log = run_episode(scenario, hierarchy, kernel, 2, seed=3)
+    plans = scenario_planner(scenario, kernel)
+    for rec in log.records[:-1]:
+        belief = Belief(rec.state, rec.posteriors)
+        first = plans.plan(belief)
+        assert plans.plan(belief) is first
+        assert first.expected_reward == rec.expected_reward
+        _assert_same_plan(first, _solve(
+            kernel, scenario.ego_objective, scenario.spec.safe_set, belief,
+            plans.epsilon, plans.discount, plans.horizon,
+        ))
+
+
+def test_optimize_memo_never_mixes_inputs(empty_memo):
+    rng = np.random.default_rng(32)
+    spec, _, _, _, policies, kernel, _, belief, _ = _random_instance(
+        rng, nx=6, nu1=3, nu2=2, horizon=3
+    )
+    reward, safe = _frozen_reward(spec), spec.safe_set
+    base = (kernel, reward, safe, belief, 0.1, 0.9, 3)
+    first = optimize(*base)
+    variants = {
+        "kernel": (build_kernel(spec, policies), reward, safe, belief, 0.1, 0.9, 3),
+        "reward": (kernel, read_only(reward.copy(), float), safe, belief, 0.1, 0.9, 3),
+        "safe set": (kernel, reward, read_only(safe.copy(), bool), belief, 0.1, 0.9, 3),
+        "state": (kernel, reward, safe, Belief((belief.state + 1) % 6, belief.weights),
+                  0.1, 0.9, 3),
+        "weights": (kernel, reward, safe, Belief(belief.state, belief.weights[::-1]),
+                    0.1, 0.9, 3),
+        "epsilon": (kernel, reward, safe, belief, 0.2, 0.9, 3),
+        "discount": (kernel, reward, safe, belief, 0.1, 0.8, 3),
+        "horizon": (kernel, reward, safe, belief, 0.1, 0.9, 2),
+    }
+    for name, args in variants.items():
+        result = optimize(*args)
+        assert result is not first, name
+        _assert_same_plan(result, _solve(*args))
+    assert optimize(*base) is first
+
+
+def test_optimize_memo_checks_identity_beyond_id(monkeypatch, empty_memo):
+    # Make every kernel share one id, as a dead kernel's id may be reused.
+    monkeypatch.setattr(
+        planner, "id",
+        lambda obj: 0 if isinstance(obj, AugmentedKernel) else builtins.id(obj),
+        raising=False,
+    )
+    rng = np.random.default_rng(36)
+    spec, _, _, _, policies, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    args = (_frozen_reward(spec), spec.safe_set, belief, 0.1, 0.9, 2)
+    first = optimize(kernel, *args)
+    flipped = {k: PolicyTable(k, ENV, p.probs[:, ::-1]) for k, p in policies.items()}
+    other = build_kernel(spec, flipped)
+    second = optimize(other, *args)
+    assert second is not first
+    _assert_same_plan(second, _solve(other, *args))
+    assert len(empty_memo) == 1  # the entry was replaced, not duplicated
+
+
+def test_optimize_memo_skips_writeable_inputs(empty_memo):
+    rng = np.random.default_rng(33)
+    spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    reward = spec.ego_reward_table.copy()
+    a = optimize(kernel, reward, spec.safe_set, belief, 0.1, 0.9, 2)
+    reward[:] = -reward
+    b = optimize(kernel, reward, spec.safe_set, belief, 0.1, 0.9, 2)
+    assert empty_memo == {}
+    _assert_same_plan(b, _solve(kernel, reward, spec.safe_set, belief, 0.1, 0.9, 2))
+    assert a is not b
+
+
+def test_optimize_memo_skips_read_only_views_of_writeable_arrays(empty_memo):
+    rng = np.random.default_rng(37)
+    spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    base = spec.ego_reward_table.copy()
+    reward = base[:]
+    reward.flags.writeable = False
+    args = (kernel, reward, spec.safe_set, belief, 0.1, 0.9, 2)
+    a = optimize(*args)
+    base[:] = -base
+    b = optimize(*args)
+    assert empty_memo == {}
+    assert a is not b
+    _assert_same_plan(b, _solve(*args))
+
+
+def test_optimize_memo_is_emptied_when_a_solver_function_is_rebound(
+    monkeypatch, empty_memo
+):
+    rng = np.random.default_rng(38)
+    for _ in range(200):  # an instance whose plan projects onto the simplex
+        spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=3)
+        args = (kernel, _frozen_reward(spec), spec.safe_set, belief, 0.1, 0.9, 3)
+        first = optimize(*args)
+        if first.iterations > 0:
+            break
+    assert first.iterations > 0
+    calls = []
+
+    def spy(v):
+        calls.append(v.shape)
+        return project_to_simplex(v)
+
+    monkeypatch.setattr(planner, "project_to_simplex", spy)
+    again = optimize(*args)
+    assert again is not first and calls  # solved again, through the spy
+    _assert_same_plan(again, first)
+    assert len(empty_memo) == 1
+    assert optimize(*args) is again
+    monkeypatch.setattr(planner, "project_to_simplex", project_to_simplex)
+    assert optimize(*args) is not again
+
+
+def test_optimize_memo_keeps_no_kernel_alive(empty_memo):
+    rng = np.random.default_rng(34)
+    spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    optimize(kernel, _frozen_reward(spec), spec.safe_set, belief, 0.1, 0.9, 2)
+    ref = weakref.ref(kernel)
+    del kernel
+    gc.collect()
+    assert ref() is None
+    [(refs, _)] = empty_memo.values()
+    assert refs[0]() is None
+
+
+def test_optimize_memo_stays_within_its_cap(monkeypatch, empty_memo):
+    monkeypatch.setattr(planner, "PLAN_MEMO_SIZE", 3)
+    rng = np.random.default_rng(35)
+    spec, _, _, _, _, kernel, _, _, _ = _random_instance(rng, nx=6, horizon=2)
+    args = (kernel, _frozen_reward(spec), spec.safe_set)
+    beliefs = [init_belief(x, [0.5, 0.5], 6) for x in range(6)]
+    plans = []
+    for belief in beliefs:
+        plans.append(optimize(*args, belief, 0.1, 0.9, 2))
+        assert len(empty_memo) <= 3
+    assert optimize(*args, beliefs[-1], 0.1, 0.9, 2) is plans[-1]
+    assert optimize(*args, beliefs[0], 0.1, 0.9, 2) is not plans[0]  # dropped first
+    assert len(empty_memo) == 3
 
 
 class _StubPlanner:
