@@ -13,9 +13,7 @@ from .game import (
     ENV,
     GameSpec,
     PolicyTable,
-    ValidationReport,
     step,
-    validate_game,
 )
 from .hierarchy import (
     Hierarchy,

@@ -249,7 +249,7 @@ def run_episode(
                 state=state,
                 ego=ego_v,
                 human=human_v,
-                posteriors=tuple(belief.level_marginals()),
+                posteriors=tuple(belief.weights),
                 ego_action=u1,
                 human_action=u2,
                 expected_reward=None if plan is None else plan.expected_reward,
@@ -264,9 +264,9 @@ def run_episode(
         try:
             belief = bayes_update(kernel, belief, u1, next_state)
         except InconsistentObservationError:
-            belief = bayes_update(
-                kernel, belief, u1, next_state, floor=config.likelihood_floor
-            )
+            # Every level's mass came out 0, so any positive floor gives the
+            # uniform posterior; the floor's value does not matter.
+            belief = bayes_update(kernel, belief, u1, next_state, floor=1e-9)
         state = next_state
         states_seen.append(state)
         snapshots.append((t + 1, state))
@@ -278,7 +278,7 @@ def run_episode(
             state=state,
             ego=ego_v,
             human=human_v,
-            posteriors=tuple(belief.level_marginals()),
+            posteriors=tuple(belief.weights),
             ego_action=None,
             human_action=None,
             expected_reward=None,

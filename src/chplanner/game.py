@@ -3,8 +3,10 @@
 States and actions are dense integer indices; domain layers supply codecs
 between indices and physical values.  Transitions are deterministic: all
 stochasticity in the planning stack enters through the opponent's policy.
-Every object here is immutable after construction, so specs, policies and
-the tables derived from them are safe to share across threads.
+Every object here checks its contract when it is constructed and is
+immutable afterwards, so a spec or policy that exists is well formed, and
+specs, policies and the tables derived from them are safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ __all__ = [
     "ROW_SUM_TOL",
     "GameSpec",
     "PolicyTable",
-    "ValidationReport",
     "read_only",
     "step",
-    "validate_game",
 ]
 
 EGO = 1
@@ -53,12 +53,17 @@ class GameSpec:
 
     The game is held as dense tables only.  ``transition_table[x, u1, u2]``
     is the successor state index and must be total (every entry in
-    ``[0, |X|)``; :func:`validate_game` checks this).  Rewards are functions
-    of the successor state only, one value per state and player; the general
-    ``(state, u1, u2)`` reward form is out of scope.  ``safe_set`` is one
+    ``[0, |X|)``).  Rewards are functions of the successor state only, one
+    value per state and player; the general ``(state, u1, u2)`` reward form
+    is out of scope.  ``safe_set`` is one
     boolean membership mask over states, held read-only (see
     :func:`read_only`): every scenario's safe set is time-invariant, so the
     paper's time-indexed ``{X_t}`` is the same mask at every step.
+
+    Construction checks the whole contract and raises ``ValueError`` naming
+    the field: table shapes, at least one state and one action per player,
+    every transition target in range (the first bad ``(state, u1, u2)`` is
+    named), finite rewards, ``discount`` in (0, 1] and ``horizon >= 1``.
     """
 
     transition_table: np.ndarray = field(repr=False)
@@ -75,6 +80,20 @@ class GameSpec:
                 f"transition_table must be 3-D (states x ego actions x env actions), "
                 f"got shape {table.shape}"
             )
+        if 0 in table.shape:
+            raise ValueError(
+                f"transition_table needs at least one state and one action per "
+                f"player, got shape {table.shape}"
+            )
+        num_states = table.shape[0]
+        # min/max, not a mask: the range check allocates nothing table-sized.
+        if table.min() < 0 or table.max() >= num_states:
+            bad = np.flatnonzero((table < 0) | (table >= num_states))[0]
+            x, u1, u2 = np.unravel_index(bad, table.shape)
+            raise ValueError(
+                f"transition_table out of range [0, {num_states}) at "
+                f"(state={x}, u1={u1}, u2={u2}): -> {table[x, u1, u2]}"
+            )
         object.__setattr__(self, "transition_table", table)
         for name, dtype in (
             ("ego_reward_table", float),
@@ -82,12 +101,19 @@ class GameSpec:
             ("safe_set", bool),
         ):
             arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.shape != (self.num_states,):
+            if arr.shape != (num_states,):
                 raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({self.num_states},)"
+                    f"{name} has shape {arr.shape}, expected ({num_states},)"
                 )
+            if dtype is float and not np.isfinite(arr).all():
+                idx = int(np.argmax(~np.isfinite(arr)))
+                raise ValueError(f"{name} not finite at state {idx}: {arr[idx]!r}")
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "safe_set", read_only(self.safe_set, bool))
+        if not 0.0 < self.discount <= 1.0:
+            raise ValueError(f"discount out of (0,1]: {self.discount!r}")
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
     def num_states(self) -> int:
@@ -160,17 +186,6 @@ class PolicyTable:
         return self.probs.shape[1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of :func:`validate_game`: ``ok`` plus human-readable problems."""
-
-    ok: bool
-    problems: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 def step(spec: GameSpec, state: int, u1: int, u2: int) -> tuple[int, float, float]:
     """Advance the game one step.
 
@@ -190,42 +205,3 @@ def step(spec: GameSpec, state: int, u1: int, u2: int) -> tuple[int, float, floa
         raise ValueError(f"env action {u2} out of range [0, {spec.num_env_actions})")
     nxt = int(spec.transition_table[state, u1, u2])
     return nxt, float(spec.ego_reward_table[nxt]), float(spec.env_reward_table[nxt])
-
-
-def validate_game(spec: GameSpec) -> ValidationReport:
-    """Diagnostic check of the :class:`GameSpec` invariants.
-
-    Never raises for invariant violations; collects them into the report
-    instead.  Table shapes are already checked when the spec is built.
-    """
-    problems: list[str] = []
-    if spec.num_states < 1:
-        problems.append(f"num_states must be >= 1, got {spec.num_states}")
-    if spec.num_ego_actions < 1 or spec.num_env_actions < 1:
-        problems.append("both players need at least one action")
-    if not 0.0 < spec.discount <= 1.0:
-        problems.append(f"discount out of (0,1]: {spec.discount!r}")
-    if spec.horizon < 1:
-        problems.append(f"horizon must be >= 1, got {spec.horizon}")
-    if problems:
-        return ValidationReport(False, tuple(problems))
-
-    table = spec.transition_table
-    bad = (table < 0) | (table >= spec.num_states)
-    if bad.any():
-        for x, u1, u2 in np.argwhere(bad)[:5]:
-            problems.append(
-                f"transition out of range at (state={x}, u1={u1}, u2={u2}): "
-                f"-> {table[x, u1, u2]}"
-            )
-        extra = int(bad.sum()) - min(5, int(bad.sum()))
-        if extra > 0:
-            problems.append(f"... and {extra} more out-of-range transitions")
-
-    for player, name in ((EGO, "ego"), (ENV, "env")):
-        rewards = spec.rewards(player)
-        if not np.isfinite(rewards).all():
-            idx = int(np.argmax(~np.isfinite(rewards)))
-            problems.append(f"{name}_reward not finite at state {idx}")
-
-    return ValidationReport(not problems, tuple(problems))

@@ -60,7 +60,6 @@ class Belief:
 
     state: int
     weights: np.ndarray
-    time_stamp: int = 0
 
     def __post_init__(self):
         if not isinstance(self.state, numbers.Integral):
@@ -79,10 +78,6 @@ class Belief:
     @property
     def num_levels(self) -> int:
         return self.weights.size
-
-    def level_marginals(self) -> np.ndarray:
-        """Posterior mass per level (the quantity the planner conditions on)."""
-        return self.weights
 
     def support(self, kernel: "AugmentedKernel") -> tuple[np.ndarray, np.ndarray]:
         """Augmented states carrying mass, level-major, and their mass."""
@@ -284,7 +279,7 @@ def bayes_update(
             f"observation y={observed_y} has zero predicted probability "
             f"under action u1={executed_u1}"
         )
-    return Belief(state=observed_y, weights=masses / total, time_stamp=prior.time_stamp + 1)
+    return Belief(state=observed_y, weights=masses / total)
 
 
 def init_belief(
@@ -293,4 +288,4 @@ def init_belief(
     """Point-mass belief on ``physical_state`` with the given prior over levels."""
     if not 0 <= physical_state < num_states:
         raise ValueError(f"physical state {physical_state} out of range [0, {num_states})")
-    return Belief(state=physical_state, weights=level_prior, time_stamp=0)
+    return Belief(state=physical_state, weights=level_prior)

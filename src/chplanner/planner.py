@@ -172,7 +172,6 @@ class PlanResult:
     constraint_probability: float
     feasible: bool
     iterations: int = 0
-    fallback: bool = False
     path: str = "unconstrained"
     gap: float = 0.0
 
@@ -675,7 +674,6 @@ def _solve(
             constraint_probability=float(vertex_p[pick]),
             feasible=False,
             iterations=0,
-            fallback=True,
             path="infeasible",
         )
 

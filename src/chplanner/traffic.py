@@ -16,12 +16,18 @@ predicates live.
 Leaving the modeled road section sends a vehicle into an absorbing "done"
 cell with zero reward that is always safe; episodes normally terminate
 before anyone reaches it.
+
+A :class:`ScenarioConfig` checks its whole contract when it is constructed,
+start states and grid closure included, so :func:`make_scenario` trusts
+any config it is given.  Config files are parsed strictly: flags must be
+YAML booleans, numbers must not be booleans, and integer keys reject
+fractions instead of truncating them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from typing import Sequence
@@ -189,7 +195,12 @@ class VehicleGrid:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full parameterization of one traffic scenario."""
+    """Full parameterization of one traffic scenario.
+
+    Construction checks the whole contract, the start states included, and
+    raises ``ValueError`` naming the field, so a config built from YAML, by
+    ``dataclasses.replace`` or directly is checked exactly once.
+    """
 
     name: str
     dt: float
@@ -217,13 +228,12 @@ class ScenarioConfig:
     collision_penalty: float
     softmax_temperature: float
     level0_softmax: bool
-    likelihood_floor: float
     step_cap: int
     seed: int
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}; expected one of {SCENARIO_NAMES}")
+            raise ValueError(f"unknown scenario name {self.name!r}; expected one of {SCENARIO_NAMES}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon out of [0,1]: {self.epsilon!r}")
         if not 0.0 < self.discount <= 1.0:
@@ -232,8 +242,14 @@ class ScenarioConfig:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.step_cap < 1:
             raise ValueError(f"step_cap must be >= 1, got {self.step_cap}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.dt <= 0 or self.pos_step <= 0 or self.v_step <= 0:
             raise ValueError("dt, pos_step and v_step must be positive")
+        for name in ("car_length", "lane_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
         if self.on_infeasible not in ("abort", "fallback"):
             raise ValueError(f"on_infeasible must be 'abort' or 'fallback', got {self.on_infeasible!r}")
         if len(self.levels) != len(self.level_prior):
@@ -242,25 +258,31 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing and nonnegative")
         if abs(sum(self.level_prior) - 1.0) > 1e-9 or min(self.level_prior) < 0:
             raise ValueError("level_prior must be a probability vector")
-        if not (math.isfinite(self.likelihood_floor) and self.likelihood_floor > 0.0):
+        if not math.isfinite(self.collision_penalty):
+            raise ValueError(f"collision_penalty must be finite, got {self.collision_penalty!r}")
+        if not self.softmax_temperature > 0.0:
             raise ValueError(
-                f"likelihood_floor must be finite and > 0, got {self.likelihood_floor!r}"
+                f"softmax_temperature must be > 0, got {self.softmax_temperature!r}"
             )
         if 0.0 not in self.accel_set:
             raise ValueError("accel_set must contain 0")
         if self.name == "intersection" and (self.ego_lane_change or self.human_lane_change):
-            raise ValueError("intersection has no lane changes")
+            raise ValueError("ego_lane_change and human_lane_change must be false: "
+                             "intersection has no lane changes")
         for v_max, who in ((self.ego_v_max, "ego"), (self.human_v_max, "human")):
             if v_max <= 0 or abs(v_max / self.v_step - round(v_max / self.v_step)) > 1e-9:
-                raise ValueError(f"{who} v_max must be a positive multiple of v_step")
+                raise ValueError(f"{who}_v_max must be a positive multiple of v_step")
         for lo, hi, who in (
             (self.ego_pos_min, self.ego_pos_max, "ego"),
             (self.human_pos_min, self.human_pos_max, "human"),
         ):
             span = (hi - lo) / self.pos_step
             if hi <= lo or abs(span - round(span)) > 1e-9:
-                raise ValueError(f"{who} position range must span a whole number of grid steps")
+                raise ValueError(
+                    f"{who}_pos_min..{who}_pos_max must span a whole number of grid steps"
+                )
         self._check_grid_closure()
+        self._check_starts()
 
     def _check_grid_closure(self) -> None:
         """Every (speed, acceleration) pair must land back on the grids."""
@@ -274,15 +296,27 @@ class ScenarioConfig:
                     v2 = min(max(v + self.dt * a, 0.0), cap)
                     if abs(v2 / self.v_step - round(v2 / self.v_step)) > 1e-9:
                         raise ValueError(
-                            f"grid closure violated: v={v}, a={a} gives speed {v2} "
-                            f"off the v grid"
+                            f"grid closure violated (accel_set, dt, v_step): v={v}, "
+                            f"a={a} gives speed {v2} off the v grid"
                         )
                     disp = self.dt * (v + v2) / 2.0
                     if abs(disp / self.pos_step - round(disp / self.pos_step)) > 1e-9:
                         raise ValueError(
-                            f"grid closure violated: v={v}, a={a} gives displacement "
-                            f"{disp} off the position grid"
+                            f"grid closure violated (accel_set, dt, pos_step): v={v}, "
+                            f"a={a} gives displacement {disp} off the position grid"
                         )
+
+    def _check_starts(self) -> None:
+        """Start states must sit on their grids; encoding checks everything."""
+        for grid, (pos, v, lane), who in zip(
+            _grids(self), (self.ego_start, self.human_start), ("ego", "human")
+        ):
+            if not 0 <= lane < len(grid.lane_centers):
+                raise ValueError(f"{who}_start lane index {lane} out of range")
+            try:
+                grid.encode(VehicleState(s_x=pos, s_y=grid.lane_centers[lane], v=v))
+            except ValueError as exc:
+                raise ValueError(f"{who}_start: {exc}") from None
 
     @property
     def k_max(self) -> int:
@@ -478,7 +512,6 @@ def _vehicle_objective(config: ScenarioConfig, grid: VehicleGrid) -> np.ndarray:
 
 def make_scenario(config: ScenarioConfig) -> Scenario:
     """Build the full game for one scenario configuration."""
-    config.validate()
     ego_grid, human_grid = _grids(config)
     ego_actions = _actions(config, config.ego_lane_change)
     env_actions = _actions(config, config.human_lane_change)
@@ -700,12 +733,26 @@ def _cfg_get(tree: dict, path: str, cast=None, default=None):
         return node
     try:
         return cast(node)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"config key {path!r}: bad value {node!r} ({exc})") from exc
 
 
 def _tuple_of(cast):
     return lambda node: tuple(cast(item) for item in node)
+
+
+def _real(node) -> float:
+    """A number; ``float()`` would read a YAML ``true`` as 1.0."""
+    if isinstance(node, bool):
+        raise ValueError("expected a number, not true or false")
+    return float(node)
+
+
+def _int(node) -> int:
+    """An integer; ``int()`` would read ``true`` as 1 and truncate 2.5 to 2."""
+    if isinstance(node, bool) or (isinstance(node, float) and not node.is_integer()):
+        raise ValueError("expected an integer")
+    return int(node)
 
 
 def _flag(node) -> bool:
@@ -716,59 +763,46 @@ def _flag(node) -> bool:
 
 
 def config_from_dict(tree: dict) -> ScenarioConfig:
-    """Parse and validate the nested config-file structure."""
+    """Parse the nested config-file structure; the config checks itself."""
     version = _cfg_get(tree, "schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ValueError(f"unsupported config schema_version {version!r}")
 
     def start(who: str) -> tuple[float, float, int]:
-        pos = _cfg_get(tree, f"{who}.start.pos", float)
-        v = _cfg_get(tree, f"{who}.start.v", float)
-        return pos, v, _cfg_get(tree, f"{who}.start.lane", int, 0)
+        pos = _cfg_get(tree, f"{who}.start.pos", _real)
+        v = _cfg_get(tree, f"{who}.start.v", _real)
+        return pos, v, _cfg_get(tree, f"{who}.start.lane", _int, 0)
 
-    config = ScenarioConfig(
+    return ScenarioConfig(
         name=_cfg_get(tree, "scenario", str),
-        dt=_cfg_get(tree, "kinematics.dt", float),
-        car_length=_cfg_get(tree, "kinematics.car_length", float),
-        lane_width=_cfg_get(tree, "kinematics.lane_width", float),
-        accel_set=_cfg_get(tree, "kinematics.accel_set", _tuple_of(float)),
-        v_step=_cfg_get(tree, "kinematics.v_step", float),
-        pos_step=_cfg_get(tree, "kinematics.pos_step", float),
-        ego_pos_min=_cfg_get(tree, "ego.pos_min", float),
-        ego_pos_max=_cfg_get(tree, "ego.pos_max", float),
-        ego_v_max=_cfg_get(tree, "ego.v_max", float),
+        dt=_cfg_get(tree, "kinematics.dt", _real),
+        car_length=_cfg_get(tree, "kinematics.car_length", _real),
+        lane_width=_cfg_get(tree, "kinematics.lane_width", _real),
+        accel_set=_cfg_get(tree, "kinematics.accel_set", _tuple_of(_real)),
+        v_step=_cfg_get(tree, "kinematics.v_step", _real),
+        pos_step=_cfg_get(tree, "kinematics.pos_step", _real),
+        ego_pos_min=_cfg_get(tree, "ego.pos_min", _real),
+        ego_pos_max=_cfg_get(tree, "ego.pos_max", _real),
+        ego_v_max=_cfg_get(tree, "ego.v_max", _real),
         ego_lane_change=_cfg_get(tree, "ego.lane_change", _flag),
         ego_start=start("ego"),
-        human_pos_min=_cfg_get(tree, "human.pos_min", float),
-        human_pos_max=_cfg_get(tree, "human.pos_max", float),
-        human_v_max=_cfg_get(tree, "human.v_max", float),
+        human_pos_min=_cfg_get(tree, "human.pos_min", _real),
+        human_pos_max=_cfg_get(tree, "human.pos_max", _real),
+        human_v_max=_cfg_get(tree, "human.v_max", _real),
         human_lane_change=_cfg_get(tree, "human.lane_change", _flag),
         human_start=start("human"),
-        horizon=_cfg_get(tree, "planning.horizon", int),
-        epsilon=_cfg_get(tree, "planning.epsilon", float),
-        discount=_cfg_get(tree, "planning.discount", float),
+        horizon=_cfg_get(tree, "planning.horizon", _int),
+        epsilon=_cfg_get(tree, "planning.epsilon", _real),
+        discount=_cfg_get(tree, "planning.discount", _real),
         on_infeasible=_cfg_get(tree, "planning.on_infeasible", str, "fallback"),
-        levels=_cfg_get(tree, "inference.levels", _tuple_of(int)),
-        level_prior=_cfg_get(tree, "inference.prior", _tuple_of(float)),
-        collision_penalty=_cfg_get(tree, "hierarchy.collision_penalty", float),
-        softmax_temperature=_cfg_get(tree, "hierarchy.temperature", float, 1.0),
+        levels=_cfg_get(tree, "inference.levels", _tuple_of(_int)),
+        level_prior=_cfg_get(tree, "inference.prior", _tuple_of(_real)),
+        collision_penalty=_cfg_get(tree, "hierarchy.collision_penalty", _real),
+        softmax_temperature=_cfg_get(tree, "hierarchy.temperature", _real, 1.0),
         level0_softmax=_cfg_get(tree, "hierarchy.level0_softmax", _flag, False),
-        likelihood_floor=_cfg_get(tree, "inference.likelihood_floor", float, 1e-9),
-        step_cap=_cfg_get(tree, "episode.step_cap", int, 30),
-        seed=_cfg_get(tree, "seed", int, 0),
+        step_cap=_cfg_get(tree, "episode.step_cap", _int, 30),
+        seed=_cfg_get(tree, "seed", _int, 0),
     )
-    config.validate()
-
-    # Start states must sit on their grids; encoding checks everything.
-    ego_grid, human_grid = _grids(config)
-    for grid, (pos, v, lane), who in (
-        (ego_grid, config.ego_start, "ego"),
-        (human_grid, config.human_start, "human"),
-    ):
-        if not 0 <= lane < len(grid.lane_centers):
-            raise ValueError(f"{who} start lane index {lane} out of range")
-        grid.encode(VehicleState(s_x=pos, s_y=grid.lane_centers[lane], v=v))
-    return config
 
 
 def default_config(name: str) -> ScenarioConfig:
@@ -791,10 +825,3 @@ def load_config(path_or_name: str) -> ScenarioConfig:
     if not isinstance(tree, dict):
         raise ValueError(f"config file {path_or_name!r} does not hold a mapping")
     return config_from_dict(tree)
-
-
-def with_overrides(config: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Copy of a config with fields replaced and re-validated."""
-    out = replace(config, **kwargs)
-    out.validate()
-    return out

@@ -172,16 +172,16 @@ def test_criterion_4_bayesian_filter(seed_batches):
     kernel = _two_level_observation_kernel(0.8, 0.2)
     prior = init_belief(0, [0.5, 0.5], 2)
     exact_ok = np.allclose(
-        bayes_update(kernel, prior, 0, 1).level_marginals(), [0.8, 0.2], atol=1e-12
+        bayes_update(kernel, prior, 0, 1).weights, [0.8, 0.2], atol=1e-12
     )
     kernel_u = _two_level_observation_kernel(0.6, 0.6)
     exact_ok &= np.allclose(
-        bayes_update(kernel_u, init_belief(0, [0.3, 0.7], 2), 0, 1).level_marginals(),
+        bayes_update(kernel_u, init_belief(0, [0.3, 0.7], 2), 0, 1).weights,
         [0.3, 0.7], atol=1e-12,
     )
     kernel_x = _two_level_observation_kernel(0.8, 0.0)
     exact_ok &= np.allclose(
-        bayes_update(kernel_x, prior, 0, 1).level_marginals(), [1.0, 0.0], atol=1e-12
+        bayes_update(kernel_x, prior, 0, 1).weights, [1.0, 0.0], atol=1e-12
     )
 
     logs, _ = seed_batches

@@ -71,9 +71,22 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
         (lambda t: t["human"].__setitem__("lane_change", "no"), "'human.lane_change'"),
         (lambda t: t["hierarchy"].__setitem__("level0_softmax", 0),
          "'hierarchy.level0_softmax'"),
+        (lambda t: t["hierarchy"].__setitem__("temperature", 0), "temperature"),
+        (lambda t: t["hierarchy"].__setitem__("temperature", float("nan")), "temperature"),
+        (lambda t: t["hierarchy"].__setitem__("collision_penalty", float("-inf")),
+         "collision_penalty"),
+        (lambda t: t["kinematics"].__setitem__("car_length", -5), "car_length"),
+        (lambda t: t["kinematics"].__setitem__("lane_width", float("inf")), "lane_width"),
+        (lambda t: t["planning"].__setitem__("horizon", True), "'planning.horizon'"),
+        (lambda t: t["episode"].__setitem__("step_cap", 2.5), "'episode.step_cap'"),
+        (lambda t: t["planning"].__setitem__("epsilon", True), "'planning.epsilon'"),
+        (lambda t: t.__setitem__("seed", -1), "seed"),
     ],
     ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels",
-         "quoted-ego-flag", "string-human-flag", "integer-softmax-flag"],
+         "quoted-ego-flag", "string-human-flag", "integer-softmax-flag",
+         "zero-temperature", "nan-temperature", "infinite-penalty", "negative-car-length",
+         "infinite-lane-width", "boolean-horizon", "fractional-step-cap",
+         "boolean-epsilon", "negative-seed"],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     if mutate is None:
@@ -171,25 +184,6 @@ def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag
     assert "config error:" in err and flag in err
     assert list(own_cache.glob("hierarchy-*.npz")) == []
     assert list(tmp_path.glob("out*")) == []
-
-
-def test_simulate_rejects_bad_likelihood_floor(tmp_path, capsys):
-    # A floor of -1 would leave an observation the model rules out without
-    # its fallback; the config is rejected before anything is built.
-    own_cache = tmp_path / "cache"
-    own_cache.mkdir()
-
-    def mutate(tree):
-        tree["inference"]["likelihood_floor"] = -1
-
-    code = main([
-        "simulate", "--config", str(_write_config(tmp_path, mutate=mutate)),
-        "--cache-dir", str(own_cache), "--out", str(tmp_path / "out"),
-    ])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error:" in err and "likelihood_floor" in err
-    assert list(own_cache.glob("hierarchy-*.npz")) == []
 
 
 def test_simulate_level0_human(tmp_path, cache_dir):

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from chplanner.game import EGO, ENV, GameSpec, PolicyTable, step, validate_game
+from chplanner.game import EGO, ENV, GameSpec, PolicyTable, step
 from chplanner.traffic import default_config, make_scenario, vehicle_step
 
 from conftest import make_spec
@@ -9,16 +11,16 @@ from oracles import random_game
 
 
 def test_validate_well_formed_game_passes():
+    # GameSpec checks its contract at construction, so a well-formed spec
+    # builds and keeps its tables as given.
     spec = make_spec(
         table=np.zeros((2, 2, 2), dtype=int),
         r1=[0.0, 1.0],
         r2=[1.0, 0.0],
         safe=[True, True],
     )
-    report = validate_game(spec)
-    assert report.ok
-    assert report.problems == ()
-    assert bool(report)
+    assert (spec.num_states, spec.num_ego_actions, spec.num_env_actions) == (2, 2, 2)
+    assert spec.discount == 0.9 and spec.horizon == 3
 
 
 def test_memo_keyed_arrays_are_read_only():
@@ -43,39 +45,54 @@ def test_memo_keyed_arrays_are_read_only():
 
 
 def test_spec_rejects_mismatched_table_shapes():
+    # Construction checks the whole contract, so every malformed spec fails
+    # with a ValueError that names the field.
     table = np.zeros((2, 2, 2), dtype=int)
     ok = dict(transition_table=table, ego_reward_table=[0.0, 1.0],
               env_reward_table=[1.0, 0.0], safe_set=[True, True], discount=0.9, horizon=3)
     spec = GameSpec(**ok)
     assert (spec.num_states, spec.num_ego_actions, spec.num_env_actions) == (2, 2, 2)
-    for field, bad in (("transition_table", np.zeros((2, 2), int)),
-                       ("env_reward_table", [0.0]),
-                       ("safe_set", [True, True, False])):
-        with pytest.raises(ValueError, match=field):
+    out_of_range = table.copy()
+    out_of_range[1, 0, 1] = 2  # index |X|
+    negative = table.copy()
+    negative[0, 1, 0] = -1
+    for field, bad, fragment in (
+        ("transition_table", np.zeros((2, 2), int), None),
+        ("env_reward_table", [0.0], None),
+        ("safe_set", [True, True, False], None),
+        ("transition_table", np.zeros((0, 2, 2), int), "at least one state"),
+        ("transition_table", np.zeros((2, 0, 2), int), "one action per player"),
+        ("transition_table", out_of_range, r"\(state=1, u1=0, u2=1\): -> 2"),
+        ("transition_table", negative, r"\(state=0, u1=1, u2=0\)"),
+        ("discount", 0.0, r"discount out of \(0,1\]"),
+        ("discount", 1.5, None),
+        ("discount", float("nan"), None),
+        ("horizon", 0, "horizon must be >= 1"),
+        ("ego_reward_table", [0.0, np.inf], "ego_reward_table not finite at state 1"),
+        ("env_reward_table", [np.nan, 0.0], "env_reward_table not finite at state 0"),
+    ):
+        with pytest.raises(ValueError, match=field) as err:
             GameSpec(**{**ok, field: bad})
+        assert fragment is None or re.search(fragment, str(err.value))
 
 
 def test_validate_flags_out_of_range_transition():
     table = np.zeros((2, 2, 2), dtype=int)
     table[1, 0, 1] = 2  # index |X|
-    spec = make_spec(table, [0, 0], [0, 0], [True, True])
-    report = validate_game(spec)
-    assert not report.ok
-    assert any("state=1" in p and "u1=0" in p and "u2=1" in p for p in report.problems)
+    with pytest.raises(ValueError) as err:
+        make_spec(table, [0, 0], [0, 0], [True, True])
+    msg = str(err.value)
+    assert "state=1" in msg and "u1=0" in msg and "u2=1" in msg
 
 
 def test_validate_flags_bad_discount():
-    spec = make_spec(np.zeros((2, 2, 2), int), [0, 0], [0, 0], [True, True], discount=0.0)
-    report = validate_game(spec)
-    assert not report.ok
-    assert any("discount out of (0,1]" in p for p in report.problems)
+    with pytest.raises(ValueError, match=r"discount out of \(0,1\]"):
+        make_spec(np.zeros((2, 2, 2), int), [0, 0], [0, 0], [True, True], discount=0.0)
 
 
 def test_validate_flags_nonfinite_reward():
-    spec = make_spec(np.zeros((2, 2, 2), int), [0.0, np.inf], [0, 0], [True, True])
-    report = validate_game(spec)
-    assert not report.ok
-    assert any("ego_reward" in p for p in report.problems)
+    with pytest.raises(ValueError, match="ego_reward"):
+        make_spec(np.zeros((2, 2, 2), int), [0.0, np.inf], [0, 0], [True, True])
 
 
 def test_step_identity_transition():

@@ -178,8 +178,7 @@ def test_bayes_update_direct_arithmetic():
     kernel = _two_level_observation_kernel(0.8, 0.2)
     prior = init_belief(0, [0.5, 0.5], 2)
     post = bayes_update(kernel, prior, 0, 1)
-    assert np.allclose(post.level_marginals(), [0.8, 0.2], atol=1e-12)
-    assert post.time_stamp == 1
+    assert np.allclose(post.weights, [0.8, 0.2], atol=1e-12)
     # Posterior lives on the observed physical state only.
     assert post.state == 1
 
@@ -188,14 +187,14 @@ def test_bayes_update_uninformative_likelihood_keeps_prior():
     kernel = _two_level_observation_kernel(0.6, 0.6)
     prior = init_belief(0, [0.3, 0.7], 2)
     post = bayes_update(kernel, prior, 0, 1)
-    assert np.allclose(post.level_marginals(), [0.3, 0.7], atol=1e-12)
+    assert np.allclose(post.weights, [0.3, 0.7], atol=1e-12)
 
 
 def test_bayes_update_excludes_zero_likelihood_level():
     kernel = _two_level_observation_kernel(0.8, 0.0)
     prior = init_belief(0, [0.5, 0.5], 2)
     post = bayes_update(kernel, prior, 0, 1)
-    assert np.allclose(post.level_marginals(), [1.0, 0.0], atol=1e-12)
+    assert np.allclose(post.weights, [1.0, 0.0], atol=1e-12)
 
 
 def test_bayes_update_raises_on_impossible_observation():
@@ -209,14 +208,14 @@ def test_bayes_update_floor_recovers_from_impossible_observation():
     kernel = _two_level_observation_kernel(0.0, 0.0)
     prior = init_belief(0, [0.5, 0.5], 2)
     post = bayes_update(kernel, prior, 0, 1, floor=1e-9)
-    assert np.allclose(post.level_marginals(), [0.5, 0.5], atol=1e-12)
+    assert np.allclose(post.weights, [0.5, 0.5], atol=1e-12)
 
 
 def test_bayes_update_floor_resurrects_excluded_level():
     kernel = _two_level_observation_kernel(0.8, 0.5)
     prior = Belief(state=0, weights=[1.0, 0.0])  # all mass on level 1
     post = bayes_update(kernel, prior, 0, 1, floor=1e-9)
-    marg = post.level_marginals()
+    marg = post.weights
     assert marg[1] > 0.0
     assert marg[0] == pytest.approx(1.0, abs=1e-8)
 
@@ -224,10 +223,9 @@ def test_bayes_update_floor_resurrects_excluded_level():
 def test_init_belief_examples():
     b = init_belief(3, [0.5, 0.5], 5)
     assert b.state == 3 and list(b.weights) == [0.5, 0.5]
-    assert b.time_stamp == 0
     assert init_belief(0, [1.0], 4).weights[0] == 1.0
     b = init_belief(1, [0.3, 0.7], 2)
-    assert np.allclose(b.level_marginals(), [0.3, 0.7])
+    assert np.allclose(b.weights, [0.3, 0.7])
     with pytest.raises(ValueError):
         init_belief(0, [0.6, 0.6], 3)
     with pytest.raises(ValueError):
@@ -248,7 +246,7 @@ def test_belief_validation():
         Belief(state=0.5, weights=np.array([1.0]))
     belief = Belief(state=1, weights=np.array([0.25, 0.75]))
     assert belief.num_levels == 2
-    assert list(belief.level_marginals()) == [0.25, 0.75]
+    assert list(belief.weights) == [0.25, 0.75]
     support, mass = belief.support(kernel)
     assert list(support) == [1, 3] and list(mass) == [0.25, 0.75]
     for bad in (Belief(state=2, weights=[0.5, 0.5]), Belief(state=-1, weights=[0.5, 0.5]),
@@ -288,7 +286,7 @@ def test_bayes_update_matches_dense_recursion(seed):
     if num_levels > 1 and rng.random() < 0.5:
         weights[rng.integers(num_levels)] = 0.0  # a level the prior rules out
         weights /= weights.sum()
-    prior = Belief(state=int(rng.integers(nx)), weights=weights, time_stamp=3)
+    prior = Belief(state=int(rng.integers(nx)), weights=weights)
     u1 = int(rng.integers(nu1))
     for y in range(nx):
         for floor in (0.0, 1e-3):
@@ -298,5 +296,5 @@ def test_bayes_update_matches_dense_recursion(seed):
                     bayes_update(kernel, prior, u1, y, floor=floor)
                 continue
             post = bayes_update(kernel, prior, u1, y, floor=floor)
-            assert post.state == y and post.time_stamp == 4
+            assert post.state == y
             assert np.abs(post.weights - expected).max() < 1e-12

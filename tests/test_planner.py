@@ -282,7 +282,7 @@ def test_optimize_empty_safe_set_reports_infeasible():
         kernel, r1, empty, belief, 0.01, spec.discount, 2
     )
     assert not result.feasible
-    assert result.fallback
+    assert result.path == "infeasible"
     assert result.constraint_probability == 0.0
 
 
@@ -441,7 +441,7 @@ def test_optimize_result_honors_feasibility_invariant():
         if result.feasible:
             assert result.constraint_probability >= 1.0 - epsilon
         else:
-            assert result.fallback
+            assert result.path == "infeasible"
 
 
 def test_optimize_rejects_bad_epsilon():

@@ -3,6 +3,7 @@ import pytest
 
 from chplanner.game import EGO, ENV
 from chplanner.traffic import (
+    ScenarioConfig,
     VehicleGrid,
     VehicleState,
     config_from_dict,
@@ -10,10 +11,11 @@ from chplanner.traffic import (
     level0_policy,
     make_scenario,
     vehicle_step,
-    with_overrides,
 )
+from chplanner import traffic
 
 import yaml
+from dataclasses import asdict, replace
 from importlib import resources
 
 
@@ -267,7 +269,7 @@ def test_level0_policy_is_one_hot_and_softmax_flag_works():
     scenario = make_scenario(config)
     hard = level0_policy(scenario, ENV)
     assert set(np.unique(hard.probs)) == {0.0, 1.0}
-    soft_scenario = make_scenario(with_overrides(config, level0_softmax=True))
+    soft_scenario = make_scenario(replace(config, level0_softmax=True))
     soft = level0_policy(soft_scenario, ENV)
     # Graded (non-degenerate) action probabilities, not an argmax table;
     # entries may still underflow to zero next to a -1000 penalty.
@@ -298,8 +300,13 @@ def test_config_rejects_grid_closure_violation():
 def test_config_rejects_off_grid_start():
     tree = _config_tree("intersection")
     tree["ego"]["start"]["pos"] = -12.5
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ego_start"):
         config_from_dict(tree)
+    # A replaced start is checked too: lane -1 must not wrap to the passing lane.
+    with pytest.raises(ValueError, match="ego_start lane index -1"):
+        replace(default_config("overtaking"), ego_start=(0.0, 8.0, -1))
+    with pytest.raises(ValueError, match="human_start"):
+        replace(default_config("overtaking"), human_start=(16.0, 7.0, 0))
 
 
 def test_config_rejects_unknown_schema_version():
@@ -309,14 +316,57 @@ def test_config_rejects_unknown_schema_version():
         config_from_dict(tree)
 
 
-@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
-def test_config_rejects_bad_likelihood_floor(floor):
-    with pytest.raises(ValueError, match="likelihood_floor"):
-        with_overrides(default_config("overtaking"), likelihood_floor=floor)
-    tree = _config_tree("overtaking")
-    tree["inference"]["likelihood_floor"] = floor
-    with pytest.raises(ValueError, match="likelihood_floor"):
-        config_from_dict(tree)
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("name", "roundabout"), ("epsilon", -0.1), ("discount", 0.0), ("horizon", 0),
+        ("step_cap", 0), ("seed", -1), ("dt", 0.0), ("pos_step", -2.0), ("v_step", 0.0),
+        ("car_length", -5.0), ("car_length", float("inf")), ("lane_width", 0.0),
+        ("lane_width", float("nan")), ("on_infeasible", "retry"), ("levels", (2, 1)),
+        ("level_prior", (0.7, 0.7)), ("collision_penalty", float("-inf")),
+        ("softmax_temperature", 0.0), ("softmax_temperature", float("nan")),
+        ("accel_set", (-4.0, 4.0)), ("ego_v_max", 10.0), ("human_pos_max", 15.0),
+        ("ego_start", (1.0, 8.0, 0)),
+    ],
+)
+def test_config_checks_itself_at_construction(field, bad):
+    # A direct ScenarioConfig(...) and dataclasses.replace run the checks a
+    # parsed config gets, and the error names the offending field.
+    config = default_config("overtaking")
+    with pytest.raises(ValueError, match=field):
+        replace(config, **{field: bad})
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{**asdict(config), field: bad})
+
+
+def test_intersection_config_rejects_lane_changes():
+    with pytest.raises(ValueError, match="ego_lane_change"):
+        replace(default_config("intersection"), ego_lane_change=True)
+
+
+def _leaf_paths(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaf_paths(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}"
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_packaged_configs_hold_only_parsed_keys(name, monkeypatch):
+    # Every leaf key of a packaged config is read by config_from_dict, so a
+    # key whose value no code reads cannot linger in the shipped files.
+    read = set()
+    cfg_get = traffic._cfg_get
+
+    def spy(tree, path, *args):
+        read.add(path)
+        return cfg_get(tree, path, *args)
+
+    monkeypatch.setattr(traffic, "_cfg_get", spy)
+    tree = _config_tree(name)
+    config_from_dict(tree)
+    assert set(_leaf_paths(tree)) - read == set()
 
 
 def test_grid_decode_inverts_encode_on_every_cell():
