@@ -28,10 +28,12 @@ first of four paths that applies:
   one-constraint LP over vertex mixtures (solved by the best feasible
   vertex or feasible/infeasible pair) bounds the optimum.  When the best
   single-stage mix meets that bound, it is optimal and returned at once;
-* ``ascent`` -- otherwise (the gap stays open) projected gradient ascent
-  on a penalized objective, a feasibility bisection and a boundary polish
-  run as before, and the closed-form mix joins their candidates, so the
-  result is never worse than either.
+* ``sweep`` -- otherwise (the gap stays open) exact two-stage boundary
+  mixes.  With two free stages reward and probability are bilinear in the
+  two mixing weights, so a stage pair's best mix has a closed form.  It is
+  solved with the other stages at each vertex, then in pairwise sweeps
+  with them at the incumbent's rows until no pair improves; the best
+  feasible vertex and the single-stage mix are candidates too.
 
 Every plan reports ``gap``, the LP bound minus its expected reward: a gap
 of 0 proves the plan optimal.
@@ -44,26 +46,20 @@ Each solver stage is one batched pass over the compiled reachable sets:
   action prefix: stage ``tau`` carries one distribution per prefix and is
   one bincount over (prefix, action, target) triples, then the folded last
   stage closes all |U1|^H vertices with one matrix product;
-* the coordinate gradients (stage-forced evaluations, exact by
-  multilinearity) come from one forward pass that stores each stage's
-  distributions and one backward pass of value-to-go vectors (an adjoint
-  pass), instead of H x |U1| forward evaluations;
-* the projection onto the simplex product is row-wise, so one call
-  projects every stage of every step size an ascent line search may try.
+* the mixes are solved on the vertex tables: values are multilinear, so
+  a stage pair's corner table with the other stages at mixed rows is a
+  contraction of them.  Only the chosen mixes are re-scored.
 
 A receding-horizon loop re-plans from the same few beliefs over and over,
 so :func:`optimize` memoises its plans.  The key is exact: the kernel,
 reward and safe set by identity (arrays no write can reach), the scalar
-parameters, and the belief's state and level-weight bytes; rebinding a
-function of this module empties the memo.  A hit returns the plan the
-first call produced.
+parameters, and the belief's state and level-weight bytes.  A hit returns
+the plan the first call produced.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
-import types
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -87,13 +83,16 @@ __all__ = [
 ]
 
 
-# Iteration cap of each projected-gradient ascent run in :func:`optimize`.
-ASCENT_ITERS = 40
+# Rounds of pairwise sweeps in the ``sweep`` path of :func:`optimize`; a
+# round re-solves every stage pair once, and sweeping stops after a round
+# in which no pair improved.  Of 2,153 gap-open random draws, all but one
+# stopped within 7 rounds; that one took 20 and a higher cap gains nothing.
+SWEEP_ROUNDS = 20
 # A certificate gap at most this fraction of the vertex reward span is the
 # float noise of the two evaluators and counts as closed.
 GAP_TOL = 1e-12
-# Re-scorings of the closed-form mix before it is given up, each moving a
-# little more weight onto the feasible vertex when rounding left the exact
+# Re-scorings of a boundary mix before it is given up, each moving a little
+# more weight toward the safer action when rounding left the exact
 # probability a float short of ``1 - epsilon``.
 NUDGE_STEPS = 4
 # Plans :func:`optimize` keeps, the oldest dropped first; each is about 1 KB.
@@ -104,9 +103,6 @@ PLAN_MEMO_SIZE = 4096
 # The weak references keep no kernel alive and tell a reused id from the
 # object the plan was solved for.
 _plan_memo: dict[tuple, tuple[tuple[weakref.ref, ...], "PlanResult"]] = {}
-# The module functions the memo's plans were solved with; see
-# ``_solver_bindings``.
-_memo_solver: tuple = ()
 
 
 class NoRobustPlanError(RuntimeError):
@@ -159,8 +155,9 @@ class PlanResult:
     """Solver output: the chosen profile plus its exact evaluations.
 
     ``path`` names the solver path that produced the plan (``"infeasible"``,
-    ``"unconstrained"``, ``"closed-form"`` or ``"ascent"``, see the module
-    docstring) and ``iterations`` counts its ascent iterations.  ``gap`` is
+    ``"unconstrained"``, ``"closed-form"`` or ``"sweep"``, see the module
+    docstring).  ``iterations`` is 0 on every path: no path iterates a
+    step size, and the field stays for code that reads it.  ``gap`` is
     the LP bound over vertex mixtures minus ``expected_reward``, never
     negative and 0 within ``GAP_TOL`` of the reward span; a gap of 0 proves
     the plan optimal.  An infeasible plan is the exact probability maximizer
@@ -255,19 +252,12 @@ class _CompiledHorizon:
             )
             reach = uniq
 
-    def _forward(self, stages: np.ndarray) -> list[tuple]:
-        """Per stage: ``(d, dv, reward, violation, discount)`` before it.
-
-        ``d`` is the predicted distribution over the stage's local source
-        states, ``dv`` the same with violated mass zeroed, and ``reward`` /
-        ``violation`` what the earlier stages accrued.
-        """
+    def evaluate(self, stages: np.ndarray) -> tuple[float, float]:
+        """Exact ``(expected reward, joint safe probability)`` of a profile."""
         d = dv = self.p0
         reward = violation = 0.0
         disc = 1.0
-        trace = []
         for tau, step in enumerate(self.steps):
-            trace.append((d, dv, reward, violation, disc))
             w = step.probs * stages[tau][step.u_idx]
             d = np.bincount(step.dst, weights=w * d[step.src], minlength=step.n_next)
             dv = np.bincount(step.dst, weights=w * dv[step.src], minlength=step.n_next)
@@ -275,12 +265,6 @@ class _CompiledHorizon:
             violation += float(dv[~step.safe].sum())
             dv = np.where(step.safe, dv, 0.0)
             disc *= self.discount
-        trace.append((d, dv, reward, violation, disc))
-        return trace
-
-    def evaluate(self, stages: np.ndarray) -> tuple[float, float]:
-        """Exact ``(expected reward, joint safe probability)`` of a profile."""
-        d, dv, reward, violation, disc = self._forward(stages)[-1]
         last = stages[-1]
         reward += disc * float(last @ (self.last_reward @ d))
         violation += float(last @ (self.last_unsafe @ dv))
@@ -315,38 +299,6 @@ class _CompiledHorizon:
         reward = (reward[:, None] + disc * (d @ self.last_reward.T)).ravel()
         violation = (violation[:, None] + dv @ self.last_unsafe.T).ravel()
         return reward, np.clip(1.0 - violation, 0.0, 1.0)
-
-    def gradients(self, stages: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Stage-forced evaluations of a profile, one per stage and action.
-
-        Entry ``[tau, u]`` is :meth:`evaluate` with stage ``tau`` forced to
-        action ``u``.  By multilinearity it is an exact partial derivative
-        of the reward; the probability entry is the clamped forced value
-        ``clip(1 - violation, 0, 1)``.  One forward pass stores each stage's
-        distributions and accrued totals; one backward pass carries the
-        reward and violation still to come from every local state.
-        """
-        trace = self._forward(stages)
-        grad_r = np.empty_like(stages)
-        grad_v = np.empty_like(stages)
-        nu = self.num_actions
-        for tau in range(len(trace) - 1, -1, -1):
-            d, dv, reward, violation, disc = trace[tau]
-            if tau == len(self.steps):
-                q_r = disc * self.last_reward
-                q_v = self.last_unsafe
-            else:
-                step = self.steps[tau]
-                pair = step.u_idx * d.size + step.src
-                togo_r = (disc * step.rewards + value_r)[step.dst]
-                togo_v = np.where(step.safe, value_v, 1.0)[step.dst]
-                q_r = _fold(pair, step.probs * togo_r, nu, d.size)
-                q_v = _fold(pair, step.probs * togo_v, nu, d.size)
-            grad_r[tau] = reward + q_r @ d
-            grad_v[tau] = violation + q_v @ dv
-            value_r = stages[tau] @ q_r
-            value_v = stages[tau] @ q_v
-        return grad_r, np.clip(1.0 - grad_v, 0.0, 1.0)
 
 
 def expected_reward(
@@ -390,7 +342,10 @@ def constraint_probability(
 
 
 def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row of ``v`` (last axis) onto the probability simplex."""
+    """Euclidean projection of each row of ``v`` (last axis) onto the probability simplex.
+
+    A public helper; the solver itself does not project.
+    """
     v = np.asarray(v, dtype=float)
     n = v.shape[-1]
     u = np.sort(v, axis=-1)[..., ::-1]
@@ -408,61 +363,6 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.where(support.any(axis=-1, keepdims=True), out, one_hot)
 
 
-def _penalized(reward: float, prob: float, threshold: float, rho: float) -> float:
-    return reward + rho * min(0.0, prob - threshold)
-
-
-def _ascend(
-    compiled: _CompiledHorizon,
-    stages: np.ndarray,
-    threshold: float,
-    rho: float,
-) -> tuple[np.ndarray, int]:
-    """Projected gradient ascent on the penalized objective."""
-    stages = stages.copy()
-    reward, prob = compiled.evaluate(stages)
-    phi = _penalized(reward, prob, threshold, rho)
-    iters = 0
-    for _ in range(ASCENT_ITERS):
-        iters += 1
-        grad_r, grad_p = compiled.gradients(stages)
-        grad = grad_r + (rho * grad_p if prob < threshold else 0.0)
-        scale = np.abs(grad).max()
-        if scale <= 0.0:
-            break
-        # Backtracking line search over halving step sizes; every candidate
-        # is projected in one call, then evaluated until one improves.
-        lrs = (0.5 / scale) * 0.5 ** np.arange(12)
-        for cand in project_to_simplex(stages + lrs[:, None, None] * grad):
-            r_c, p_c = compiled.evaluate(cand)
-            phi_c = _penalized(r_c, p_c, threshold, rho)
-            if phi_c > phi + 1e-12:
-                stages, reward, prob, phi = cand, r_c, p_c, phi_c
-                break
-        else:
-            break
-    return stages, iters
-
-
-def _bisect_feasible(
-    compiled: _CompiledHorizon,
-    stages: np.ndarray,
-    anchor: np.ndarray,
-    threshold: float,
-) -> np.ndarray:
-    """Smallest mix toward a feasible anchor that restores feasibility."""
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid) * stages + mid * anchor
-        _, p = compiled.evaluate(cand)
-        if p >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return (1.0 - hi) * stages + hi * anchor
-
-
 def _vertex(index: int, horizon: int, nu: int) -> np.ndarray:
     """Stages of the deterministic profile at ``index`` in vertex-sweep order."""
     stages = np.zeros((horizon, nu))
@@ -470,13 +370,15 @@ def _vertex(index: int, horizon: int, nu: int) -> np.ndarray:
     return stages
 
 
-def _boundary_mix(r_a, p_a, r_b, p_b, threshold):
+def _boundary_mix(r_a, p_a, r_b, p_b, threshold, where=True):
     """Weight on ``a`` and value of the ``a``/``b`` mix whose probability is ``threshold``.
 
+    Only entries where ``where`` holds are divided; the others are NaN.
     The bound and the closed-form candidate both use this one expression,
     so the same pair gives bit-identical values in both.
     """
-    lam = (threshold - p_b) / (p_a - p_b)
+    den = p_a - p_b
+    lam = np.divide(threshold - p_b, den, out=np.full(np.shape(den), np.nan), where=where)
     return lam, lam * r_a + (1.0 - lam) * r_b
 
 
@@ -507,6 +409,24 @@ def _lp_bound(vertex_r: np.ndarray, vertex_p: np.ndarray, threshold: float) -> f
     return float(bound)
 
 
+def _nudge(compiled: _CompiledHorizon, stages: np.ndarray, tau: int, row_hi, row_lo,
+           lam: float, slope: float, threshold: float) -> tuple[np.ndarray, float, float]:
+    """Re-score ``stages`` with stage ``tau`` at ``lam * row_hi + (1 - lam) * row_lo``.
+
+    The probability rises with ``lam`` at rate ``slope``.  When the
+    re-scored probability lands a float below ``threshold``, up to
+    ``NUDGE_STEPS`` re-scorings move weight onto ``row_hi``; the caller
+    checks the last probability.  Returns the stages, reward and probability.
+    """
+    for k in range(NUDGE_STEPS):
+        stages[tau] = lam * row_hi + (1.0 - lam) * row_lo
+        reward, prob = compiled.evaluate(stages)
+        if prob >= threshold or slope <= 0.0:
+            break
+        lam = min(1.0, lam + (threshold - prob) / slope + 2.0**k * np.finfo(float).eps)
+    return stages, reward, prob
+
+
 def _closed_form(
     compiled: _CompiledHorizon,
     vertex_r: np.ndarray,
@@ -517,12 +437,10 @@ def _closed_form(
     """Best boundary mix of a feasible and an infeasible vertex differing in one stage.
 
     Stage ``tau`` is one vectorised pass over (prefix, feasible action ``a``,
-    infeasible action ``b``, suffix) with ``R_b > R_a``.  Returns the mix's
-    closed-form value, its stages and the stages re-scored by
-    :meth:`_CompiledHorizon.evaluate`.  When the re-scored probability lands
-    a float below ``threshold``, up to ``NUDGE_STEPS`` re-scorings move
-    weight onto ``a``; the caller checks the last probability.  Without an
-    improving pair the best feasible vertex is the candidate.
+    infeasible action ``b``, suffix) with ``R_b > R_a``; only those tuples
+    are divided.  Returns the mix's closed-form value, its stages and the
+    stages re-scored by :func:`_nudge`; the caller checks the probability.
+    Without an improving pair the best feasible vertex is the candidate.
     """
     nu = compiled.num_actions
     horizon = len(compiled.steps) + 1
@@ -532,9 +450,9 @@ def _closed_form(
         r_a = vertex_r.reshape(-1, nu, 1, post)
         p_a = vertex_p.reshape(-1, nu, 1, post)
         r_b, p_b = r_a.swapaxes(1, 2), p_a.swapaxes(1, 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _, value = _boundary_mix(r_a, p_a, r_b, p_b, threshold)
-        value = np.where((p_a >= threshold) & (p_b < threshold) & (r_b > r_a), value, -np.inf)
+        admissible = (p_a >= threshold) & (p_b < threshold) & (r_b > r_a)
+        _, value = _boundary_mix(r_a, p_a, r_b, p_b, threshold, where=admissible)
+        value = np.where(admissible, value, -np.inf)
         i, a, b, j = np.unravel_index(np.argmax(value), value.shape)
         if value[i, a, b, j] > best_value:
             best_value = float(value[i, a, b, j])
@@ -548,13 +466,140 @@ def _closed_form(
     lam, _ = _boundary_mix(vertex_r[ia], p_a, vertex_r[ib], p_b, threshold)
     stages = _vertex(ia, horizon, nu)
     row_a, row_b = stages[tau].copy(), _vertex(ib, horizon, nu)[tau]
-    for k in range(NUDGE_STEPS):
-        stages[tau] = lam * row_a + (1.0 - lam) * row_b
-        reward, prob = compiled.evaluate(stages)
-        if prob >= threshold:
+    return best_value, *_nudge(compiled, stages, tau, row_a, row_b, lam, p_a - p_b, threshold)
+
+
+def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """``num / den`` where ``den`` is non-zero, NaN elsewhere."""
+    out = np.full(np.broadcast_shapes(np.shape(num), np.shape(den)), np.nan)
+    return np.divide(num, den, out=out, where=den != 0.0)
+
+
+def _pair_mix(r: np.ndarray, p: np.ndarray, threshold: float, floor: float):
+    """Best feasible mix of two free stages over a batch of corner tables.
+
+    ``r[k, i, j]`` and ``p[k, i, j]`` are the reward and probability of
+    base ``k`` with the first free stage at action ``i`` and the second at
+    ``j``.  Mixing actions ``a``/``b`` of the first with weight ``x`` on
+    ``a`` and ``a'``/``b'`` of the second with weight ``y`` on ``a'``
+    makes both bilinear:
+    ``R = R0 + x Ra + y Rb + x y Rab``, likewise ``P``.  The best feasible
+    point is a feasible corner or lies on ``P = threshold``, where
+    ``y = N / D`` with ``N = c - x Pa``, ``D = Pb + x Pab`` and
+    ``c = threshold - P0``: a stationary point of ``R``, a root of
+    ``Ra D^2 + Rab N D - (Rb + x Rab) K = 0`` with ``K = Pa Pb + c Pab``,
+    or an end where the boundary leaves the unit square.  Returns
+    ``(value, k, (a, b, x, dP/dx), (a', b', y, dP/dy))`` of the best
+    candidate by table value if it is worth more than ``floor``, else
+    ``None``.
+    """
+    corner = np.where(p >= threshold, r, -np.inf)
+    base, i, j = np.unravel_index(np.argmax(corner), corner.shape)
+    best = None
+    if corner[base, i, j] > floor:
+        floor = corner[base, i, j]
+        best = (floor, base, (i, i, 1.0, 0.0), (j, j, 1.0, 0.0))
+
+    # Corners [x][y] of every (base, action pair of the first free stage,
+    # action pair of the second); x = 1 or y = 1 picks a pair's first action.
+    first, second = np.triu_indices(r.shape[-1], 1)
+    pick = (second, first)
+    cr = [[r[:, pick[x]][:, :, pick[y]] for y in (0, 1)] for x in (0, 1)]
+    cp = [[p[:, pick[x]][:, :, pick[y]] for y in (0, 1)] for x in (0, 1)]
+    # A bilinear function peaks at a corner, so only tuples with a feasible
+    # corner and a corner worth more than ``floor`` can beat it.
+    open_ = np.logical_or.reduce([c >= threshold for row in cp for c in row]) & (
+        np.maximum.reduce([c for row in cr for c in row]) > floor
+    )
+    if not open_.any():
+        return best
+    bases, ps, pt = np.nonzero(open_)
+    (r0, r01), (r10, r11) = [[c[open_][:, None] for c in row] for row in cr]
+    (p0, p01), (p10, p11) = [[c[open_][:, None] for c in row] for row in cp]
+    ra, rb, rab = r10 - r0, r01 - r0, r11 - r10 - r01 + r0
+    pa, pb, pab = p10 - p0, p01 - p0, p11 - p10 - p01 + p0
+    c = threshold - p0
+    # The quadratic A x^2 + B x + C has A = Pab M and B = 2 Pb M with
+    # M = Ra Pab - Rab Pa, and discriminant 4 M K (Rb Pab - Rab Pb).  Its
+    # roots are q / A and C / q with q = -(B + sign(B) sqrt(disc)) / 2, so
+    # the root that stays finite as Pab -> 0 suffers no cancellation.
+    m = ra * pab - rab * pa
+    k = pa * pb + c * pab
+    quad_b = 2.0 * pb * m
+    quad_c = ra * pb * pb + rab * c * pb - rb * k
+    disc = 4.0 * m * k * (rb * pab - rab * pb)
+    root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
+    q = -0.5 * (quad_b + np.where(quad_b >= 0.0, root, -root))
+    x = np.concatenate([
+        _divide(q, pab * m), _divide(quad_c, q), np.zeros_like(c), np.ones_like(c),
+        _divide(c, pa), _divide(c - pb, pa + pab),
+    ], axis=1)
+    y = _divide(c - x * pa, pb + x * pab)
+    y[:, 4], y[:, 5] = 0.0, 1.0
+    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
+    value = np.where(inside, r0 + x * ra + y * (rb + x * rab), -np.inf)
+    n, w = np.unravel_index(np.argmax(value), value.shape)
+    if not value[n, w] > floor:
+        return best
+    x, y = x[n, w], y[n, w]
+    return (value[n, w], bases[n], (first[ps[n]], second[ps[n]], x, pa[n, 0] + y * pab[n, 0]),
+            (first[pt[n]], second[pt[n]], y, pb[n, 0] + x * pab[n, 0]))
+
+
+def _pair_sweeps(compiled: _CompiledHorizon, vertex_r: np.ndarray, vertex_p: np.ndarray,
+                 threshold: float, incumbent: tuple, tol: float) -> tuple:
+    """Improve ``(reward, probability, stages)`` with exact two-stage mixes.
+
+    Round 0 solves every stage pair with the other stages at each vertex
+    (the corner tables are the vertex tables with the pair's axes moved
+    last).  Each later round re-solves every pair with the other stages at
+    the incumbent's rows: a profile's value is multilinear in its stages,
+    so those corner tables are contractions of the vertex tables.  A mix
+    replaces the incumbent when its table value beats it by more than
+    ``tol`` and its re-scored reward is higher and feasible.  Sweeping
+    stops after a round with no improvement or after ``SWEEP_ROUNDS``.
+    """
+    reward, prob, stages = incumbent
+    horizon, nu = stages.shape
+    shape, eye = (nu,) * horizon, np.eye(nu)
+
+    def tables(values, s, t, rows):
+        table = values.reshape(shape)
+        if rows is None:
+            return np.moveaxis(table, (s, t), (-2, -1)).reshape(-1, nu, nu)
+        for tau in reversed(range(horizon)):
+            if tau not in (s, t):
+                table = np.tensordot(table, rows[tau], axes=([tau], [0]))
+        return table[None]
+
+    for round_ in range(SWEEP_ROUNDS + 1):
+        improved = False
+        for s, t in itertools.combinations(range(horizon), 2):
+            rows = stages if round_ else None
+            mix = _pair_mix(
+                tables(vertex_r, s, t, rows), tables(vertex_p, s, t, rows), threshold,
+                reward + tol,
+            )
+            if mix is None:
+                continue
+            if rows is None:
+                cand = np.zeros((horizon, nu))
+                others = [tau for tau in range(horizon) if tau not in (s, t)]
+                cand[others, list(np.unravel_index(mix[1], (nu,) * len(others)))] = 1.0
+            else:
+                cand = stages.copy()
+            for tau, (a, b, w, _) in zip((s, t), mix[2:]):
+                cand[tau] = w * eye[a] + (1.0 - w) * eye[b]
+            # Nudge the stage whose weight moves the probability most.
+            tau, (a, b, w, slope) = max(zip((s, t), mix[2:]), key=lambda z: abs(z[1][3]))
+            if slope < 0.0:
+                a, b, w, slope = b, a, 1.0 - w, -slope
+            cand, r_c, p_c = _nudge(compiled, cand, tau, eye[a], eye[b], w, slope, threshold)
+            if p_c >= threshold and r_c > reward:
+                reward, prob, stages, improved = r_c, p_c, cand, True
+        if round_ and not improved:
             break
-        lam = min(1.0, lam + (threshold - prob) / (p_a - p_b) + 2.0**k * np.finfo(float).eps)
-    return best_value, stages, reward, prob
+    return reward, prob, stages
 
 
 def optimize(
@@ -579,12 +624,12 @@ def optimize(
     2. ``unconstrained``: the reward-maximizing vertex is feasible.
     3. ``closed-form``: the best single-stage boundary mix of a feasible and
        an infeasible vertex meets the LP bound over vertex mixtures within
-       ``GAP_TOL`` of the reward span, so it is optimal; it is returned with
-       ``iterations=0``, re-scored by the exact evaluator.
-    4. ``ascent``: projected gradient ascent from the best feasible vertex
-       and from the uniform profile, a feasibility bisection and a boundary
-       polish; the best of their results, the best feasible vertex and the
-       closed-form mix is returned.
+       ``GAP_TOL`` of the reward span, so it is optimal; it is returned
+       re-scored by the exact evaluator.
+    4. ``sweep``: the best two-stage boundary mix with the other stages at
+       a vertex, improved by pairwise sweeps with the other stages at the
+       incumbent's rows; the best of it, the best feasible vertex and the
+       single-stage mix is returned.
 
     Every feasible result has an exact probability of at least
     ``1 - epsilon`` and a ``gap`` to the LP bound.
@@ -592,27 +637,19 @@ def optimize(
     Plans are memoised.  The solver is deterministic and reads nothing but
     its arguments, and a belief is a point mass, so a plan is a function of
     the kernel, reward and safe set, ``epsilon``, ``discount``, ``horizon``,
-    the belief's state and its level weights, and of the solver code.  A
-    call that repeats all of them exactly returns the plan the first one
-    produced, the same object.  The memo holds up to ``PLAN_MEMO_SIZE``
-    plans and only weak references to the inputs it keys by identity.
+    the belief's state and its level weights.  A call that repeats all of
+    them exactly returns the plan the first one produced, the same object.
+    The memo holds up to ``PLAN_MEMO_SIZE`` plans and only weak references
+    to the inputs it keys by identity.
 
     The identity keys are sound only for inputs no write can reach: a
     ``reward`` or ``safe_set`` that is writeable, or a read-only view of a
     writeable array, bypasses the memo (see :func:`_frozen`).  The kernel's
     arrays are always read-only, and ``GameSpec.safe_set`` and
     ``Scenario.ego_objective`` are made so (see :func:`game.read_only`).
-    Rebinding any function or class of this module -- a spy, a tracer,
-    another projection -- empties the memo, so no plan outlives the code
-    that solved it.
     """
     if not (_frozen(reward) and _frozen(safe_set)):
         return _solve(kernel, reward, safe_set, belief, epsilon, discount, horizon)
-    global _memo_solver
-    solver = _solver_bindings(globals())
-    if solver != _memo_solver:
-        _plan_memo.clear()
-        _memo_solver = solver
     inputs = (kernel, reward, safe_set)
     key = (
         *map(id, inputs), epsilon, discount, horizon,
@@ -673,7 +710,6 @@ def _solve(
             expected_reward=float(vertex_r[pick]),
             constraint_probability=float(vertex_p[pick]),
             feasible=False,
-            iterations=0,
             path="infeasible",
         )
 
@@ -691,7 +727,6 @@ def _solve(
             expected_reward=best_r,
             constraint_probability=best_p,
             feasible=True,
-            iterations=0,
             path="unconstrained",
         )
 
@@ -699,72 +734,29 @@ def _solve(
     bound = _lp_bound(vertex_r, vertex_p, threshold)
     tol = GAP_TOL * reward_span
 
-    def gap(reward: float) -> float:
-        return bound - reward if bound - reward > tol else 0.0
-
     cf_value, cf_stages, cf_r, cf_p = _closed_form(
         compiled, vertex_r, vertex_p, threshold, best_feas
     )
-    if cf_p >= threshold and bound - cf_value <= tol:
-        return PlanResult(
-            profile=DecisionProfile(cf_stages),
-            expected_reward=float(cf_r),
-            constraint_probability=float(cf_p),
-            feasible=True,
-            iterations=0,
-            path="closed-form",
-            gap=gap(cf_r),
+    closed = cf_p >= threshold and bound - cf_value <= tol
+    if closed:
+        r_fin, p_fin, stages_fin = cf_r, cf_p, cf_stages
+    else:
+        # Every candidate is re-scored.  The single-stage mix replaces the
+        # best feasible vertex only when strictly better, and so does every
+        # mix of the sweeps.
+        incumbent = (*compiled.evaluate(best_stages), best_stages)
+        if cf_p >= threshold and cf_r > incumbent[0]:
+            incumbent = (cf_r, cf_p, cf_stages)
+        r_fin, p_fin, stages_fin = _pair_sweeps(
+            compiled, vertex_r, vertex_p, threshold, incumbent, tol
         )
-
-    iterations = 0
-    candidates = [(best_r, best_p, best_stages)]
-    for start in (best_stages, np.full((horizon, nu), 1.0 / nu)):
-        rho = max(10.0 * reward_span, 1.0) / max(epsilon, 1e-6)
-        stages = start
-        for _ in range(2):
-            stages, used = _ascend(compiled, stages, threshold, rho)
-            iterations += used
-            _, p_end = compiled.evaluate(stages)
-            if p_end >= threshold:
-                break
-            rho *= 10.0
-        r_end, p_end = compiled.evaluate(stages)
-        if p_end < threshold:
-            stages = _bisect_feasible(compiled, stages, best_stages, threshold)
-            r_end, p_end = compiled.evaluate(stages)
-        if p_end >= threshold:
-            candidates.append((r_end, p_end, stages))
-
-    # Boundary polish: the constrained optimum mixes the best feasible point
-    # with the reward-maximizing (infeasible) vertex; push as much mass
-    # toward the latter as the constraint allows.
-    r_best, _, stages_best = max(candidates, key=lambda c: c[0])
-    top_stages = _vertex(int(np.argmax(vertex_r)), horizon, nu)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        cand = (1.0 - mid) * stages_best + mid * top_stages
-        r_c, p_c = compiled.evaluate(cand)
-        if p_c >= threshold:
-            lo = mid
-            if r_c > r_best:
-                candidates.append((r_c, p_c, cand))
-                r_best = r_c
-        else:
-            hi = mid
-
-    # The closed-form mix joins last, so it wins only when strictly better.
-    if cf_p >= threshold:
-        candidates.append((cf_r, cf_p, cf_stages))
-    r_fin, p_fin, stages_fin = max(candidates, key=lambda c: c[0])
     return PlanResult(
         profile=DecisionProfile(stages_fin),
         expected_reward=float(r_fin),
         constraint_probability=float(p_fin),
         feasible=True,
-        iterations=iterations,
-        path="ascent",
-        gap=gap(r_fin),
+        path="closed-form" if closed else "sweep",
+        gap=bound - r_fin if bound - r_fin > tol else 0.0,
     )
 
 
@@ -855,11 +847,3 @@ def maximin_plan(
         )
     return best_seq
 
-
-# Every function and class of this module, as bound when called with the
-# module's globals.  :func:`_solve` looks its helpers up there at call
-# time, so rebinding any of them changes the solver.
-_solver_bindings = operator.itemgetter(*(
-    name for name, value in list(globals().items())
-    if isinstance(value, (types.FunctionType, type)) and value.__module__ == __name__
-))

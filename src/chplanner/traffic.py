@@ -193,6 +193,11 @@ class VehicleGrid:
         raise ValueError(f"unknown heading {self.heading!r}")
 
 
+def _is_int(value) -> bool:
+    """An integer and not a bool, which Python counts as an ``int``."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full parameterization of one traffic scenario.
@@ -238,6 +243,11 @@ class ScenarioConfig:
             raise ValueError(f"epsilon out of [0,1]: {self.epsilon!r}")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount out of (0,1]: {self.discount!r}")
+        for name in ("horizon", "step_cap", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(map(_is_int, self.levels)):
+            raise ValueError(f"levels must be integers, got {self.levels!r}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if self.step_cap < 1:

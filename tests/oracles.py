@@ -159,6 +159,64 @@ def lp_bound_oracle(
     return best
 
 
+
+def two_stage_grid_oracle(
+    spec: GameSpec,
+    env_policies: dict[int, PolicyTable],
+    level_prior,
+    start_state: int,
+    horizon: int,
+    safe_set,
+    reward_of,
+    discount: float,
+    threshold: float,
+    grid: int = 101,
+) -> float:
+    """Best reward of a feasible two-stage mix found on a ``grid x grid`` lattice.
+
+    Scores every vertex with :func:`profile_value_oracle`.  Then, for every
+    stage pair, every vertex for the other stages and every pair of
+    actions in each of the two stages, it evaluates the mix at each lattice
+    point ``(x, y)`` (``x`` on the first action of the first stage's pair,
+    ``y`` on the first of the second's) as the weighted sum of its four
+    corner vertices, and keeps the points whose probability reaches
+    ``threshold``.  Returns ``-inf`` when no point does.
+    """
+    nu = spec.num_ego_actions
+    values = {
+        actions: profile_value_oracle(
+            spec, env_policies, level_prior, start_state,
+            np.eye(nu)[list(actions)], safe_set, reward_of, discount,
+        )
+        for actions in itertools.product(range(nu), repeat=horizon)
+    }
+    w = np.linspace(0.0, 1.0, grid)
+    x, y = w[:, None], w[None, :]
+    pairs = list(itertools.combinations(range(nu), 2))
+    best = -np.inf
+    for s, t in itertools.combinations(range(horizon), 2):
+        for base in itertools.product(range(nu), repeat=horizon):
+            if base[s] != 0 or base[t] != 0:
+                continue  # one representative per choice of the other stages
+            for (a, b), (c, d) in itertools.product(pairs, pairs):
+                def corner(u_s, u_t):
+                    actions = list(base)
+                    actions[s], actions[t] = u_s, u_t
+                    return values[tuple(actions)]
+
+                r = p = 0.0
+                for (u_s, wx), (u_t, wy) in itertools.product(
+                    ((a, x), (b, 1.0 - x)), ((c, y), (d, 1.0 - y))
+                ):
+                    r_c, p_c = corner(u_s, u_t)
+                    r = r + wx * wy * r_c
+                    p = p + wx * wy * p_c
+                feasible = p >= threshold
+                if feasible.any():
+                    best = max(best, float(r[feasible].max()))
+    return best
+
+
 def dense_kernel_matrix(kernel, u1: int) -> np.ndarray:
     """Dense ``P[target, source]`` transition matrix for one ego action."""
     n = kernel.num_augmented

@@ -25,10 +25,12 @@ from chplanner.planner import (
 )
 from chplanner import planner
 from chplanner.cli import run_episode, scenario_planner
-from chplanner.planner import _CompiledHorizon, _closed_form, _solve
+from chplanner.planner import _CompiledHorizon, _closed_form, _pair_mix, _solve
 
 from conftest import make_spec
-from oracles import lp_bound_oracle, profile_value_oracle, random_game, random_policy
+from oracles import (
+    lp_bound_oracle, profile_value_oracle, random_game, random_policy, two_stage_grid_oracle,
+)
 
 
 def _random_instance(rng, nx=None, nu1=None, nu2=None, horizon=None, num_levels=2):
@@ -176,60 +178,6 @@ def test_objective_affine_per_stage():
         assert vals[2][1] == pytest.approx(0.5 * (vals[0][1] + vals[1][1]), abs=1e-10)
 
 
-def test_analytic_gradients_match_finite_differences():
-    rng = np.random.default_rng(6)
-    spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(
-        rng, nx=5, nu1=3, nu2=2, horizon=3
-    )
-    reward = r1
-    compiled = _CompiledHorizon(kernel, reward, safe, 3, belief, spec.discount)
-    grad_r, grad_p = compiled.gradients(stages)
-    h = 1e-5
-    for tau in range(3):
-        for u in range(3):
-            for w in range(3):
-                if w == u:
-                    continue
-                direction = np.zeros(3)
-                direction[u], direction[w] = 1.0, -1.0
-                plus, minus = stages.copy(), stages.copy()
-                plus[tau] = stages[tau] + h * direction
-                minus[tau] = stages[tau] - h * direction
-                fd_r = (compiled.evaluate(plus)[0] - compiled.evaluate(minus)[0]) / (2 * h)
-                fd_p = (compiled.evaluate(plus)[1] - compiled.evaluate(minus)[1]) / (2 * h)
-                assert fd_r == pytest.approx(grad_r[tau, u] - grad_r[tau, w], abs=1e-4)
-                assert fd_p == pytest.approx(grad_p[tau, u] - grad_p[tau, w], abs=1e-4)
-
-
-def test_gradients_equal_stage_forced_evaluations():
-    # The identity the adjoint pass relies on: each entry is the evaluation
-    # with that stage forced to that action.  The empty and the full safe
-    # set make the forced probability clamp at 0 and sit at 1.
-    rng = np.random.default_rng(12)
-    for trial in range(12):
-        spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(rng)
-        if trial == 0:
-            safe = np.zeros(spec.num_states, bool)
-        elif trial == 1:
-            safe = np.ones(spec.num_states, bool)
-        horizon, nu = stages.shape
-        compiled = _CompiledHorizon(
-            kernel, r1, safe, horizon, belief, spec.discount
-        )
-        grad_r, grad_p = compiled.gradients(stages)
-        for tau in range(horizon):
-            for u in range(nu):
-                forced = stages.copy()
-                forced[tau] = np.eye(nu)[u]
-                r, p = compiled.evaluate(forced)
-                assert grad_r[tau, u] == pytest.approx(r, rel=1e-12)
-                assert grad_p[tau, u] == pytest.approx(p, rel=1e-12)
-        if trial == 0:
-            assert not grad_p.any()
-        elif trial == 1:
-            assert (grad_p == 1.0).all()
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_vertex_values_match_enumeration_oracle(horizon):
     # The point-mass belief against the path oracle, which weighs every
@@ -375,20 +323,25 @@ def test_closed_form_plans_match_oracle_and_stay_feasible():
         assert result.constraint_probability >= 1.0 - epsilon
 
 
+def _gap_test_draw(rng, horizon=None):
+    """One random constrained-planning draw: instance plus epsilon."""
+    nu1 = int(rng.integers(2, 5))
+    instance = _random_instance(rng, nu1=nu1, horizon=horizon)
+    return instance, float(rng.choice([0.01, 0.05, 0.2, 0.5]))
+
+
 def test_optimize_gap_is_bound_minus_value():
     # On random instances: the gap is never negative, no plan beats the
     # brute-force LP bound, and reward plus gap is that bound.
     rng = np.random.default_rng(41)
     paths = set()
     for _ in range(200):
-        nu1 = int(rng.integers(2, 5))
-        spec, _, r1, safe, policies, kernel, prior, belief, _ = _random_instance(rng, nu1=nu1)
-        epsilon = float(rng.choice([0.01, 0.05, 0.2, 0.5]))
+        (spec, _, r1, safe, policies, kernel, prior, belief, _), epsilon = _gap_test_draw(rng)
         result = optimize(
             kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon
         )
         paths.add(result.path)
-        assert result.gap >= 0.0
+        assert result.gap >= 0.0 and result.iterations == 0
         if not result.feasible:
             assert result.path == "infeasible" and result.gap == 0.0
             continue
@@ -399,8 +352,8 @@ def test_optimize_gap_is_bound_minus_value():
         )
         assert result.expected_reward <= bound + 1e-10
         assert result.expected_reward + result.gap == pytest.approx(bound, abs=1e-10)
-        if result.path == "ascent":
-            # The closed-form mix is among the ascent path's candidates.
+        if result.path == "sweep":
+            # The closed-form mix is among the sweep path's candidates.
             compiled = _CompiledHorizon(
                 kernel, r1, safe, spec.horizon, belief, spec.discount
             )
@@ -410,7 +363,70 @@ def test_optimize_gap_is_bound_minus_value():
             *_, cf_r, cf_p = _closed_form(compiled, vertex_r, vertex_p, 1.0 - epsilon, best_feas)
             if cf_p >= 1.0 - epsilon:
                 assert result.expected_reward >= cf_r
-    assert paths == {"infeasible", "unconstrained", "closed-form", "ascent"}
+    assert paths == {"infeasible", "unconstrained", "closed-form", "sweep"}
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_sweep_plans_beat_the_two_stage_grid_oracle(horizon):
+    # Every sweep plan is at least as good as the best feasible point of a
+    # 101 x 101 lattice over every two-stage mix, and stays feasible.
+    rng = np.random.default_rng(50 + horizon)
+    seen = 0
+    while seen < 6:
+        (spec, _, r1, safe, policies, kernel, prior, belief, _), epsilon = _gap_test_draw(
+            rng, horizon
+        )
+        result = optimize(kernel, r1, safe, belief, epsilon, spec.discount, horizon)
+        if result.path != "sweep":
+            continue
+        seen += 1
+        best = two_stage_grid_oracle(
+            spec, policies, prior, belief.state, horizon, safe,
+            lambda s: r1[s], spec.discount, 1.0 - epsilon,
+        )
+        assert result.expected_reward >= best - 1e-10
+        assert constraint_probability(kernel, safe, belief, result.profile) >= 1.0 - epsilon
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_pair_mix_finds_the_boundary_end_on_either_stage(transpose):
+    # Only the first stage's action moves the probability (0.5 or 1.0) and
+    # only its safe action 0 costs reward, so the boundary P = 0.8 is the
+    # line x = 0.6 and the best point is its end where the second stage
+    # takes its better action 0: R = 1 - 0.6 = 0.4.  Transposed, the stages
+    # swap roles.
+    r = np.array([[0.0, -1.0], [1.0, 0.0]])
+    p = np.array([[1.0, 1.0], [0.5, 0.5]])
+    if transpose:
+        r, p = r.T, p.T
+    value, base, (a, b, x, _), (c, d, y, _) = _pair_mix(r[None], p[None], 0.8, -np.inf)
+    assert value == pytest.approx(0.4, abs=1e-12) and base == 0
+    safe, free = ((a, b, x), (c, d, y)) if not transpose else ((c, d, y), (a, b, x))
+    assert (safe[0], safe[1]) == (0, 1) and safe[2] == pytest.approx(0.6, abs=1e-12)
+    free_row = np.zeros(2)
+    np.add.at(free_row, [free[0], free[1]], [free[2], 1.0 - free[2]])
+    assert free_row[0] == 1.0
+
+
+@pytest.mark.parametrize("seed, draw, parent_reward", [
+    # Two-stage mixes over vertex bases miss this three-stage mix; the
+    # sweeps find it.
+    (7, 1076, -0.2640315923967308),
+    # Here Pab is about 1e-8, so the textbook root formula loses 0.23 %.
+    (11, 5508, 0.3838398847844077),
+    # The best pair mix re-scores a float below 1 - epsilon; without the
+    # nudge it is dropped and the plan falls to 1.618.
+    (7, 654, 1.7098921772576055),
+])
+def test_sweep_beats_pinned_ascent_plans(seed, draw, parent_reward):
+    # The reward the projected-gradient ascent used to reach on these draws.
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        (spec, _, r1, safe, _, kernel, _, belief, _), epsilon = _gap_test_draw(rng)
+    result = optimize(kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon)
+    assert result.path == "sweep" and result.feasible
+    assert result.expected_reward >= parent_reward
+    assert result.constraint_probability >= 1.0 - epsilon
 
 
 def test_optimize_is_deterministic():
@@ -581,33 +597,6 @@ def test_optimize_memo_skips_read_only_views_of_writeable_arrays(empty_memo):
     assert empty_memo == {}
     assert a is not b
     _assert_same_plan(b, _solve(*args))
-
-
-def test_optimize_memo_is_emptied_when_a_solver_function_is_rebound(
-    monkeypatch, empty_memo
-):
-    rng = np.random.default_rng(38)
-    for _ in range(200):  # an instance whose plan projects onto the simplex
-        spec, _, _, _, _, kernel, _, belief, _ = _random_instance(rng, horizon=3)
-        args = (kernel, _frozen_reward(spec), spec.safe_set, belief, 0.1, 0.9, 3)
-        first = optimize(*args)
-        if first.iterations > 0:
-            break
-    assert first.iterations > 0
-    calls = []
-
-    def spy(v):
-        calls.append(v.shape)
-        return project_to_simplex(v)
-
-    monkeypatch.setattr(planner, "project_to_simplex", spy)
-    again = optimize(*args)
-    assert again is not first and calls  # solved again, through the spy
-    _assert_same_plan(again, first)
-    assert len(empty_memo) == 1
-    assert optimize(*args) is again
-    monkeypatch.setattr(planner, "project_to_simplex", project_to_simplex)
-    assert optimize(*args) is not again
 
 
 def test_optimize_memo_keeps_no_kernel_alive(empty_memo):

@@ -326,7 +326,8 @@ def test_config_rejects_unknown_schema_version():
         ("level_prior", (0.7, 0.7)), ("collision_penalty", float("-inf")),
         ("softmax_temperature", 0.0), ("softmax_temperature", float("nan")),
         ("accel_set", (-4.0, 4.0)), ("ego_v_max", 10.0), ("human_pos_max", 15.0),
-        ("ego_start", (1.0, 8.0, 0)),
+        ("ego_start", (1.0, 8.0, 0)), ("horizon", 2.5), ("horizon", True),
+        ("step_cap", 2.5), ("seed", 1.5), ("levels", (1.0, 2.0)),
     ],
 )
 def test_config_checks_itself_at_construction(field, bad):
