@@ -14,7 +14,8 @@ Subcommands
 
 Exit codes: 0 ok, 1 ``evaluate`` lost at least one seed to an error (the
 report, with its ``failed_seeds`` lists, is still written), 2 configuration
-error, 3 aborted on an infeasible plan.
+error (a bad config or flag, or an output path below a file), 3 aborted on
+an infeasible plan.
 
 Episodes are reproducible: the master seed spawns two independent
 generators (human sampling, ego sampling), so identical
@@ -24,6 +25,7 @@ generators (human sampling, ego sampling), so identical
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -53,7 +55,6 @@ from .render import render_step
 from .traffic import (
     Scenario,
     ScenarioConfig,
-    VehicleState,
     classify_outcome,
     episode_complete,
     level0_policy,
@@ -92,34 +93,45 @@ class InfeasiblePlanAbort(RuntimeError):
 
 @dataclass(slots=True)
 class StepRecord:
+    """One step of an episode: the state, the belief held in it, and the plan.
+
+    The last record of a log is the terminal state and has no actions, plan
+    or timing.  The vehicle positions and the safety flag are functions of
+    ``state`` and are decoded when a log is written.  ``feasible`` and the
+    plan values are ``None`` when the ego did not plan (the maximin
+    baseline, or the terminal record); a ``False`` marks a step that
+    executed the probability-maximizing fallback.
+    """
+
     t: int
     state: int
-    ego: VehicleState | None
-    human: VehicleState | None
     posteriors: tuple[float, ...]
     ego_action: int | None
     human_action: int | None
     expected_reward: float | None
     constraint_probability: float | None
     feasible: bool | None
-    fallback: bool
-    safe: bool
     wall_ms: float
 
 
 @dataclass(slots=True)
 class EpisodeLog:
+    """The records of one episode, ``num_steps + 1`` of them, and its outcome."""
+
     scenario: str
     human_level: int
     seed: int
     records: list[StepRecord]
     outcome: dict
-    violated: bool
     end_reason: str
 
     @property
     def num_steps(self) -> int:
         return len(self.records) - 1
+
+    @property
+    def violated(self) -> bool:
+        return bool(self.outcome["violation"])
 
     def final_posteriors(self) -> tuple[float, ...]:
         return self.records[-1].posteriors
@@ -185,25 +197,21 @@ def run_episode(
     kernel: AugmentedKernel,
     human_level: int,
     seed: int,
-    step_cap: int | None = None,
-    on_infeasible: str | None = None,
-    snapshot_dir: str | Path | None = None,
     ego_controller: str = "planner",
 ) -> EpisodeLog:
     """One closed-loop episode of the planning ego against a level-k human.
 
-    ``ego_controller`` selects the ego's decision rule: the chance-constrained
-    planner (default) or the robust ``"maximin"`` baseline.
+    Each step checks the state, plans from the level belief, samples both
+    actions, and updates the belief by Bayes' rule on the observed
+    successor.  The episode ends at a violation, on completion, or after
+    ``step_cap`` steps; the cap, the infeasibility policy and every planning
+    setting come from ``scenario.config``.  ``ego_controller`` selects the
+    ego's decision rule: the chance-constrained planner (default) or the
+    robust ``"maximin"`` baseline.
     """
     config = scenario.config
     if not 0 <= human_level <= hierarchy.k_max:
         raise ValueError(f"human level {human_level} not in the built hierarchy")
-    step_cap = config.step_cap if step_cap is None else step_cap
-    if step_cap < 0:
-        raise ValueError(f"step cap must be >= 0, got {step_cap}")
-    on_infeasible = config.on_infeasible if on_infeasible is None else on_infeasible
-    if on_infeasible not in ("abort", "fallback"):
-        raise ValueError(f"on_infeasible must be 'abort' or 'fallback': {on_infeasible!r}")
     if ego_controller not in ("planner", "maximin"):
         raise ValueError(f"unknown ego controller {ego_controller!r}")
 
@@ -217,11 +225,8 @@ def run_episode(
     belief = init_belief(state, config.level_prior, scenario.spec.num_states)
 
     records: list[StepRecord] = []
-    states_seen = [state]
     end_reason = "step_cap"
-    snapshots: list[tuple[int, int]] = [(0, state)]
-
-    for t in range(step_cap):
+    for t in range(config.step_cap):
         if not scenario.is_safe(state):
             end_reason = "violation"
             break
@@ -235,31 +240,17 @@ def run_episode(
             plan = None
         else:
             u1, plan = receding_horizon_step(planner, belief, ego_rng)
-            if not plan.feasible and on_infeasible == "abort":
+            if not plan.feasible and config.on_infeasible == "abort":
                 raise InfeasiblePlanAbort(
                     f"no feasible plan at t={t} (best probability "
                     f"{plan.constraint_probability:.6f})"
                 )
         wall_ms = (time.perf_counter() - tic) * 1000.0
         u2 = _sample(human_rng, human_probs[state])
-        ego_v, human_v = scenario.decode(state)
-        records.append(
-            StepRecord(
-                t=t,
-                state=state,
-                ego=ego_v,
-                human=human_v,
-                posteriors=tuple(belief.weights),
-                ego_action=u1,
-                human_action=u2,
-                expected_reward=None if plan is None else plan.expected_reward,
-                constraint_probability=None if plan is None else plan.constraint_probability,
-                feasible=None if plan is None else plan.feasible,
-                fallback=plan is not None and not plan.feasible,
-                safe=scenario.is_safe(state),
-                wall_ms=wall_ms,
-            )
+        values = (None,) * 3 if plan is None else (
+            plan.expected_reward, plan.constraint_probability, plan.feasible
         )
+        records.append(StepRecord(t, state, tuple(belief.weights), u1, u2, *values, wall_ms))
         next_state = int(scenario.spec.transition_table[state, u1, u2])
         try:
             belief = bayes_update(kernel, belief, u1, next_state)
@@ -268,43 +259,16 @@ def run_episode(
             # uniform posterior; the floor's value does not matter.
             belief = bayes_update(kernel, belief, u1, next_state, floor=1e-9)
         state = next_state
-        states_seen.append(state)
-        snapshots.append((t + 1, state))
 
-    ego_v, human_v = scenario.decode(state)
     records.append(
-        StepRecord(
-            t=len(records),
-            state=state,
-            ego=ego_v,
-            human=human_v,
-            posteriors=tuple(belief.weights),
-            ego_action=None,
-            human_action=None,
-            expected_reward=None,
-            constraint_probability=None,
-            feasible=None,
-            fallback=False,
-            safe=scenario.is_safe(state),
-            wall_ms=0.0,
-        )
+        StepRecord(len(records), state, tuple(belief.weights), None, None, None, None, None, 0.0)
     )
-
-    if snapshot_dir is not None:
-        out = Path(snapshot_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for t, s in snapshots:
-            ego_s, human_s = scenario.decode(s)
-            (out / f"step_{t:03d}.svg").write_text(render_step(scenario, ego_s, human_s, t))
-
-    outcome = classify_outcome(scenario, states_seen)
     return EpisodeLog(
         scenario=config.name,
         human_level=human_level,
         seed=seed,
         records=records,
-        outcome=outcome,
-        violated=bool(outcome["violation"]),
+        outcome=classify_outcome(scenario, [rec.state for rec in records]),
         end_reason=end_reason,
     )
 
@@ -332,18 +296,20 @@ def episode_csv_header(levels: tuple[int, ...]) -> list[str]:
 
 
 def write_episode_csv(path: str | Path, scenario: Scenario, log: EpisodeLog) -> None:
+    """Per-step CSV; positions, speeds and the safety flag are decoded from the state."""
     lines = [",".join(episode_csv_header(scenario.config.levels))]
     for rec in log.records:
-        ego_xy = None if rec.ego is None else scenario.ego_grid.world_xy(rec.ego)
-        human_xy = None if rec.human is None else scenario.human_grid.world_xy(rec.human)
+        ego, human = scenario.decode(rec.state)
+        ego_xy = None if ego is None else scenario.ego_grid.world_xy(ego)
+        human_xy = None if human is None else scenario.human_grid.world_xy(human)
         row = [
             _fmt(rec.t),
             _fmt(None if ego_xy is None else ego_xy[0]),
             _fmt(None if ego_xy is None else ego_xy[1]),
-            _fmt(None if rec.ego is None else rec.ego.v),
+            _fmt(None if ego is None else ego.v),
             _fmt(None if human_xy is None else human_xy[0]),
             _fmt(None if human_xy is None else human_xy[1]),
-            _fmt(None if rec.human is None else rec.human.v),
+            _fmt(None if human is None else human.v),
             _fmt(rec.ego_action),
             _fmt(rec.human_action),
         ]
@@ -352,8 +318,8 @@ def write_episode_csv(path: str | Path, scenario: Scenario, log: EpisodeLog) -> 
             _fmt(rec.expected_reward),
             _fmt(rec.constraint_probability),
             _fmt(rec.feasible),
-            _fmt(rec.fallback),
-            _fmt(rec.safe),
+            _fmt(rec.feasible is False),
+            _fmt(scenario.is_safe(rec.state)),
         ]
         lines.append(",".join(row))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -461,6 +427,24 @@ def _load_config_or_exit(path: str) -> ScenarioConfig:
         raise SystemExit(2) from exc
 
 
+def _with_flags(config: ScenarioConfig, **flags: tuple[str, object]) -> ScenarioConfig:
+    """``config`` with the command-line flags that override its fields applied.
+
+    ``flags`` maps a field to ``(flag, value)``, and a ``None`` value means
+    the flag was not given.  The config checks each value; a rejected one
+    exits 2 with a message naming the flag.
+    """
+    for field, (flag, value) in flags.items():
+        if value is None:
+            continue
+        try:
+            config = dataclasses.replace(config, **{field: value})
+        except ValueError as exc:
+            print(f"config error: {flag} {value}: {exc}", file=sys.stderr)
+            raise SystemExit(2) from exc
+    return config
+
+
 def cmd_build(args: argparse.Namespace) -> int:
     config = _load_config_or_exit(args.config)
     _, _, content_hash = build_artifacts(config, args.cache_dir)
@@ -469,35 +453,29 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config_or_exit(args.config)
-    human_level = args.human_level
-    if human_level not in config.levels:
-        print(f"config error: human level {human_level} not in {config.levels}",
+    config = _with_flags(
+        _load_config_or_exit(args.config),
+        step_cap=("--steps", args.steps),
+        on_infeasible=("--on-infeasible", args.on_infeasible),
+        seed=("--seed", args.seed),
+    )
+    if args.human_level not in config.levels:
+        print(f"config error: human level {args.human_level} not in {config.levels}",
               file=sys.stderr)
-        return 2
-    if args.steps is not None and args.steps < 0:
-        print(f"config error: --steps must be >= 0, got {args.steps}", file=sys.stderr)
-        return 2
-    seed = config.seed if args.seed is None else args.seed
-    if seed < 0:
-        print(f"config error: seed must be >= 0, got {seed}", file=sys.stderr)
         return 2
     scenario, hierarchy, _ = build_artifacts(config, args.cache_dir)
     kernel = scenario_kernel(scenario, hierarchy)
     try:
-        log = run_episode(
-            scenario,
-            hierarchy,
-            kernel,
-            human_level,
-            seed,
-            step_cap=args.steps,
-            on_infeasible=args.on_infeasible,
-            snapshot_dir=args.snapshots,
-        )
+        log = run_episode(scenario, hierarchy, kernel, args.human_level, config.seed)
     except InfeasiblePlanAbort as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return 3
+    if args.snapshots is not None:
+        snapshots = Path(args.snapshots)
+        snapshots.mkdir(parents=True, exist_ok=True)
+        for rec in log.records:
+            svg = render_step(scenario, *scenario.decode(rec.state), rec.t)
+            (snapshots / f"step_{rec.t:03d}.svg").write_text(svg)
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     write_episode_csv(prefix.with_suffix(".csv"), scenario, log)
@@ -511,15 +489,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _load_config_or_exit(args.config)
+    config = _with_flags(_load_config_or_exit(args.config), seed=("--seed", args.seed))
     if args.seeds < 0:
         print(f"config error: --seeds must be >= 0, got {args.seeds}", file=sys.stderr)
         return 2
-    base = config.seed if args.seed is None else args.seed
-    if base < 0:
-        print(f"config error: seed must be >= 0, got {base}", file=sys.stderr)
-        return 2
-    seeds = [base + i for i in range(args.seeds)]
+    seeds = [config.seed + i for i in range(args.seeds)]
     levels = config.levels if args.human_level is None else (args.human_level,)
     if any(level not in config.levels for level in levels):
         print(f"config error: human level {args.human_level} not in {config.levels}",
@@ -573,7 +547,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None,
                        help="master seed (default: config seed)")
     p_sim.add_argument("--steps", type=int, default=None,
-                       help="step cap (default: config step_cap)")
+                       help="step cap, >= 1 (default: config step_cap)")
     p_sim.add_argument("--snapshots", default=None, metavar="DIR",
                        help="write one top-down SVG per step into DIR")
     p_sim.add_argument("--on-infeasible", choices=("abort", "fallback"), default=None,
@@ -599,10 +573,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_dir = Path(args.cache_dir)
-    if any(p.exists() and not p.is_dir() for p in (cache_dir, *cache_dir.parents)):
-        print(f"config error: --cache-dir {cache_dir} is not a directory", file=sys.stderr)
-        return 2
+    # Output directories are checked before anything is built or run.
+    directories = [("--cache-dir", Path(args.cache_dir))]
+    if getattr(args, "out", None) is not None:
+        directories.append(("--out", Path(args.out).parent))
+    if getattr(args, "snapshots", None) is not None:
+        directories.append(("--snapshots", Path(args.snapshots)))
+    for flag, directory in directories:
+        if any(p.exists() and not p.is_dir() for p in (directory, *directory.parents)):
+            print(f"config error: {flag} {directory} is not a directory", file=sys.stderr)
+            return 2
     try:
         return args.func(args)
     except SystemExit as exc:

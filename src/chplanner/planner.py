@@ -48,7 +48,8 @@ Each solver stage is one batched pass over the compiled reachable sets:
   stage closes all |U1|^H vertices with one matrix product;
 * the mixes are solved on the vertex tables: values are multilinear, so
   a stage pair's corner table with the other stages at mixed rows is a
-  contraction of them.  Only the chosen mixes are re-scored.
+  contraction of them.  Only chosen mixes and returned vertices are
+  re-scored.
 
 A receding-horizon loop re-plans from the same few beliefs over and over,
 so :func:`optimize` memoises its plans.  The key is exact: the kernel,
@@ -631,8 +632,9 @@ def optimize(
        incumbent's rows; the best of it, the best feasible vertex and the
        single-stage mix is returned.
 
-    Every feasible result has an exact probability of at least
-    ``1 - epsilon`` and a ``gap`` to the LP bound.
+    Every result reports the exact evaluation of its own profile, and
+    every feasible one has a probability of at least ``1 - epsilon`` and a
+    ``gap`` to the LP bound.
 
     Plans are memoised.  The solver is deterministic and reads nothing but
     its arguments, and a belief is a point mass, so a plan is a function of
@@ -704,11 +706,12 @@ def _solve(
         # than the best vertex probability.
         best_p = vertex_p.max()
         near = vertex_p >= best_p - 1e-15
-        pick = int(np.flatnonzero(near)[np.argmax(vertex_r[near])])
+        pick = _vertex(int(np.flatnonzero(near)[np.argmax(vertex_r[near])]), horizon, nu)
+        r_pick, p_pick = compiled.evaluate(pick)
         return PlanResult(
-            profile=DecisionProfile(_vertex(pick, horizon, nu)),
-            expected_reward=float(vertex_r[pick]),
-            constraint_probability=float(vertex_p[pick]),
+            profile=DecisionProfile(pick),
+            expected_reward=float(r_pick),
+            constraint_probability=float(p_pick),
             feasible=False,
             path="infeasible",
         )
@@ -716,16 +719,15 @@ def _solve(
     feas_idx = np.flatnonzero(feasible)
     best_feas = int(feas_idx[np.argmax(vertex_r[feas_idx])])
     best_stages = _vertex(best_feas, horizon, nu)
-    best_r = float(vertex_r[best_feas])
-    best_p = float(vertex_p[best_feas])
 
-    if best_r >= vertex_r.max() - 1e-15:
+    if vertex_r[best_feas] >= vertex_r.max() - 1e-15:
         # The unconstrained optimum is feasible; randomization cannot improve
         # on it (multilinear objective attains its maximum at a vertex).
+        best_r, best_p = compiled.evaluate(best_stages)
         return PlanResult(
             profile=DecisionProfile(best_stages),
-            expected_reward=best_r,
-            constraint_probability=best_p,
+            expected_reward=float(best_r),
+            constraint_probability=float(best_p),
             feasible=True,
             path="unconstrained",
         )

@@ -442,8 +442,8 @@ class Scenario:
     def name(self) -> str:
         return self.config.name
 
-    # Decoded pairs are shared: episode logs hold one pair per visited state,
-    # not one per step.
+    # Decoded pairs are cached: episode logs hold state indices, and the
+    # outcome classifier and the log writers decode each of them.
     @cached_property
     def _decoded(self) -> dict[int, tuple[VehicleState | None, VehicleState | None]]:
         return {}

@@ -300,12 +300,14 @@ def test_criterion_7_maximin_baseline(built_scenarios, seed_batches):
     mm_log = run_episode(
         scenario, hierarchy, kernel, 1, seed=0, ego_controller="maximin"
     )
-    mm_final = [r.ego.s_x for r in mm_log.records if r.ego is not None][-1]
+
+    def final_ego_x(log):
+        egos = (scenario.decode(r.state)[0] for r in log.records)
+        return [ego.s_x for ego in egos if ego is not None][-1]
+
+    mm_final = final_ego_x(mm_log)
     logs, _ = seed_batches
-    ch_final = np.mean([
-        [r.ego.s_x for r in log.records if r.ego is not None][-1]
-        for log in logs["intersection"][1]
-    ])
+    ch_final = np.mean([final_ego_x(log) for log in logs["intersection"][1]])
     _report(
         7,
         robust and not mm_log.violated and mm_final <= ch_final,

@@ -1,10 +1,12 @@
+import dataclasses
+import hashlib
 import json
 
 import pytest
 import yaml
 from importlib import resources
 
-from chplanner.cli import main, run_episode
+from chplanner.cli import main, run_episode, write_episode_csv
 from chplanner.hierarchy import load_hierarchy
 
 
@@ -135,6 +137,26 @@ def test_simulate_writes_byte_identical_csv(tmp_path, cache_dir):
     ).read_bytes()
 
 
+# sha256 of `simulate --human-level 2 --seed 5` episode CSVs.  A change meant
+# to keep behaviour leaves these alone; one that changes episodes on purpose
+# updates them and says why.
+GOLDEN_CSV_SHA256 = {
+    "intersection": "5d130409b8b952413fa529d19440dd79d8dac5d96a00984a6d5e8ef55f540463",
+    "overtaking": "96ee4d71cd23ddc8dd53da88ffbd0cc94534c82b436c288f44fdb318f169d66e",
+    "merging": "29e291f6f4dc91267c2b83478c681630ae8d7c86dc304972ca4cd51bddc24cde",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
+def test_simulate_csv_matches_golden_digest(tmp_path, cache_dir, name):
+    assert main([
+        "simulate", "--config", name, "--cache-dir", str(cache_dir),
+        "--human-level", "2", "--seed", "5", "--out", str(tmp_path / "episode"),
+    ]) == 0
+    digest = hashlib.sha256((tmp_path / "episode.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_CSV_SHA256[name]
+
+
 def test_simulate_snapshots_written(tmp_path, cache_dir):
     snaps = tmp_path / "snaps"
     code = main([
@@ -166,11 +188,13 @@ def test_simulate_rejects_unknown_level(tmp_path, capsys):
     "argv, flag",
     [
         (["simulate", "--steps", "-2"], "--steps"),
+        (["simulate", "--steps", "0"], "--steps"),
         (["evaluate", "--seeds", "-3"], "--seeds"),
         (["simulate", "--seed", "-1"], "seed"),
         (["evaluate", "--seed", "-1"], "seed"),
     ],
-    ids=["simulate-steps", "evaluate-seeds", "simulate-seed", "evaluate-seed"],
+    ids=["simulate-steps", "simulate-zero-steps", "evaluate-seeds", "simulate-seed",
+         "evaluate-seed"],
 )
 def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag):
     own_cache = tmp_path / "cache"
@@ -184,6 +208,31 @@ def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag
     assert "config error:" in err and flag in err
     assert list(own_cache.glob("hierarchy-*.npz")) == []
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--out", "{blocker}/ep"], "--out"),
+        (["simulate", "--out", "{tmp}/ep", "--snapshots", "{blocker}"], "--snapshots"),
+        (["simulate", "--out", "{tmp}/ep", "--snapshots", "{blocker}/snaps"], "--snapshots"),
+        (["evaluate", "--out", "{blocker}/r.json"], "--out"),
+    ],
+    ids=["simulate-out", "simulate-snapshots", "simulate-snapshots-below-file",
+         "evaluate-out"],
+)
+def test_output_path_below_a_file_rejected_before_build(tmp_path, capsys, argv, flag):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("x")
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    argv = [a.format(blocker=blocker, tmp=tmp_path) for a in argv]
+    code = main(argv + ["--config", "intersection", "--cache-dir", str(own_cache)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and flag in err and "is not a directory" in err
+    assert list(own_cache.glob("hierarchy-*.npz")) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "not-a-dir"]
 
 
 def test_simulate_level0_human(tmp_path, cache_dir):
@@ -257,17 +306,21 @@ def test_evaluate_exits_1_when_seeds_fail(tmp_path, cache_dir, capsys):
     assert "failed" in capsys.readouterr().err
 
 
-def test_episode_log_record_count_and_flag_consistency(built_scenarios):
+def test_episode_log_record_count_and_flag_consistency(built_scenarios, tmp_path):
     scenario, hierarchy, kernel, _ = built_scenarios("intersection")
     log = run_episode(scenario, hierarchy, kernel, 1, seed=3)
     assert len(log.records) == log.num_steps + 1
-    # Violation flag must agree with an independent re-evaluation of the
-    # safety predicate on the logged positions.
+    # The violation flag and the CSV's safe column must agree with an
+    # independent re-evaluation of the safety predicate on the logged
+    # positions.
+    write_episode_csv(tmp_path / "episode.csv", scenario, log)
+    lines = (tmp_path / "episode.csv").read_text().splitlines()
+    header = lines[0].split(",")
     replay = []
-    for rec in log.records:
-        state = scenario.encode(rec.ego, rec.human)
+    for rec, line in zip(log.records, lines[1:], strict=True):
+        state = scenario.encode(*scenario.decode(rec.state))
         replay.append(scenario.is_safe(state))
-        assert rec.safe == replay[-1]
+        assert line.split(",")[header.index("safe")] == ("1" if replay[-1] else "0")
     assert log.violated == (not all(replay))
 
 
@@ -277,8 +330,9 @@ def test_episode_log_shares_decoded_states(built_scenarios):
     for rec in (*log.records, log):
         assert not hasattr(rec, "__dict__")  # slotted: no per-object dict
     for rec in log.records:
-        ego, human = scenario.decode(rec.state)
-        assert rec.ego is ego and rec.human is human
+        ego, _ = scenario.decode(rec.state)
+        # The writers decode through the scenario's cache: one pair per state.
+        assert scenario.decode(rec.state)[0] is ego
         assert not hasattr(ego, "__dict__")
 
 
@@ -309,8 +363,11 @@ def test_episode_rejects_unbuilt_level(built_scenarios):
     scenario, hierarchy, kernel, _ = built_scenarios("intersection")
     with pytest.raises(ValueError):
         run_episode(scenario, hierarchy, kernel, 3, seed=0)
-    with pytest.raises(ValueError, match="step cap"):
-        run_episode(scenario, hierarchy, kernel, 1, seed=0, step_cap=-1)
+    with pytest.raises(ValueError, match="ego controller"):
+        run_episode(scenario, hierarchy, kernel, 1, 0, ego_controller="random")
+    # The step cap is the config's; the config rejects a cap below 1.
+    with pytest.raises(ValueError, match="step_cap"):
+        dataclasses.replace(scenario.config, step_cap=0)
 
 
 def test_evaluate_zero_seeds_empty_report(tmp_path, cache_dir, capsys):

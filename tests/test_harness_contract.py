@@ -1,19 +1,25 @@
-"""The names and fields the benchmark tracer in ``perfbench/`` relies on.
+"""The names and fields the benchmark harness in ``perfbench/`` relies on.
 
 ``perfbench/spans.py`` patches every ``(module, attribute)`` of its
 ``PATCH_POINTS`` with ``setattr`` and reads a few fields of what the
-patched functions return, so renaming or deleting any of them breaks a
-traced benchmark run.  The file is loaded by path and not modified.
+patched functions return, and ``perfbench/run.py`` runs episodes and reads
+their logs, so renaming or deleting any of them breaks a benchmark run.
+The harness files are loaded by path or run, and not modified.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
+from chplanner.cli import EpisodeLog, StepRecord, run_episode, write_episode_csv
 from chplanner.planner import PlanResult
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _spans_module():
@@ -43,3 +49,33 @@ def test_scenario_kernel_has_the_csr_arrays(built_scenarios):
     _, _, kernel, _ = built_scenarios("intersection")
     for name in ("indptr", "targets", "probs"):
         assert hasattr(kernel, name), name
+
+
+def test_episode_log_has_the_fields_the_harness_reads(built_scenarios, tmp_path):
+    step_fields = {f.name for f in dataclasses.fields(StepRecord)}
+    assert {
+        "t", "state", "posteriors", "ego_action", "human_action", "expected_reward",
+        "constraint_probability", "feasible", "wall_ms",
+    } <= step_fields
+    assert {"records", "seed"} <= {f.name for f in dataclasses.fields(EpisodeLog)}
+
+    scenario, hierarchy, kernel, _ = built_scenarios("intersection")
+    log = run_episode(scenario, hierarchy, kernel, scenario.config.levels[0], 0)
+    assert log.seed == 0 and log.num_steps == len(log.records) - 1
+    assert isinstance(log.violated, bool)
+    # The self-test corrupts a record this way to check that a run fails.
+    rec = dataclasses.replace(log.records[0], feasible=True, constraint_probability=0.5)
+    assert (rec.feasible, rec.constraint_probability) == (True, 0.5)
+    write_episode_csv(tmp_path / "episode.csv", scenario, log)
+
+
+def test_traced_benchmark_run_is_correct():
+    # The traced mode resolves every patch point, reads the kernel's arrays
+    # and requires one optimize call per planning step.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "cold-build-intersection",
+         "--seed", "0", "--seconds", "1", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True

@@ -331,8 +331,9 @@ def _gap_test_draw(rng, horizon=None):
 
 
 def test_optimize_gap_is_bound_minus_value():
-    # On random instances: the gap is never negative, no plan beats the
-    # brute-force LP bound, and reward plus gap is that bound.
+    # On random instances: every plan reports the exact evaluation of its
+    # own profile, the gap is never negative, no plan beats the brute-force
+    # LP bound, and reward plus gap is that bound.
     rng = np.random.default_rng(41)
     paths = set()
     for _ in range(200):
@@ -341,10 +342,15 @@ def test_optimize_gap_is_bound_minus_value():
             kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon
         )
         paths.add(result.path)
+        compiled = _CompiledHorizon(kernel, r1, safe, spec.horizon, belief, spec.discount)
+        assert (result.expected_reward, result.constraint_probability) == compiled.evaluate(
+            result.profile.stages
+        ), result.path
         assert result.gap >= 0.0 and result.iterations == 0
         if not result.feasible:
             assert result.path == "infeasible" and result.gap == 0.0
             continue
+        assert result.constraint_probability >= 1.0 - epsilon
         start = belief.state
         bound = lp_bound_oracle(
             spec, policies, prior, start, spec.horizon, safe,
@@ -354,9 +360,6 @@ def test_optimize_gap_is_bound_minus_value():
         assert result.expected_reward + result.gap == pytest.approx(bound, abs=1e-10)
         if result.path == "sweep":
             # The closed-form mix is among the sweep path's candidates.
-            compiled = _CompiledHorizon(
-                kernel, r1, safe, spec.horizon, belief, spec.discount
-            )
             vertex_r, vertex_p = compiled.vertex_values()
             feasible = np.flatnonzero(vertex_p >= 1.0 - epsilon)
             best_feas = int(feasible[np.argmax(vertex_r[feasible])])
