@@ -352,6 +352,26 @@ def mean_plan_ms(log: EpisodeLog) -> float:
     return (sum(plan_ms) / len(plan_ms)) if plan_ms else 0.0
 
 
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
+def _outcome_stats(outcomes: list[dict]) -> dict:
+    """Report fields derived from the episodes' outcome dicts.
+
+    Each flag ``f`` gives ``f_rate`` and each ``<event>_step`` gives
+    ``mean_<event>_step``, both over the episodes where the field is not ``None``.
+    """
+    stats: dict = {}
+    for key in outcomes[0] if outcomes else ():
+        values = [o[key] for o in outcomes if o[key] is not None]
+        if key.endswith("_step"):
+            stats[f"mean_{key}"] = _mean(values)
+        elif all(isinstance(v, bool) for v in values):
+            stats[f"{key}_rate"] = _mean(values)
+    return stats
+
+
 def evaluate_batch(
     scenario: Scenario,
     hierarchy: Hierarchy,
@@ -374,43 +394,15 @@ def evaluate_batch(
                 failures.append({"seed": seed, "error": f"{type(exc).__name__}: {exc}"})
                 continue
             episodes.append(log)
-        n = len(episodes)
         stats: dict = {
-            "episodes": n,
+            "episodes": len(episodes),
             "failed_seeds": failures,
-            "violation_rate": (sum(e.violated for e in episodes) / n) if n else None,
-            "mean_steps": (sum(e.num_steps for e in episodes) / n) if n else None,
-            "mean_final_posterior_true": (
-                sum(e.final_posteriors()[level_idx] for e in episodes) / n if n else None
-            ),
-            "mean_plan_ms": (sum(mean_plan_ms(e) for e in episodes) / n if n else None),
+            "violation_rate": None,  # replaced by the outcomes' rate unless every seed failed
+            "mean_steps": _mean([e.num_steps for e in episodes]),
+            "mean_final_posterior_true": _mean([e.final_posteriors()[level_idx] for e in episodes]),
+            "mean_plan_ms": _mean([mean_plan_ms(e) for e in episodes]),
         }
-        if n:
-            if config.name == "intersection":
-                stats["ego_crossed_first_rate"] = (
-                    sum(bool(e.outcome["ego_crossed_first"]) for e in episodes) / n
-                )
-            elif config.name == "overtaking":
-                done = [e for e in episodes if e.outcome["completed"]]
-                stats["completed_rate"] = len(done) / n
-                stats["mean_completion_step"] = (
-                    sum(e.outcome["completion_step"] for e in done) / len(done)
-                    if done
-                    else None
-                )
-            else:
-                merged = [e for e in episodes if e.outcome["merged"]]
-                stats["merged_rate"] = len(merged) / n
-                stats["merged_ahead_rate"] = (
-                    sum(bool(e.outcome["merged_ahead"]) for e in merged) / len(merged)
-                    if merged
-                    else None
-                )
-                stats["merged_in_section_rate"] = (
-                    sum(bool(e.outcome["merged_in_section"]) for e in merged) / len(merged)
-                    if merged
-                    else None
-                )
+        stats.update(_outcome_stats([e.outcome for e in episodes]))
         report["per_level"][str(level)] = stats
     return report
 
@@ -583,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
         if any(p.exists() and not p.is_dir() for p in (directory, *directory.parents)):
             print(f"config error: {flag} {directory} is not a directory", file=sys.stderr)
             return 2
+    if args.command == "evaluate" and Path(args.out).is_dir():
+        print(f"config error: --out {args.out} is a directory", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except SystemExit as exc:

@@ -17,6 +17,10 @@ Leaving the modeled road section sends a vehicle into an absorbing "done"
 cell with zero reward that is always safe; episodes normally terminate
 before anyone reaches it.
 
+The safe set, the episode-completion test and the outcome events are
+per-state masks, tabulated together from one product grid of the two
+vehicles' cells.
+
 A :class:`ScenarioConfig` checks its whole contract when it is constructed,
 start states and grid closure included, so :func:`make_scenario` trusts
 any config it is given.  Config files are parsed strictly: flags must be
@@ -27,7 +31,7 @@ fractions instead of truncating them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from importlib import resources
 from typing import Sequence
@@ -63,12 +67,6 @@ CONFIG_SCHEMA_VERSION = 1
 # be in either lane for ego_x in (start, end]; before it, only the right lane
 # is safe, after it only the left lane.
 MERGE_SECTION = (20.0, 100.0)
-
-# Sentinels used for absorbed vehicles when evaluating pairwise geometry;
-# they keep every done pairing trivially far apart.
-_DONE_EGO_XY = (1.0e9, 1.0e9)
-_DONE_HUMAN_XY = (-1.0e9, -1.0e9)
-
 
 @dataclass(frozen=True, slots=True)
 class VehicleState:
@@ -204,7 +202,8 @@ class ScenarioConfig:
 
     Construction checks the whole contract, the start states included, and
     raises ``ValueError`` naming the field, so a config built from YAML, by
-    ``dataclasses.replace`` or directly is checked exactly once.
+    ``dataclasses.replace`` or directly is checked exactly once.  Every
+    float, on its own or in a tuple, must be finite; that is checked first.
     """
 
     name: str
@@ -237,6 +236,11 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(x, (float, np.floating)) and not math.isfinite(x) for x in entries):
+                raise ValueError(f"{item.name} must be finite, got {value!r}")
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"unknown scenario name {self.name!r}; expected one of {SCENARIO_NAMES}")
         if not 0.0 <= self.epsilon <= 1.0:
@@ -257,9 +261,8 @@ class ScenarioConfig:
         if self.dt <= 0 or self.pos_step <= 0 or self.v_step <= 0:
             raise ValueError("dt, pos_step and v_step must be positive")
         for name in ("car_length", "lane_width"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if self.on_infeasible not in ("abort", "fallback"):
             raise ValueError(f"on_infeasible must be 'abort' or 'fallback', got {self.on_infeasible!r}")
         if len(self.levels) != len(self.level_prior):
@@ -268,8 +271,6 @@ class ScenarioConfig:
             raise ValueError("levels must be strictly increasing and nonnegative")
         if abs(sum(self.level_prior) - 1.0) > 1e-9 or min(self.level_prior) < 0:
             raise ValueError("level_prior must be a probability vector")
-        if not math.isfinite(self.collision_penalty):
-            raise ValueError(f"collision_penalty must be finite, got {self.collision_penalty!r}")
         if not self.softmax_temperature > 0.0:
             raise ValueError(
                 f"softmax_temperature must be > 0, got {self.softmax_temperature!r}"
@@ -372,6 +373,15 @@ def _actions(config: ScenarioConfig, lane_change: bool) -> tuple[tuple[float, st
     return tuple((a, cmd) for a in config.accel_set for cmd in cmds)
 
 
+def _cells(grid: VehicleGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Travel-frame position, speed and lane index of every cell but the done cell."""
+    n_lanes = len(grid.lane_centers)
+    codes = np.arange(grid.num_cells)
+    pos = grid.positions[codes // (n_lanes * grid.speeds.size)]
+    v = grid.speeds[(codes // n_lanes) % grid.speeds.size]
+    return pos, v, codes % n_lanes
+
+
 def _vehicle_successors(
     grid: VehicleGrid, actions: Sequence[tuple[float, str]], dt: float
 ) -> np.ndarray:
@@ -380,15 +390,9 @@ def _vehicle_successors(
     A lane command whose target lane does not exist degrades to "keep";
     leaving the position range maps to the done cell, which is absorbing.
     """
-    n_pos = grid.positions.size
     n_v = grid.speeds.size
     n_lanes = len(grid.lane_centers)
-    codes = np.arange(grid.num_cells)
-    lane_idx = codes % n_lanes
-    v_idx = (codes // n_lanes) % n_v
-    pos_idx = codes // (n_lanes * n_v)
-    v = grid.speeds[v_idx]
-    pos = grid.positions[pos_idx]
+    pos, v, lane_idx = _cells(grid)
 
     out = np.empty((grid.num_codes, len(actions)), dtype=np.int64)
     for j, (a, cmd) in enumerate(actions):
@@ -405,25 +409,14 @@ def _vehicle_successors(
     return out
 
 
-def _world_tables(grid: VehicleGrid, done_xy: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """World x/y per cell code, with the done cell at a far-away sentinel."""
-    n_lanes = len(grid.lane_centers)
-    codes = np.arange(grid.num_cells)
-    lat = np.asarray(grid.lane_centers)[codes % n_lanes]
-    pos = grid.positions[codes // (n_lanes * grid.speeds.size)]
-    if grid.heading == "east":
-        wx, wy = pos, lat
-    else:
-        wx, wy = lat, pos
-    return (
-        np.append(wx.astype(float), done_xy[0]),
-        np.append(wy.astype(float), done_xy[1]),
-    )
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Everything the planner and the simulator need for one traffic game."""
+    """Everything the planner and the simulator need for one traffic game.
+
+    ``complete`` and each mask in ``events`` hold one flag per joint state,
+    like ``spec.safe_set``: whether an episode in that state is complete,
+    and whether each outcome event holds there (see :func:`classify_outcome`).
+    """
 
     config: ScenarioConfig
     spec: GameSpec
@@ -433,6 +426,8 @@ class Scenario:
     env_actions: tuple[tuple[float, str], ...]
     ego_objective: np.ndarray  # raw (unpenalized) per-state planner reward
     env_objective: np.ndarray
+    complete: np.ndarray
+    events: dict[str, np.ndarray]
     initial_state: int
 
     def __post_init__(self):
@@ -442,12 +437,6 @@ class Scenario:
     def name(self) -> str:
         return self.config.name
 
-    # Decoded pairs are cached: episode logs hold state indices, and the
-    # outcome classifier and the log writers decode each of them.
-    @cached_property
-    def _decoded(self) -> dict[int, tuple[VehicleState | None, VehicleState | None]]:
-        return {}
-
     def split(self, state: int) -> tuple[int, int]:
         n_h = self.human_grid.num_codes
         return state // n_h, state % n_h
@@ -456,11 +445,8 @@ class Scenario:
         return ego_code * self.human_grid.num_codes + human_code
 
     def decode(self, state: int) -> tuple[VehicleState | None, VehicleState | None]:
-        pair = self._decoded.get(state)
-        if pair is None:
-            e, h = self.split(state)
-            pair = self._decoded[state] = (self.ego_grid.decode(e), self.human_grid.decode(h))
-        return pair
+        e, h = self.split(state)
+        return self.ego_grid.decode(e), self.human_grid.decode(h)
 
     def encode(self, ego: VehicleState | None, human: VehicleState | None) -> int:
         e = self.ego_grid.done_code if ego is None else self.ego_grid.encode(ego)
@@ -471,48 +457,80 @@ class Scenario:
         return bool(self.spec.safe_set[state])
 
 
-def _pairwise_safe(config: ScenarioConfig, ego_grid: VehicleGrid,
-                   human_grid: VehicleGrid) -> np.ndarray:
-    """Safe-set membership on the (ego code x human code) product grid."""
-    ex, ey = _world_tables(ego_grid, _DONE_EGO_XY)
-    hx, hy = _world_tables(human_grid, _DONE_HUMAN_XY)
-    dx = np.abs(ex[:, None] - hx[None, :])
-    dy = np.abs(ey[:, None] - hy[None, :])
+def _state_tables(
+    config: ScenarioConfig, ego_grid: VehicleGrid, human_grid: VehicleGrid
+) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """Safe set, completion mask and outcome-event masks, one flag per joint state.
+
+    Each predicate is evaluated on the (ego cell x human cell) product grid
+    from the cells' travel-frame positions and lanes.  A vehicle in the done
+    cell has no position, so each predicate states its value there: a pair
+    with a done vehicle is always safe, for instance.
+    """
+    n_e, n_h = ego_grid.num_codes, human_grid.num_codes
+    e_pos, _, e_lane = _cells(ego_grid)
+    h_pos, _, h_lane = _cells(human_grid)
+    e_lat = np.asarray(ego_grid.lane_centers)[e_lane]
+    h_lat = np.asarray(human_grid.lane_centers)[h_lane]
+
+    # Each mask is a flat array that owns its data, so read_only takes it
+    # over without a copy.
+    def pairs(on_cells: np.ndarray, done: bool) -> np.ndarray:
+        out = np.full(n_e * n_h, done)
+        out.reshape(n_e, n_h)[:-1, :-1] = on_cells
+        return out
+
+    def ego_only(on_cells: np.ndarray, done: bool) -> np.ndarray:
+        return np.repeat(np.append(on_cells, done), n_h)
+
+    def human_only(on_cells: np.ndarray, done: bool) -> np.ndarray:
+        return np.tile(np.append(on_cells, done), n_e)
+
     l_car = config.car_length
     w = config.lane_width
     if config.name == "intersection":
-        safe = dx**2 + dy**2 >= (1.2 * l_car) ** 2
-    else:
-        safe = (dx >= 1.6 * l_car) | (dy >= w)
-        if config.name == "merging":
-            right = w / 2.0
-            left = 3.0 * w / 2.0
-            in_right = np.isclose(ey, right)
-            in_left = np.isclose(ey, left)
-            start, end = MERGE_SECTION
-            section = (
-                ((ex <= start) & in_right)
-                | ((ex > start) & (ex <= end))
-                | ((ex > end) & in_left)
-            )
-            safe = safe & section[:, None]
-    ego_done = np.zeros(ego_grid.num_codes, dtype=bool)
-    ego_done[ego_grid.done_code] = True
-    human_done = np.zeros(human_grid.num_codes, dtype=bool)
-    human_done[human_grid.done_code] = True
-    safe[ego_done, :] = True
-    safe[:, human_done] = True
-    return safe
+        # The eastbound ego's world point is (pos, lane), the northbound
+        # human's (lane, pos).  Each vehicle crosses when it passes the
+        # other's lane center, and is clear 1.2 car lengths further on.
+        dx = np.abs(e_pos[:, None] - h_lat[None, :])
+        dy = np.abs(e_lat[:, None] - h_pos[None, :])
+        safe = pairs(dx**2 + dy**2 >= (1.2 * l_car) ** 2, True)
+        ego_mark, human_mark = w / 2.0, -w / 2.0
+        clear = 1.2 * l_car
+        complete = pairs(
+            (e_pos >= ego_mark + clear)[:, None] & (h_pos >= human_mark + clear)[None, :], True
+        )
+        events = {
+            "ego_cross": ego_only(e_pos > ego_mark, True),
+            "human_cross": human_only(h_pos > human_mark, True),
+        }
+        return safe, complete, events
+
+    # Overtaking and merging: both vehicles travel east; ego lane 1 is the left lane.
+    gap = e_pos[:, None] - h_pos[None, :]
+    apart = (np.abs(gap) >= 1.6 * l_car) | (np.abs(e_lat[:, None] - h_lat[None, :]) >= w)
+    in_left = e_lane == 1
+    if config.name == "overtaking":
+        overtaken = ~in_left[:, None] & (gap >= 1.6 * l_car)
+        return pairs(apart, True), pairs(overtaken, True), {"overtake": pairs(overtaken, False)}
+
+    start, end = MERGE_SECTION
+    in_section = (e_pos > start) & (e_pos <= end)
+    lane_ok = ((e_pos <= start) & ~in_left) | in_section | ((e_pos > end) & in_left)
+    events = {
+        "merge": ego_only(in_left, False),
+        "merged_ahead": pairs(gap > 0.0, True),
+        "merged_in_section": ego_only(in_section, False),
+    }
+    return pairs(apart & lane_ok[:, None], True), ego_only(in_left, True), events
 
 
 def _vehicle_objective(config: ScenarioConfig, grid: VehicleGrid) -> np.ndarray:
     """Raw per-cell reward of one vehicle (done cell earns nothing)."""
-    n_lanes = len(grid.lane_centers)
-    codes = np.arange(grid.num_cells)
-    lat = np.asarray(grid.lane_centers)[codes % n_lanes]
-    pos = grid.positions[codes // (n_lanes * grid.speeds.size)]
+    pos, _, lane_idx = _cells(grid)
+    lat = np.asarray(grid.lane_centers)[lane_idx]
     if config.name == "intersection":
-        r = pos.astype(float)
+        r = pos
     elif config.name == "overtaking":
         r = 8.0 * pos - lat
     else:
@@ -535,8 +553,7 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     h_of = np.arange(num_states) % n_h
     table = succ_e[e_of][:, :, None] * n_h + succ_h[h_of][:, None, :]
 
-    safe_pair = _pairwise_safe(config, ego_grid, human_grid)
-    safe_joint = safe_pair.ravel()
+    safe_joint, complete, events = _state_tables(config, ego_grid, human_grid)
 
     ego_obj = _vehicle_objective(config, ego_grid)[e_of]
     env_obj = _vehicle_objective(config, human_grid)[h_of]
@@ -574,6 +591,8 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
         env_actions=env_actions,
         ego_objective=ego_obj,
         env_objective=env_obj,
+        complete=read_only(complete, bool),
+        events={name: read_only(mask, bool) for name, mask in events.items()},
         initial_state=initial,
     )
 
@@ -632,94 +651,52 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
 # Episode semantics: completion tests and outcome classification.
 
 
-def _cross_marks(config: ScenarioConfig) -> tuple[float, float]:
-    """Conflict-point coordinates the two vehicles must pass (intersection)."""
-    w = config.lane_width
-    return w / 2.0, -w / 2.0  # ego passes the human's lane; human passes the ego's
-
-
 def episode_complete(scenario: Scenario, state: int) -> bool:
-    """True once the scenario's region of interest has been resolved."""
-    ego, human = scenario.decode(state)
-    config = scenario.config
-    if ego is None and human is None:
-        return True
-    if config.name == "intersection":
-        if ego is None or human is None:
-            return True
-        ego_mark, human_mark = _cross_marks(config)
-        clear = 1.2 * config.car_length
-        return ego.s_x >= ego_mark + clear and human.s_x >= human_mark + clear
-    if config.name == "overtaking":
-        if ego is None or human is None:
-            return True
-        left = 3.0 * config.lane_width / 2.0
-        return (
-            not math.isclose(ego.s_y, left)
-            and ego.s_x - human.s_x >= 1.6 * config.car_length
-        )
-    # merging: resolved the moment the ego occupies the left lane
-    if ego is None:
-        return True
-    return math.isclose(ego.s_y, 3.0 * config.lane_width / 2.0)
+    """True once the scenario's region of interest has been resolved.
+
+    Intersection: both vehicles are 1.2 car lengths past the conflict
+    point.  Overtaking: the ego is back in the right lane 1.6 car lengths
+    ahead of the human.  Merging: the ego is in the left lane.  Reaching
+    the done cell completes an episode, except the human's in merging.
+    """
+    return bool(scenario.complete[state])
+
+
+def _first(mask: np.ndarray, states: Sequence[int]) -> int | None:
+    """Index of the first state where ``mask`` holds, or ``None``."""
+    return next((t for t, state in enumerate(states) if mask[state]), None)
 
 
 def classify_outcome(scenario: Scenario, states: Sequence[int]) -> dict:
-    """Summary of an episode trajectory (list of joint state indices)."""
-    config = scenario.config
-    decoded = [scenario.decode(s) for s in states]
-    violated = any(not scenario.is_safe(s) for s in states)
-    out: dict = {"scenario": config.name, "violation": violated}
+    """Summary of an episode trajectory (list of joint state indices).
 
-    if config.name == "intersection":
-        ego_mark, human_mark = _cross_marks(config)
-        ego_step = next(
-            (t for t, (e, _) in enumerate(decoded) if e is None or e.s_x > ego_mark), None
-        )
-        human_step = next(
-            (t for t, (_, h) in enumerate(decoded) if h is None or h.s_x > human_mark), None
-        )
+    Each ``<event>_step`` is the first step at which that event's mask
+    holds.  Intersection: ``ego_cross_step`` and ``human_cross_step``, when
+    each vehicle passes the other's lane center.  Overtaking:
+    ``completion_step``, when the overtake is complete.  Merging:
+    ``merge_step``, when the ego enters the left lane, with whether it
+    was then ahead of the human and inside the merge section.
+    """
+    events = scenario.events
+    violated = any(not scenario.is_safe(s) for s in states)
+    out: dict = {"scenario": scenario.name, "violation": violated}
+    if scenario.name == "intersection":
+        ego_step = _first(events["ego_cross"], states)
+        human_step = _first(events["human_cross"], states)
         ego_first = ego_step is not None and (human_step is None or ego_step < human_step)
-        out.update(
-            ego_crossed_first=ego_first,
-            ego_cross_step=ego_step,
-            human_cross_step=human_step,
-        )
-    elif config.name == "overtaking":
-        left = 3.0 * config.lane_width / 2.0
-        step = next(
-            (
-                t
-                for t, (e, h) in enumerate(decoded)
-                if e is not None
-                and h is not None
-                and not math.isclose(e.s_y, left)
-                and e.s_x - h.s_x >= 1.6 * config.car_length
-            ),
-            None,
-        )
+        out.update(ego_crossed_first=ego_first, ego_cross_step=ego_step,
+                   human_cross_step=human_step)
+    elif scenario.name == "overtaking":
+        step = _first(events["overtake"], states)
         out.update(completed=step is not None, completion_step=step)
     else:
-        left = 3.0 * config.lane_width / 2.0
-        step = next(
-            (
-                t
-                for t, (e, _) in enumerate(decoded)
-                if e is not None and math.isclose(e.s_y, left)
-            ),
-            None,
-        )
-        merged_ahead = None
-        in_section = None
-        if step is not None:
-            e, h = decoded[step]
-            merged_ahead = h is None or e.s_x > h.s_x
-            in_section = MERGE_SECTION[0] < e.s_x <= MERGE_SECTION[1]
+        step = _first(events["merge"], states)
+        at = None if step is None else states[step]
         out.update(
             merged=step is not None,
             merge_step=step,
-            merged_ahead=merged_ahead,
-            merged_in_section=in_section,
+            merged_ahead=None if at is None else bool(events["merged_ahead"][at]),
+            merged_in_section=None if at is None else bool(events["merged_in_section"][at]),
         )
     return out
 

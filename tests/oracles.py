@@ -9,11 +9,13 @@ point-mass beliefs or vectorized Q-backups being verified.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from chplanner.game import EGO, GameSpec, PolicyTable
 from chplanner.inference import Belief
+from chplanner.traffic import MERGE_SECTION
 
 
 def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
@@ -362,3 +364,88 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
                 indptr.append(len(targets))
     return (np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
             np.array(probs, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Episode semantics, one decoded state at a time (``None`` is the done cell).
+
+
+def _in_left_lane(config, ego) -> bool:
+    return math.isclose(ego.s_y, 3.0 * config.lane_width / 2.0)
+
+
+def _overtaken(config, ego, human) -> bool:
+    return (
+        ego is not None
+        and human is not None
+        and not _in_left_lane(config, ego)
+        and ego.s_x - human.s_x >= 1.6 * config.car_length
+    )
+
+
+def episode_complete_oracle(config, ego, human) -> bool:
+    """Whether the scenario's region of interest has been resolved."""
+    if ego is None and human is None:
+        return True
+    if config.name == "intersection":
+        if ego is None or human is None:
+            return True
+        clear = 1.2 * config.car_length
+        return (ego.s_x >= config.lane_width / 2.0 + clear
+                and human.s_x >= -config.lane_width / 2.0 + clear)
+    if config.name == "overtaking":
+        return ego is None or human is None or _overtaken(config, ego, human)
+    return ego is None or _in_left_lane(config, ego)
+
+
+def outcome_events_oracle(config, ego, human) -> dict:
+    """Outcome events in one state, keyed like ``Scenario.events``.
+
+    The merging qualifiers are ``None`` where the ego has left the road,
+    since only the state at which the ego merges is asked about them.
+    """
+    if config.name == "intersection":
+        return {
+            "ego_cross": ego is None or ego.s_x > config.lane_width / 2.0,
+            "human_cross": human is None or human.s_x > -config.lane_width / 2.0,
+        }
+    if config.name == "overtaking":
+        return {"overtake": _overtaken(config, ego, human)}
+    if ego is None:
+        return {"merge": False, "merged_ahead": None, "merged_in_section": None}
+    return {
+        "merge": _in_left_lane(config, ego),
+        "merged_ahead": human is None or ego.s_x > human.s_x,
+        "merged_in_section": MERGE_SECTION[0] < ego.s_x <= MERGE_SECTION[1],
+    }
+
+
+def classify_outcome_oracle(scenario, states) -> dict:
+    """Episode summary from the decoded states, one step at a time."""
+    config = scenario.config
+    events = [outcome_events_oracle(config, *scenario.decode(s)) for s in states]
+
+    def first(name):
+        return next((t for t, ev in enumerate(events) if ev[name]), None)
+
+    out = {"scenario": config.name, "violation": any(not scenario.is_safe(s) for s in states)}
+    if config.name == "intersection":
+        ego_step, human_step = first("ego_cross"), first("human_cross")
+        out.update(
+            ego_crossed_first=ego_step is not None
+            and (human_step is None or ego_step < human_step),
+            ego_cross_step=ego_step,
+            human_cross_step=human_step,
+        )
+    elif config.name == "overtaking":
+        step = first("overtake")
+        out.update(completed=step is not None, completion_step=step)
+    else:
+        step = first("merge")
+        out.update(
+            merged=step is not None,
+            merge_step=step,
+            merged_ahead=None if step is None else events[step]["merged_ahead"],
+            merged_in_section=None if step is None else events[step]["merged_in_section"],
+        )
+    return out

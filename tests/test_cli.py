@@ -83,12 +83,16 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
         (lambda t: t["episode"].__setitem__("step_cap", 2.5), "'episode.step_cap'"),
         (lambda t: t["planning"].__setitem__("epsilon", True), "'planning.epsilon'"),
         (lambda t: t.__setitem__("seed", -1), "seed"),
+        (lambda t: t["ego"].__setitem__("v_max", float("inf")), "ego_v_max must be finite"),
+        (lambda t: t["inference"].__setitem__("prior", [float("nan")] * 2),
+         "level_prior must be finite"),
+        (lambda t: t["kinematics"].__setitem__("dt", float("nan")), "dt must be finite"),
     ],
     ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels",
          "quoted-ego-flag", "string-human-flag", "integer-softmax-flag",
          "zero-temperature", "nan-temperature", "infinite-penalty", "negative-car-length",
          "infinite-lane-width", "boolean-horizon", "fractional-step-cap",
-         "boolean-epsilon", "negative-seed"],
+         "boolean-epsilon", "negative-seed", "infinite-v-max", "nan-prior", "nan-dt"],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     if mutate is None:
@@ -145,6 +149,12 @@ GOLDEN_CSV_SHA256 = {
     "overtaking": "96ee4d71cd23ddc8dd53da88ffbd0cc94534c82b436c288f44fdb318f169d66e",
     "merging": "29e291f6f4dc91267c2b83478c681630ae8d7c86dc304972ca4cd51bddc24cde",
 }
+# sha256 of the same runs' summary JSON, which holds the episode outcome.
+GOLDEN_SUMMARY_SHA256 = {
+    "intersection": "f0e831c28e97104165bb573f478c424607532484985cb3bc7e5af0d78b3c6e6b",
+    "overtaking": "141431b68752b2956985c3e0ed9d1483f6eccfc56b6b20ad96bd296f8fee8f20",
+    "merging": "8d06ff60652e153fc3387a16ccfd19ae1dfcd88a041ff7fd64e1ce84a6b3d338",
+}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV_SHA256))
@@ -155,6 +165,24 @@ def test_simulate_csv_matches_golden_digest(tmp_path, cache_dir, name):
     ]) == 0
     digest = hashlib.sha256((tmp_path / "episode.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_CSV_SHA256[name]
+    summary = (tmp_path / "episode_summary.json").read_bytes()
+    assert hashlib.sha256(summary).hexdigest() == GOLDEN_SUMMARY_SHA256[name]
+
+
+def test_evaluate_rejects_out_that_is_a_directory(tmp_path, capsys, monkeypatch):
+    from chplanner import cli
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the output path was checked")
+
+    monkeypatch.setattr(cli, "build_artifacts", no_build)
+    out = tmp_path / "report"
+    out.mkdir()
+    code = main(["evaluate", "--config", "intersection", "--cache-dir", str(tmp_path / "cache"),
+                 "--seeds", "1", "--out", str(out)])
+    assert code == 2
+    assert f"config error: --out {out} is a directory" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_simulate_snapshots_written(tmp_path, cache_dir):
@@ -331,8 +359,6 @@ def test_episode_log_shares_decoded_states(built_scenarios):
         assert not hasattr(rec, "__dict__")  # slotted: no per-object dict
     for rec in log.records:
         ego, _ = scenario.decode(rec.state)
-        # The writers decode through the scenario's cache: one pair per state.
-        assert scenario.decode(rec.state)[0] is ego
         assert not hasattr(ego, "__dict__")
 
 
@@ -396,6 +422,30 @@ def test_evaluate_small_batch_report(tmp_path, cache_dir):
         assert stats["failed_seeds"] == []
         assert 0.0 <= stats["violation_rate"] <= 1.0
         assert "ego_crossed_first_rate" in stats
+        assert {"mean_ego_cross_step", "mean_human_cross_step"} <= stats.keys()
+
+
+def test_evaluate_stats_derive_from_outcome_fields():
+    from chplanner.cli import _outcome_stats
+
+    outcomes = [
+        {"scenario": "merging", "violation": False, "merged": True, "merge_step": 2,
+         "merged_ahead": True, "merged_in_section": True},
+        {"scenario": "merging", "violation": True, "merged": True, "merge_step": 5,
+         "merged_ahead": False, "merged_in_section": True},
+        {"scenario": "merging", "violation": False, "merged": False, "merge_step": None,
+         "merged_ahead": None, "merged_in_section": None},
+    ]
+    # A flag's rate and a step's mean skip the episodes where the field is None.
+    assert _outcome_stats(outcomes) == {
+        "violation_rate": 1 / 3, "merged_rate": 2 / 3, "mean_merge_step": 3.5,
+        "merged_ahead_rate": 0.5, "merged_in_section_rate": 1.0,
+    }
+    assert _outcome_stats(outcomes[2:]) == {
+        "violation_rate": 0.0, "merged_rate": 0.0, "mean_merge_step": None,
+        "merged_ahead_rate": None, "merged_in_section_rate": None,
+    }
+    assert _outcome_stats([]) == {}
 
 
 def test_evaluate_batch_survives_episode_crashes(built_scenarios, monkeypatch):

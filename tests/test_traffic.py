@@ -6,17 +6,23 @@ from chplanner.traffic import (
     ScenarioConfig,
     VehicleGrid,
     VehicleState,
+    classify_outcome,
     config_from_dict,
     default_config,
+    episode_complete,
     level0_policy,
     make_scenario,
     vehicle_step,
 )
 from chplanner import traffic
 
+import itertools
+import json
 import yaml
 from dataclasses import asdict, replace
 from importlib import resources
+
+from oracles import classify_outcome_oracle, episode_complete_oracle, outcome_events_oracle
 
 
 def test_vehicle_step_textbook_kinematics():
@@ -328,6 +334,10 @@ def test_config_rejects_unknown_schema_version():
         ("accel_set", (-4.0, 4.0)), ("ego_v_max", 10.0), ("human_pos_max", 15.0),
         ("ego_start", (1.0, 8.0, 0)), ("horizon", 2.5), ("horizon", True),
         ("step_cap", 2.5), ("seed", 1.5), ("levels", (1.0, 2.0)),
+        ("ego_v_max", float("inf")), ("ego_pos_max", float("inf")),
+        ("human_pos_min", float("-inf")), ("level_prior", (float("nan"), float("nan"))),
+        ("dt", float("nan")), ("dt", float("inf")), ("accel_set", (0.0, float("nan"))),
+        ("ego_start", (float("nan"), 8.0, 0)), ("epsilon", float("nan")),
     ],
 )
 def test_config_checks_itself_at_construction(field, bad):
@@ -387,3 +397,57 @@ def test_grid_decode_inverts_encode_on_every_cell():
                 seen.add(code)
     assert seen == set(range(grid.num_cells))
     assert grid.decode(grid.done_code) is None
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_state_masks_match_scalar_oracle_on_every_state(name):
+    scenario = make_scenario(default_config(name))
+    config = scenario.config
+    egos = [scenario.ego_grid.decode(c) for c in range(scenario.ego_grid.num_codes)]
+    humans = [scenario.human_grid.decode(c) for c in range(scenario.human_grid.num_codes)]
+    n = scenario.spec.num_states
+    complete = np.empty(n, dtype=bool)
+    expected = {event: np.zeros(n, dtype=bool) for event in scenario.events}
+    defined = {event: np.zeros(n, dtype=bool) for event in scenario.events}
+    # product() walks the pairs in joint-state order: ego code major.
+    for state, (ego, human) in enumerate(itertools.product(egos, humans)):
+        complete[state] = episode_complete_oracle(config, ego, human)
+        events = outcome_events_oracle(config, ego, human)
+        assert events.keys() == expected.keys()
+        for event, value in events.items():
+            if value is not None:
+                expected[event][state] = value
+                defined[event][state] = True
+    assert np.array_equal(scenario.complete, complete)
+    for event, mask in scenario.events.items():
+        assert mask.dtype == bool and mask.shape == (n,)
+        assert np.array_equal(mask[defined[event]], expected[event][defined[event]]), event
+    for state in (scenario.initial_state, n - 1, int(np.flatnonzero(complete)[0])):
+        assert episode_complete(scenario, state) is bool(complete[state])
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_classify_outcome_matches_oracle_on_random_walks(name):
+    scenario = make_scenario(default_config(name))
+    table = scenario.spec.transition_table
+    rng = np.random.default_rng(2026)
+    kinds: dict[str, set] = {}
+    for _ in range(1000):
+        state = (scenario.initial_state if rng.random() < 0.5
+                 else int(rng.integers(scenario.spec.num_states)))
+        walk = [state]
+        for _ in range(int(rng.integers(1, 30))):
+            state = int(table[state, rng.integers(table.shape[1]), rng.integers(table.shape[2])])
+            walk.append(state)
+        got = classify_outcome(scenario, walk)
+        want = classify_outcome_oracle(scenario, walk)
+        # JSON tells True from 1 and rejects numpy scalars.
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        for key, value in want.items():
+            kinds.setdefault(key, set()).add(
+                repr(value) if isinstance(value, bool) else type(value).__name__
+            )
+    # Every flag took both values, and every event both happened and did not.
+    for key, seen in kinds.items():
+        if key != "scenario":
+            assert {"True", "False"} <= seen or {"int", "NoneType"} <= seen, (key, seen)
