@@ -19,6 +19,7 @@ __all__ = [
     "EGO",
     "ENV",
     "ROW_SUM_TOL",
+    "check_rows",
     "GameSpec",
     "PolicyTable",
     "read_only",
@@ -30,6 +31,22 @@ ENV = 2
 
 # Tolerance for "rows of a stochastic table sum to one".
 ROW_SUM_TOL = 1e-9
+
+
+def check_rows(probs: np.ndarray, row: str) -> None:
+    """Raise ``ValueError`` naming the first row of ``probs`` that is not a distribution.
+
+    Entries must lie in [0, 1], which a NaN fails too, and each row must
+    sum to one within ``ROW_SUM_TOL``.
+    """
+    bad = ~((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all(axis=1)
+    bad |= np.abs(probs.sum(axis=1) - 1.0) > ROW_SUM_TOL
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"{row} {i} is not a distribution (finite entries in [0, 1] summing "
+            f"to 1 within {ROW_SUM_TOL}): {probs[i]!r}"
+        )
 
 
 def read_only(values, dtype) -> np.ndarray:
@@ -148,9 +165,9 @@ class PolicyTable:
     """Stochastic state-to-action map for one player at one reasoning level.
 
     ``probs[x, u]`` is the probability that the player picks action ``u`` in
-    state ``x``.  Rows must sum to one within ``ROW_SUM_TOL``; construction
-    fails otherwise, so a ``PolicyTable`` instance is row-stochastic by
-    contract.
+    state ``x``.  Rows must be distributions (see :func:`check_rows`);
+    construction fails otherwise, naming the first bad row, so a
+    ``PolicyTable`` instance is row-stochastic by contract.
     """
 
     level: int
@@ -165,16 +182,7 @@ class PolicyTable:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2:
             raise ValueError("policy table must be 2-D (states x actions)")
-        if probs.min(initial=0.0) < -1e-12 or probs.max(initial=0.0) > 1.0 + 1e-12:
-            raise ValueError("policy probabilities must lie in [0, 1]")
-        rowsum = probs.sum(axis=1)
-        bad = np.abs(rowsum - 1.0) > ROW_SUM_TOL
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"policy rows must sum to 1 within {ROW_SUM_TOL}; "
-                f"row {i} sums to {rowsum[i]!r}"
-            )
+        check_rows(probs, "policy row")
         object.__setattr__(self, "probs", probs)
 
     @property

@@ -28,15 +28,19 @@ first of four paths that applies:
   one-constraint LP over vertex mixtures (solved by the best feasible
   vertex or feasible/infeasible pair) bounds the optimum.  When the best
   single-stage mix meets that bound, it is optimal and returned at once;
-* ``sweep`` -- otherwise (the gap stays open) exact two-stage boundary
-  mixes.  With two free stages reward and probability are bilinear in the
-  two mixing weights, so a stage pair's best mix has a closed form.  It is
-  solved with the other stages at each vertex, then in pairwise sweeps
-  with them at the incumbent's rows until no pair improves; the best
-  feasible vertex and the single-stage mix are candidates too.
+* ``branch-and-bound`` -- otherwise (the gap stays open) an exact search.
+  With the other stages fixed a stage is an LP with one constraint, so
+  some optimum mixes at most two actions per stage.  The search chooses
+  each stage's action pair in turn, then bisects boxes of the pairs'
+  mixing weights.  Values are multilinear in the weights, so the LP over
+  a box's corners bounds the box (Rikun, J. Global Optim. 1997), and
+  feasible corners and feasible/infeasible edge mixes are exact
+  candidates (Land & Doig, Econometrica 1960).  The closed-form mix is
+  the first incumbent.
 
-Every plan reports ``gap``, the LP bound minus its expected reward: a gap
-of 0 proves the plan optimal.
+Every plan reports ``gap``, a proved upper bound on the optimum minus its
+expected reward.  It is 0 within ``GAP_TOL`` of the reward span, which
+proves the plan optimal, unless ``BOX_BUDGET`` stopped the search.
 
 Each solver stage is one batched pass over the compiled reachable sets:
 
@@ -46,10 +50,9 @@ Each solver stage is one batched pass over the compiled reachable sets:
   action prefix: stage ``tau`` carries one distribution per prefix and is
   one bincount over (prefix, action, target) triples, then the folded last
   stage closes all |U1|^H vertices with one matrix product;
-* the mixes are solved on the vertex tables: values are multilinear, so
-  a stage pair's corner table with the other stages at mixed rows is a
-  contraction of them.  Only chosen mixes and returned vertices are
-  re-scored.
+* the search runs on the vertex tables: values are multilinear, so a
+  box's corner values are a contraction of them.  Only chosen mixes and
+  returned vertices are re-scored.
 
 A receding-horizon loop re-plans from the same few beliefs over and over,
 so :func:`optimize` memoises its plans.  The key is exact: the kernel,
@@ -67,7 +70,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .game import EGO, ROW_SUM_TOL, GameSpec
+from .game import EGO, GameSpec, check_rows
 from .inference import AugmentedKernel, Belief
 
 __all__ = [
@@ -84,11 +87,10 @@ __all__ = [
 ]
 
 
-# Rounds of pairwise sweeps in the ``sweep`` path of :func:`optimize`; a
-# round re-solves every stage pair once, and sweeping stops after a round
-# in which no pair improved.  Of 2,153 gap-open random draws, all but one
-# stopped within 7 rounds; that one took 20 and a higher cap gains nothing.
-SWEEP_ROUNDS = 20
+# Pair choices and boxes the branch-and-bound of :func:`optimize` may bound
+# before it stops and reports the largest bound left open in ``gap``.  No
+# gap-open random draw or scenario belief measured has needed over 6,660.
+BOX_BUDGET = 50_000
 # A certificate gap at most this fraction of the vertex reward span is the
 # float noise of the two evaluators and counts as closed.
 GAP_TOL = 1e-12
@@ -124,11 +126,7 @@ class DecisionProfile:
         stages = np.array(self.stages, dtype=float)
         if stages.ndim != 2:
             raise ValueError("profile must be 2-D (stages x ego actions)")
-        if stages.min(initial=0.0) < -1e-12 or stages.max(initial=0.0) > 1.0 + 1e-12:
-            raise ValueError("profile entries must lie in [0, 1]")
-        sums = stages.sum(axis=1)
-        if np.abs(sums - 1.0).max(initial=0.0) > ROW_SUM_TOL:
-            raise ValueError(f"profile stages must sum to 1 within {ROW_SUM_TOL}")
+        check_rows(stages, "profile stage")
         stages.flags.writeable = False
         object.__setattr__(self, "stages", stages)
 
@@ -156,13 +154,14 @@ class PlanResult:
     """Solver output: the chosen profile plus its exact evaluations.
 
     ``path`` names the solver path that produced the plan (``"infeasible"``,
-    ``"unconstrained"``, ``"closed-form"`` or ``"sweep"``, see the module
-    docstring).  ``iterations`` is 0 on every path: no path iterates a
-    step size, and the field stays for code that reads it.  ``gap`` is
-    the LP bound over vertex mixtures minus ``expected_reward``, never
-    negative and 0 within ``GAP_TOL`` of the reward span; a gap of 0 proves
-    the plan optimal.  An infeasible plan is the exact probability maximizer
-    and reports a gap of 0.
+    ``"unconstrained"``, ``"closed-form"`` or ``"branch-and-bound"``, see
+    the module docstring).  ``iterations`` is 0 on every path: no path
+    iterates a step size, and the field stays for code that reads it.
+    ``gap`` is a proved upper bound on the optimum minus
+    ``expected_reward``, never negative and 0 within ``GAP_TOL`` of the
+    reward span; a gap of 0 proves the plan optimal, and only a search
+    stopped by ``BOX_BUDGET`` reports more.  An infeasible plan is the
+    exact probability maximizer and reports a gap of 0.
     """
 
     profile: DecisionProfile
@@ -224,6 +223,8 @@ class _CompiledHorizon:
             )
         if horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if not 0.0 < discount <= 1.0:
+            raise ValueError(f"discount out of (0,1]: {discount!r}")
         self.num_actions = nu
         self.discount = discount
         reach, self.p0 = belief.support(kernel)
@@ -383,33 +384,6 @@ def _boundary_mix(r_a, p_a, r_b, p_b, threshold, where=True):
     return lam, lam * r_a + (1.0 - lam) * r_b
 
 
-def _lp_bound(vertex_r: np.ndarray, vertex_p: np.ndarray, threshold: float) -> float:
-    """Largest reward of a vertex mixture whose probability reaches ``threshold``.
-
-    Every product profile is such a mixture (its vertex weights are the
-    products of its stage weights), so this bounds every feasible profile.
-    With one constraint the LP optimum is a feasible vertex or the boundary
-    mix of a feasible and an infeasible vertex, and only vertices on the
-    Pareto front of (probability, reward) can take part: a partner with
-    more of both gives a better mix.  At least one vertex must be feasible.
-    """
-    order = np.lexsort((-vertex_r, -vertex_p))
-    r, p = vertex_r[order], vertex_p[order]
-    front = r > np.maximum.accumulate(np.concatenate(([-np.inf], r[:-1])))
-    r, p = r[front], p[front]
-    # Along the front probability falls and reward rises, so every feasible
-    # member has less reward than every infeasible one.
-    feas = p >= threshold
-    bound = r[feas].max()
-    if not feas.all():
-        _, value = _boundary_mix(
-            r[feas][:, None], p[feas][:, None], r[~feas][None, :], p[~feas][None, :],
-            threshold,
-        )
-        bound = max(bound, value.max())
-    return float(bound)
-
-
 def _nudge(compiled: _CompiledHorizon, stages: np.ndarray, tau: int, row_hi, row_lo,
            lam: float, slope: float, threshold: float) -> tuple[np.ndarray, float, float]:
     """Re-score ``stages`` with stage ``tau`` at ``lam * row_hi + (1 - lam) * row_lo``.
@@ -434,14 +408,14 @@ def _closed_form(
     vertex_p: np.ndarray,
     threshold: float,
     best_feas: int,
-) -> tuple[float, np.ndarray, float, float]:
+) -> tuple[float, float, float, np.ndarray]:
     """Best boundary mix of a feasible and an infeasible vertex differing in one stage.
 
     Stage ``tau`` is one vectorised pass over (prefix, feasible action ``a``,
     infeasible action ``b``, suffix) with ``R_b > R_a``; only those tuples
-    are divided.  Returns the mix's closed-form value, its stages and the
-    stages re-scored by :func:`_nudge`; the caller checks the probability.
-    Without an improving pair the best feasible vertex is the candidate.
+    are divided.  Returns ``(table value, reward, probability, stages)`` of
+    the mix re-scored by :func:`_nudge`, or of the best feasible vertex when
+    no pair improves on it or the re-scored mix falls short of ``threshold``.
     """
     nu = compiled.num_actions
     horizon = len(compiled.steps) + 1
@@ -459,148 +433,135 @@ def _closed_form(
             best_value = float(value[i, a, b, j])
             best_pair = (tau, (i * nu + a) * post + j, (i * nu + b) * post + j)
 
-    if best_pair is None:
-        stages = _vertex(best_feas, horizon, nu)
-        return best_value, stages, *compiled.evaluate(stages)
-    tau, ia, ib = best_pair
-    p_a, p_b = vertex_p[ia], vertex_p[ib]
-    lam, _ = _boundary_mix(vertex_r[ia], p_a, vertex_r[ib], p_b, threshold)
-    stages = _vertex(ia, horizon, nu)
-    row_a, row_b = stages[tau].copy(), _vertex(ib, horizon, nu)[tau]
-    return best_value, *_nudge(compiled, stages, tau, row_a, row_b, lam, p_a - p_b, threshold)
+    if best_pair is not None:
+        tau, ia, ib = best_pair
+        p_a, p_b = vertex_p[ia], vertex_p[ib]
+        lam, _ = _boundary_mix(vertex_r[ia], p_a, vertex_r[ib], p_b, threshold)
+        stages = _vertex(ia, horizon, nu)
+        row_a, row_b = stages[tau].copy(), _vertex(ib, horizon, nu)[tau]
+        stages, reward, prob = _nudge(compiled, stages, tau, row_a, row_b, lam, p_a - p_b,
+                                      threshold)
+        if prob >= threshold:
+            return best_value, reward, prob, stages
+    stages = _vertex(best_feas, horizon, nu)
+    return float(vertex_r[best_feas]), *compiled.evaluate(stages), stages
 
 
-def _divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """``num / den`` where ``den`` is non-zero, NaN elsewhere."""
-    out = np.full(np.broadcast_shapes(np.shape(num), np.shape(den)), np.nan)
-    return np.divide(num, den, out=out, where=den != 0.0)
+def _lp_bounds(r: np.ndarray, p: np.ndarray, threshold: float) -> np.ndarray:
+    """Largest reward of a vertex mixture whose probability reaches ``threshold``, per row.
 
-
-def _pair_mix(r: np.ndarray, p: np.ndarray, threshold: float, floor: float):
-    """Best feasible mix of two free stages over a batch of corner tables.
-
-    ``r[k, i, j]`` and ``p[k, i, j]`` are the reward and probability of
-    base ``k`` with the first free stage at action ``i`` and the second at
-    ``j``.  Mixing actions ``a``/``b`` of the first with weight ``x`` on
-    ``a`` and ``a'``/``b'`` of the second with weight ``y`` on ``a'``
-    makes both bilinear:
-    ``R = R0 + x Ra + y Rb + x y Rab``, likewise ``P``.  The best feasible
-    point is a feasible corner or lies on ``P = threshold``, where
-    ``y = N / D`` with ``N = c - x Pa``, ``D = Pb + x Pab`` and
-    ``c = threshold - P0``: a stationary point of ``R``, a root of
-    ``Ra D^2 + Rab N D - (Rb + x Rab) K = 0`` with ``K = Pa Pb + c Pab``,
-    or an end where the boundary leaves the unit square.  Returns
-    ``(value, k, (a, b, x, dP/dx), (a', b', y, dP/dy))`` of the best
-    candidate by table value if it is worth more than ``floor``, else
-    ``None``.
+    A row (last axis) lists the values of a set of vertices.  Every product
+    profile is such a mixture (its vertex weights are the products of its
+    stage weights), so this bounds every feasible profile that mixes only
+    the row's vertices; a row with no feasible vertex gets ``-inf``.  The
+    LP optimum is a feasible vertex or the boundary mix of a feasible and an
+    infeasible one, both on the Pareto front of (probability, reward).
     """
-    corner = np.where(p >= threshold, r, -np.inf)
-    base, i, j = np.unravel_index(np.argmax(corner), corner.shape)
-    best = None
-    if corner[base, i, j] > floor:
-        floor = corner[base, i, j]
-        best = (floor, base, (i, i, 1.0, 0.0), (j, j, 1.0, 0.0))
-
-    # Corners [x][y] of every (base, action pair of the first free stage,
-    # action pair of the second); x = 1 or y = 1 picks a pair's first action.
-    first, second = np.triu_indices(r.shape[-1], 1)
-    pick = (second, first)
-    cr = [[r[:, pick[x]][:, :, pick[y]] for y in (0, 1)] for x in (0, 1)]
-    cp = [[p[:, pick[x]][:, :, pick[y]] for y in (0, 1)] for x in (0, 1)]
-    # A bilinear function peaks at a corner, so only tuples with a feasible
-    # corner and a corner worth more than ``floor`` can beat it.
-    open_ = np.logical_or.reduce([c >= threshold for row in cp for c in row]) & (
-        np.maximum.reduce([c for row in cr for c in row]) > floor
+    order = np.lexsort((-r, -p), axis=-1)
+    r, p = np.take_along_axis(r, order, -1), np.take_along_axis(p, order, -1)
+    prior_best = np.maximum.accumulate(r, axis=-1)[..., :-1]
+    front = r > np.concatenate((np.full_like(r[..., :1], -np.inf), prior_best), axis=-1)
+    # Each row's front moves to its start; the columns past the longest go.
+    keep = np.argsort(~front, axis=-1, kind="stable")[..., : front.sum(-1).max()]
+    r, p, front = (np.take_along_axis(a, keep, -1) for a in (r, p, front))
+    # Along the front probability falls and reward rises, so every feasible
+    # member has less reward than every infeasible one.
+    feas = front & (p >= threshold)
+    pair = feas[..., :, None] & (front & ~feas)[..., None, :]
+    _, value = _boundary_mix(
+        r[..., :, None], p[..., :, None], r[..., None, :], p[..., None, :], threshold, where=pair,
     )
-    if not open_.any():
-        return best
-    bases, ps, pt = np.nonzero(open_)
-    (r0, r01), (r10, r11) = [[c[open_][:, None] for c in row] for row in cr]
-    (p0, p01), (p10, p11) = [[c[open_][:, None] for c in row] for row in cp]
-    ra, rb, rab = r10 - r0, r01 - r0, r11 - r10 - r01 + r0
-    pa, pb, pab = p10 - p0, p01 - p0, p11 - p10 - p01 + p0
-    c = threshold - p0
-    # The quadratic A x^2 + B x + C has A = Pab M and B = 2 Pb M with
-    # M = Ra Pab - Rab Pa, and discriminant 4 M K (Rb Pab - Rab Pb).  Its
-    # roots are q / A and C / q with q = -(B + sign(B) sqrt(disc)) / 2, so
-    # the root that stays finite as Pab -> 0 suffers no cancellation.
-    m = ra * pab - rab * pa
-    k = pa * pb + c * pab
-    quad_b = 2.0 * pb * m
-    quad_c = ra * pb * pb + rab * c * pb - rb * k
-    disc = 4.0 * m * k * (rb * pab - rab * pb)
-    root = np.sqrt(np.where(disc >= 0.0, disc, np.nan))
-    q = -0.5 * (quad_b + np.where(quad_b >= 0.0, root, -root))
-    x = np.concatenate([
-        _divide(q, pab * m), _divide(quad_c, q), np.zeros_like(c), np.ones_like(c),
-        _divide(c, pa), _divide(c - pb, pa + pab),
-    ], axis=1)
-    y = _divide(c - x * pa, pb + x * pab)
-    y[:, 4], y[:, 5] = 0.0, 1.0
-    inside = (x >= 0.0) & (x <= 1.0) & (y >= 0.0) & (y <= 1.0)
-    value = np.where(inside, r0 + x * ra + y * (rb + x * rab), -np.inf)
-    n, w = np.unravel_index(np.argmax(value), value.shape)
-    if not value[n, w] > floor:
-        return best
-    x, y = x[n, w], y[n, w]
-    return (value[n, w], bases[n], (first[ps[n]], second[ps[n]], x, pa[n, 0] + y * pab[n, 0]),
-            (first[pt[n]], second[pt[n]], y, pb[n, 0] + x * pab[n, 0]))
+    return np.maximum(
+        np.where(feas, r, -np.inf).max(-1), np.where(pair, value, -np.inf).max((-2, -1))
+    )
 
 
-def _pair_sweeps(compiled: _CompiledHorizon, vertex_r: np.ndarray, vertex_p: np.ndarray,
-                 threshold: float, incumbent: tuple, tol: float) -> tuple:
-    """Improve ``(reward, probability, stages)`` with exact two-stage mixes.
+def _branch_and_bound(compiled: _CompiledHorizon, vertex_r: np.ndarray, vertex_p: np.ndarray,
+                      threshold: float, incumbent: tuple, bound: float, tol: float) -> tuple:
+    """Best mix of at most two actions per stage, proved by branch and bound.
 
-    Round 0 solves every stage pair with the other stages at each vertex
-    (the corner tables are the vertex tables with the pair's axes moved
-    last).  Each later round re-solves every pair with the other stages at
-    the incumbent's rows: a profile's value is multilinear in its stages,
-    so those corner tables are contractions of the vertex tables.  A mix
-    replaces the incumbent when its table value beats it by more than
-    ``tol`` and its re-scored reward is higher and feasible.  Sweeping
-    stops after a round with no improvement or after ``SWEEP_ROUNDS``.
+    Each stage's action pair is chosen in turn, pruned by the LP over the
+    vertices a partial choice can reach.  A full choice is a root box of
+    weights on each pair's second action, with its 2^H vertices as corners
+    (stage 0 the most significant bit).  The LP over a box's corners bounds
+    it; its feasible corners and feasible/infeasible edge mixes are exact
+    candidates.  Choices and boxes bounded by the best table value plus
+    ``tol`` are pruned, the other boxes bisected in every stage.
+
+    ``incumbent`` is ``(table value, reward, probability, stages)`` and
+    ``bound`` the LP bound over all vertices.  The best candidate, re-scored
+    by :func:`_nudge`, replaces the incumbent only if its reward is higher
+    by more than ``tol``.  Returns ``(reward, probability, stages, bound)``;
+    ``bound`` is the best table value, or the largest bound left open when
+    the search would pass ``BOX_BUDGET`` choices and boxes.
     """
-    reward, prob, stages = incumbent
+    floor, reward, prob, stages = incumbent
     horizon, nu = stages.shape
-    shape, eye = (nu,) * horizon, np.eye(nu)
+    pairs = np.stack(np.triu_indices(nu, 1), axis=1)
+    rp = np.stack((vertex_r, vertex_p))[:, None]  # (reward or probability, set, vertex)
+    chosen, bound, count = np.zeros((1, 0), dtype=np.int64), np.array([bound]), 0
+    for tau in range(horizon):
+        n = rp.shape[1] * len(pairs)
+        if count + n > BOX_BUDGET:
+            return reward, prob, stages, max(floor, bound.max())
+        count += n
+        rp = rp.reshape(2, -1, 2**tau, nu, nu ** (horizon - 1 - tau))[:, :, :, pairs]
+        rp = rp.swapaxes(2, 3).reshape(2, n, -1)
+        chosen = np.column_stack((chosen.repeat(len(pairs), 0), np.tile(pairs, (len(chosen), 1))))
+        bound = _lp_bounds(*rp, threshold)
+        keep = bound > floor + tol
+        if not keep.any():
+            return reward, prob, stages, floor
+        rp, chosen, bound = rp[:, keep], chosen[keep], bound[keep]
 
-    def tables(values, s, t, rows):
-        table = values.reshape(shape)
-        if rows is None:
-            return np.moveaxis(table, (s, t), (-2, -1)).reshape(-1, nu, nu)
-        for tau in reversed(range(horizon)):
-            if tau not in (s, t):
-                table = np.tensordot(table, rows[tau], axes=([tau], [0]))
-        return table[None]
-
-    for round_ in range(SWEEP_ROUNDS + 1):
-        improved = False
-        for s, t in itertools.combinations(range(horizon), 2):
-            rows = stages if round_ else None
-            mix = _pair_mix(
-                tables(vertex_r, s, t, rows), tables(vertex_p, s, t, rows), threshold,
-                reward + tol,
-            )
-            if mix is None:
-                continue
-            if rows is None:
-                cand = np.zeros((horizon, nu))
-                others = [tau for tau in range(horizon) if tau not in (s, t)]
-                cand[others, list(np.unravel_index(mix[1], (nu,) * len(others)))] = 1.0
-            else:
-                cand = stages.copy()
-            for tau, (a, b, w, _) in zip((s, t), mix[2:]):
-                cand[tau] = w * eye[a] + (1.0 - w) * eye[b]
-            # Nudge the stage whose weight moves the probability most.
-            tau, (a, b, w, slope) = max(zip((s, t), mix[2:]), key=lambda z: abs(z[1][3]))
-            if slope < 0.0:
-                a, b, w, slope = b, a, 1.0 - w, -slope
-            cand, r_c, p_c = _nudge(compiled, cand, tau, eye[a], eye[b], w, slope, threshold)
-            if p_c >= threshold and r_c > reward:
-                reward, prob, stages, improved = r_c, p_c, cand, True
-        if round_ and not improved:
+    # Box edges as (corner at the low end, corner at the high end, stage).
+    corners = np.indices((2,) * horizon).reshape(horizon, -1).T
+    low_end, axis = np.nonzero(corners == 0)
+    high_end = low_end + 2 ** (horizon - 1 - axis)
+    roots, root, width, best = rp, np.arange(len(chosen)), 1.0, None
+    lo = np.zeros((len(chosen), horizon))
+    while True:
+        (r0, p0), (r1, p1) = rp[:, :, low_end], rp[:, :, high_end]
+        f0, f1 = p0 >= threshold, p1 >= threshold
+        s, mix = _boundary_mix(r1, p1, r0, p0, threshold, where=f0 != f1)
+        value = np.stack((np.where(f0, r0, -np.inf), np.where(f1, r1, -np.inf),
+                          np.where(f0 != f1, mix, -np.inf)))
+        kind, i, e = np.unravel_index(np.argmax(value), value.shape)
+        if value[kind, i, e] > floor:
+            floor = float(value[kind, i, e])
+            x = lo[i] + width * corners[low_end[e]]
+            x[axis[e]] += width * (0.0, 1.0, s[i, e])[kind]
+            best = (chosen[root[i]], x, axis[e], (p1[i, e] - p0[i, e]) / width)
+        keep = bound > floor + tol
+        root, lo, bound = root[keep], lo[keep], bound[keep]
+        if not root.size or count + root.size * len(corners) > BOX_BUDGET:
             break
-    return reward, prob, stages
+        count += root.size * len(corners)
+        width /= 2.0
+        lo = (lo[:, None, :] + width * corners).reshape(-1, horizon)
+        root = root.repeat(len(corners))
+        # Values are multilinear in the weights, so a box's corner values
+        # contract its root's corner values stage by stage with the rows of
+        # the box's two ends.
+        rp = roots[:, root]
+        for tau in range(horizon):
+            ends = np.stack((lo[:, tau], lo[:, tau] + width), axis=1)
+            rp = np.einsum("nek,qnakb->qnaeb", np.stack((1.0 - ends, ends), axis=2),
+                           rp.reshape(2, len(root), 2**tau, 2, -1)).reshape(2, len(root), -1)
+        bound = _lp_bounds(*rp, threshold)
+
+    if best is not None:
+        actions, x, tau, slope = best
+        a, b = actions.reshape(-1, 2).T
+        eye = np.eye(nu)
+        rows = (1.0 - x)[:, None] * eye[a] + x[:, None] * eye[b]
+        # The nudge moves weight toward the safer action of stage ``tau``.
+        safer, other, lam = (b, a, x[tau]) if slope >= 0 else (a, b, 1 - x[tau])
+        rows, r_c, p_c = _nudge(compiled, rows, tau, eye[safer[tau]], eye[other[tau]], lam,
+                                abs(slope), threshold)
+        if p_c >= threshold and r_c > reward + tol:
+            reward, prob, stages = r_c, p_c, rows
+    return reward, prob, stages, max(floor, bound.max(initial=-np.inf))
 
 
 def optimize(
@@ -627,14 +588,14 @@ def optimize(
        an infeasible vertex meets the LP bound over vertex mixtures within
        ``GAP_TOL`` of the reward span, so it is optimal; it is returned
        re-scored by the exact evaluator.
-    4. ``sweep``: the best two-stage boundary mix with the other stages at
-       a vertex, improved by pairwise sweeps with the other stages at the
-       incumbent's rows; the best of it, the best feasible vertex and the
-       single-stage mix is returned.
+    4. ``branch-and-bound``: the best mix of at most two actions per stage,
+       proved optimal by a search that starts from the closed-form mix; it
+       is returned re-scored by the exact evaluator.
 
     Every result reports the exact evaluation of its own profile, and
     every feasible one has a probability of at least ``1 - epsilon`` and a
-    ``gap`` to the LP bound.
+    ``gap`` from a proved bound on the optimum, which is 0 unless the
+    search ran out of ``BOX_BUDGET``.
 
     Plans are memoised.  The solver is deterministic and reads nothing but
     its arguments, and a belief is a point mass, so a plan is a function of
@@ -733,31 +694,24 @@ def _solve(
         )
 
     reward_span = float(vertex_r.max() - vertex_r.min())
-    bound = _lp_bound(vertex_r, vertex_p, threshold)
+    bound = float(_lp_bounds(vertex_r, vertex_p, threshold))
     tol = GAP_TOL * reward_span
 
-    cf_value, cf_stages, cf_r, cf_p = _closed_form(
-        compiled, vertex_r, vertex_p, threshold, best_feas
-    )
-    closed = cf_p >= threshold and bound - cf_value <= tol
+    incumbent = _closed_form(compiled, vertex_r, vertex_p, threshold, best_feas)
+    # The root prune: the incumbent meets the LP bound over all vertices.
+    closed = bound - incumbent[0] <= tol
     if closed:
-        r_fin, p_fin, stages_fin = cf_r, cf_p, cf_stages
+        r_fin, p_fin, stages_fin = incumbent[1:]
     else:
-        # Every candidate is re-scored.  The single-stage mix replaces the
-        # best feasible vertex only when strictly better, and so does every
-        # mix of the sweeps.
-        incumbent = (*compiled.evaluate(best_stages), best_stages)
-        if cf_p >= threshold and cf_r > incumbent[0]:
-            incumbent = (cf_r, cf_p, cf_stages)
-        r_fin, p_fin, stages_fin = _pair_sweeps(
-            compiled, vertex_r, vertex_p, threshold, incumbent, tol
+        r_fin, p_fin, stages_fin, bound = _branch_and_bound(
+            compiled, vertex_r, vertex_p, threshold, incumbent, bound, tol
         )
     return PlanResult(
         profile=DecisionProfile(stages_fin),
         expected_reward=float(r_fin),
         constraint_probability=float(p_fin),
         feasible=True,
-        path="closed-form" if closed else "sweep",
+        path="closed-form" if closed else "branch-and-bound",
         gap=bound - r_fin if bound - r_fin > tol else 0.0,
     )
 
@@ -812,9 +766,15 @@ def maximin_plan(
     ------
     NoRobustPlanError
         If every ego sequence can be forced to violate the safe set.
+    ValueError
+        If ``state`` is out of range, ``horizon < 1`` or ``discount`` is not in (0, 1].
     """
     horizon = spec.horizon if horizon is None else horizon
     discount = spec.discount if discount is None else discount
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not 0.0 < discount <= 1.0:
+        raise ValueError(f"discount out of (0,1]: {discount!r}")
     if not 0 <= state < spec.num_states:
         raise ValueError(f"state {state} out of range")
     table = spec.transition_table

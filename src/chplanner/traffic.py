@@ -68,6 +68,13 @@ CONFIG_SCHEMA_VERSION = 1
 # is safe, after it only the left lane.
 MERGE_SECTION = (20.0, 100.0)
 
+# The largest joint state count, open-loop ego action sequences (|U1|^horizon)
+# and reasoning level a config may ask for; the packaged configs have at most
+# 234 k states, 729 sequences and level 2.
+MAX_STATES = 1_000_000
+MAX_EGO_SEQUENCES = 10_000
+MAX_LEVEL = 10
+
 @dataclass(frozen=True, slots=True)
 class VehicleState:
     """Travel-frame kinematic state: longitudinal position, lane center, speed."""
@@ -129,21 +136,25 @@ class VehicleGrid:
     lane_centers: tuple[float, ...]
     heading: str  # "east" or "north"
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """Numbers of positions, speeds and lanes, counted without building an axis."""
+        return (round((self.pos_max - self.pos_min) / self.pos_step) + 1,
+                round(self.v_max / self.v_step) + 1, len(self.lane_centers))
+
     # The axes are computed once per grid: decoding a state reads them
     # several times, and the closed loop decodes every step.
     @cached_property
     def positions(self) -> np.ndarray:
-        n = int(round((self.pos_max - self.pos_min) / self.pos_step)) + 1
-        return self.pos_min + self.pos_step * np.arange(n)
+        return self.pos_min + self.pos_step * np.arange(self.shape[0])
 
     @cached_property
     def speeds(self) -> np.ndarray:
-        n = int(round(self.v_max / self.v_step)) + 1
-        return self.v_step * np.arange(n)
+        return self.v_step * np.arange(self.shape[1])
 
     @cached_property
     def num_cells(self) -> int:
-        return self.positions.size * self.speeds.size * len(self.lane_centers)
+        return math.prod(self.shape)
 
     @property
     def done_code(self) -> int:
@@ -204,6 +215,9 @@ class ScenarioConfig:
     raises ``ValueError`` naming the field, so a config built from YAML, by
     ``dataclasses.replace`` or directly is checked exactly once.  Every
     float, on its own or in a tuple, must be finite; that is checked first.
+    The sizes the planning stack enumerates are bounded by ``MAX_STATES``,
+    ``MAX_EGO_SEQUENCES`` and ``MAX_LEVEL``, checked by arithmetic before
+    anything scaling with them is allocated.
     """
 
     name: str
@@ -292,8 +306,24 @@ class ScenarioConfig:
                 raise ValueError(
                     f"{who}_pos_min..{who}_pos_max must span a whole number of grid steps"
                 )
+        self._check_size()
         self._check_grid_closure()
         self._check_starts()
+
+    def _check_size(self) -> None:
+        """Sizes by arithmetic, before a check or a build allocates arrays of them."""
+        ego, human = _grids(self)
+        if ego.num_codes * human.num_codes > MAX_STATES:
+            raise ValueError(f"{ego.num_codes} ego x {human.num_codes} human cells exceed "
+                             f"{MAX_STATES} states; narrow ego_pos_min..ego_pos_max or human_pos_"
+                             "min..human_pos_max, lower a v_max, or coarsen pos_step or v_step")
+        nu = len(_actions(self, self.ego_lane_change))
+        # With nu >= 2 the bound is passed within bit_length() stages.
+        if nu ** min(self.horizon, MAX_EGO_SEQUENCES.bit_length()) > MAX_EGO_SEQUENCES:
+            raise ValueError(f"horizon {self.horizon} gives {nu}^{self.horizon} ego action "
+                             f"sequences, over {MAX_EGO_SEQUENCES}; lower horizon or accel_set")
+        if self.k_max > MAX_LEVEL:
+            raise ValueError(f"levels reach {self.k_max}, more than MAX_LEVEL = {MAX_LEVEL}")
 
     def _check_grid_closure(self) -> None:
         """Every (speed, acceleration) pair must land back on the grids."""

@@ -219,6 +219,55 @@ def two_stage_grid_oracle(
     return best
 
 
+def pair_grid_oracle(
+    spec: GameSpec,
+    env_policies: dict[int, PolicyTable],
+    level_prior,
+    start_state: int,
+    horizon: int,
+    safe_set,
+    reward_of,
+    discount: float,
+    threshold: float,
+    grid: int = 11,
+) -> float:
+    """Best reward of a feasible two-action mix at every stage, found on a lattice.
+
+    Scores every vertex with :func:`profile_value_oracle`.  Then, for every
+    choice of an action pair ``(a, b)`` per stage, it evaluates the profile
+    at each point of a ``grid^H`` lattice of weights (one per stage, on
+    ``b``) as the weighted sum of its 2^H corner vertices, and keeps the
+    points whose probability reaches ``threshold``.  This generalises
+    :func:`two_stage_grid_oracle` from two free stages to all of them.
+    Returns ``-inf`` when no point does.
+    """
+    nu = spec.num_ego_actions
+    values = {
+        actions: profile_value_oracle(
+            spec, env_policies, level_prior, start_state,
+            np.eye(nu)[list(actions)], safe_set, reward_of, discount,
+        )
+        for actions in itertools.product(range(nu), repeat=horizon)
+    }
+    # The lattice of stage tau's weight varies along axis tau.
+    w = [np.linspace(0.0, 1.0, grid).reshape([-1 if k == tau else 1 for k in range(horizon)])
+         for tau in range(horizon)]
+    best = -np.inf
+    for choice in itertools.product(itertools.combinations(range(nu), 2), repeat=horizon):
+        r = p = 0.0
+        for bits in itertools.product((0, 1), repeat=horizon):
+            weight = 1.0
+            for tau, bit in enumerate(bits):
+                weight = weight * (w[tau] if bit else 1.0 - w[tau])
+            r_c, p_c = values[tuple(pair[bit] for pair, bit in zip(choice, bits))]
+            r = r + weight * r_c
+            p = p + weight * p_c
+        feasible = p >= threshold
+        if feasible.any():
+            best = max(best, float(r[feasible].max()))
+    return best
+
+
 def dense_kernel_matrix(kernel, u1: int) -> np.ndarray:
     """Dense ``P[target, source]`` transition matrix for one ego action."""
     n = kernel.num_augmented

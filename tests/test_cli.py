@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 import yaml
 from importlib import resources
 
-from chplanner.cli import main, run_episode, write_episode_csv
+from chplanner.cli import build_artifacts, main, run_episode, write_episode_csv
 from chplanner.hierarchy import load_hierarchy
+from chplanner.traffic import default_config
 
 
 def _write_config(tmp_path, name="intersection", mutate=None):
@@ -44,6 +46,28 @@ def test_build_recovers_from_truncated_cache(tmp_path, cache_dir, capsys):
     assert main(["build", "--config", "intersection", "--cache-dir", str(own_cache)]) == 0
     assert capsys.readouterr().out.strip() == content_hash
     assert [p.name for p in own_cache.iterdir()] == [name]
+    assert load_hierarchy(own_cache / name)[1] == content_hash
+
+
+def test_build_rebuilds_a_cache_holding_a_nan(tmp_path, cache_dir):
+    # A cache whose env_1 was re-saved with a NaN, meta and zip intact, fails
+    # the PolicyTable contract, so it is a miss: rebuilt, same content hash.
+    config = default_config("intersection")
+    _, hierarchy, content_hash = build_artifacts(config, cache_dir)
+    name = f"hierarchy-{content_hash[:16]}.npz"
+    with np.load(cache_dir / name) as data:
+        arrays = dict(data)
+    arrays["env_1"][0, 0] = np.nan
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    np.savez(own_cache / name, **arrays)
+    with pytest.raises(ValueError, match="row 0 is not a distribution"):
+        load_hierarchy(own_cache / name)
+
+    _, rebuilt, again = build_artifacts(config, own_cache)
+    assert again == content_hash
+    for a, b in zip(rebuilt.env_policies, hierarchy.env_policies):
+        assert np.array_equal(a.probs, b.probs)
     assert load_hierarchy(own_cache / name)[1] == content_hash
 
 
@@ -87,12 +111,14 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
         (lambda t: t["inference"].__setitem__("prior", [float("nan")] * 2),
          "level_prior must be finite"),
         (lambda t: t["kinematics"].__setitem__("dt", float("nan")), "dt must be finite"),
+        (lambda t: t["planning"].__setitem__("horizon", 9), "horizon 9 gives 3^9"),
     ],
     ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels",
          "quoted-ego-flag", "string-human-flag", "integer-softmax-flag",
          "zero-temperature", "nan-temperature", "infinite-penalty", "negative-car-length",
          "infinite-lane-width", "boolean-horizon", "fractional-step-cap",
-         "boolean-epsilon", "negative-seed", "infinite-v-max", "nan-prior", "nan-dt"],
+         "boolean-epsilon", "negative-seed", "infinite-v-max", "nan-prior", "nan-dt",
+         "oversized-horizon"],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     if mutate is None:
@@ -105,7 +131,7 @@ def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     code = main(["build", "--config", str(config), "--cache-dir", str(own_cache)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "config error:" in err and fragment in err
+    assert "config error:" in err and fragment in err and "Traceback" not in err
     assert list(own_cache.glob("hierarchy-*.npz")) == []
 
 

@@ -177,5 +177,10 @@ def test_policy_table_validates_rows():
         PolicyTable(0, ENV, np.array([[1.2, -0.2]]))
     with pytest.raises(ValueError):
         PolicyTable(-1, EGO, np.array([[1.0]]))
+    # NaN fails every comparison, so the range and sum checks must not miss it.
+    with pytest.raises(ValueError, match="row 0 is not a distribution"):
+        PolicyTable(level=0, player=ENV, probs=[[np.nan, np.nan]])
+    with pytest.raises(ValueError, match="row 1 is not a distribution"):
+        PolicyTable(level=0, player=ENV, probs=[[0.5, 0.5], [np.inf, 0.0]])
     table = PolicyTable(0, EGO, np.array([[0.25, 0.75]]))
     assert table.num_states == 1 and table.num_actions == 2

@@ -25,11 +25,12 @@ from chplanner.planner import (
 )
 from chplanner import planner
 from chplanner.cli import run_episode, scenario_planner
-from chplanner.planner import _CompiledHorizon, _closed_form, _pair_mix, _solve
+from chplanner.planner import _CompiledHorizon, _branch_and_bound, _closed_form, _solve
 
 from conftest import make_spec
 from oracles import (
-    lp_bound_oracle, profile_value_oracle, random_game, random_policy, two_stage_grid_oracle,
+    lp_bound_oracle, pair_grid_oracle, profile_value_oracle, random_game, random_policy,
+    two_stage_grid_oracle,
 )
 
 
@@ -54,6 +55,11 @@ def test_decision_profile_validation():
         DecisionProfile(np.array([[0.5, 0.6]]))
     with pytest.raises(ValueError):
         DecisionProfile(np.array([0.5, 0.5]))
+    # NaN fails every comparison, so the range and sum checks must not miss it.
+    with pytest.raises(ValueError, match="stage 0 is not a distribution"):
+        DecisionProfile([[np.nan, 1.0]])
+    with pytest.raises(ValueError, match="stage 1 is not a distribution"):
+        DecisionProfile([[1.0, 0.0], [np.inf, 0.0]])
     p = DecisionProfile.uniform(3, 4)
     assert p.horizon == 3 and p.num_actions == 4
     d = DecisionProfile.deterministic([2, 0], 3)
@@ -332,8 +338,9 @@ def _gap_test_draw(rng, horizon=None):
 
 def test_optimize_gap_is_bound_minus_value():
     # On random instances: every plan reports the exact evaluation of its
-    # own profile, the gap is never negative, no plan beats the brute-force
-    # LP bound, and reward plus gap is that bound.
+    # own profile, and every feasible plan is proved optimal (gap 0): no
+    # plan beats the brute-force LP bound, and none is beaten by a feasible
+    # point of a lattice over two-action mixes at every stage.
     rng = np.random.default_rng(41)
     paths = set()
     for _ in range(200):
@@ -346,33 +353,33 @@ def test_optimize_gap_is_bound_minus_value():
         assert (result.expected_reward, result.constraint_probability) == compiled.evaluate(
             result.profile.stages
         ), result.path
-        assert result.gap >= 0.0 and result.iterations == 0
+        assert result.gap == 0.0 and result.iterations == 0
         if not result.feasible:
-            assert result.path == "infeasible" and result.gap == 0.0
+            assert result.path == "infeasible"
             continue
         assert result.constraint_probability >= 1.0 - epsilon
-        start = belief.state
-        bound = lp_bound_oracle(
-            spec, policies, prior, start, spec.horizon, safe,
+        oracle_args = (
+            spec, policies, prior, belief.state, spec.horizon, safe,
             lambda s: r1[s], spec.discount, 1.0 - epsilon,
         )
-        assert result.expected_reward <= bound + 1e-10
-        assert result.expected_reward + result.gap == pytest.approx(bound, abs=1e-10)
-        if result.path == "sweep":
-            # The closed-form mix is among the sweep path's candidates.
+        assert result.expected_reward <= lp_bound_oracle(*oracle_args) + 1e-10
+        assert result.expected_reward >= pair_grid_oracle(*oracle_args) - 1e-10
+        if result.path == "branch-and-bound":
+            # The closed-form mix (or the best feasible vertex) is the
+            # search's first incumbent.
             vertex_r, vertex_p = compiled.vertex_values()
             feasible = np.flatnonzero(vertex_p >= 1.0 - epsilon)
             best_feas = int(feasible[np.argmax(vertex_r[feasible])])
-            *_, cf_r, cf_p = _closed_form(compiled, vertex_r, vertex_p, 1.0 - epsilon, best_feas)
-            if cf_p >= 1.0 - epsilon:
-                assert result.expected_reward >= cf_r
-    assert paths == {"infeasible", "unconstrained", "closed-form", "sweep"}
+            _, cf_r, cf_p, _ = _closed_form(compiled, vertex_r, vertex_p, 1.0 - epsilon, best_feas)
+            assert cf_p >= 1.0 - epsilon and result.expected_reward >= cf_r
+    assert paths == {"infeasible", "unconstrained", "closed-form", "branch-and-bound"}
 
 
 @pytest.mark.parametrize("horizon", [2, 3])
 def test_sweep_plans_beat_the_two_stage_grid_oracle(horizon):
-    # Every sweep plan is at least as good as the best feasible point of a
-    # 101 x 101 lattice over every two-stage mix, and stays feasible.
+    # Every branch-and-bound plan is proved optimal, at least as good as
+    # the best feasible point of a 101 x 101 lattice over every two-stage
+    # mix, and feasible.
     rng = np.random.default_rng(50 + horizon)
     seen = 0
     while seen < 6:
@@ -380,56 +387,96 @@ def test_sweep_plans_beat_the_two_stage_grid_oracle(horizon):
             rng, horizon
         )
         result = optimize(kernel, r1, safe, belief, epsilon, spec.discount, horizon)
-        if result.path != "sweep":
+        if result.path != "branch-and-bound":
             continue
         seen += 1
         best = two_stage_grid_oracle(
             spec, policies, prior, belief.state, horizon, safe,
             lambda s: r1[s], spec.discount, 1.0 - epsilon,
         )
+        assert result.gap == 0.0
         assert result.expected_reward >= best - 1e-10
         assert constraint_probability(kernel, safe, belief, result.profile) >= 1.0 - epsilon
+
+
+class _TableHorizon:
+    """A two-stage horizon given by its vertex tables, for the search alone."""
+
+    def __init__(self, r, p):
+        self.r, self.p, self.num_actions = r, p, r.shape[0]
+
+    def evaluate(self, stages):
+        return stages[0] @ self.r @ stages[1], stages[0] @ self.p @ stages[1]
 
 
 @pytest.mark.parametrize("transpose", [False, True])
 def test_pair_mix_finds_the_boundary_end_on_either_stage(transpose):
     # Only the first stage's action moves the probability (0.5 or 1.0) and
     # only its safe action 0 costs reward, so the boundary P = 0.8 is the
-    # line x = 0.6 and the best point is its end where the second stage
-    # takes its better action 0: R = 1 - 0.6 = 0.4.  Transposed, the stages
-    # swap roles.
+    # line where that stage puts 0.6 on action 0, and the best point is its
+    # end where the second stage takes its better action 0: R = 0.4, which
+    # is the LP bound.  Transposed, the stages swap roles.  The search
+    # starts from the best feasible vertex, worth 0.
     r = np.array([[0.0, -1.0], [1.0, 0.0]])
     p = np.array([[1.0, 1.0], [0.5, 0.5]])
     if transpose:
         r, p = r.T, p.T
-    value, base, (a, b, x, _), (c, d, y, _) = _pair_mix(r[None], p[None], 0.8, -np.inf)
-    assert value == pytest.approx(0.4, abs=1e-12) and base == 0
-    safe, free = ((a, b, x), (c, d, y)) if not transpose else ((c, d, y), (a, b, x))
-    assert (safe[0], safe[1]) == (0, 1) and safe[2] == pytest.approx(0.6, abs=1e-12)
-    free_row = np.zeros(2)
-    np.add.at(free_row, [free[0], free[1]], [free[2], 1.0 - free[2]])
-    assert free_row[0] == 1.0
+    reward, prob, stages, bound = _branch_and_bound(
+        _TableHorizon(r, p), r.ravel(), p.ravel(), 0.8, (0.0, 0.0, 1.0, np.eye(2)[[0, 0]]),
+        0.4, 1e-12,
+    )
+    assert reward == pytest.approx(0.4, abs=1e-12) and bound == pytest.approx(0.4, abs=1e-12)
+    assert prob >= 0.8
+    safe, free = stages[::-1] if transpose else stages
+    assert safe == pytest.approx([0.6, 0.4], abs=1e-12)
+    assert np.array_equal(free, [1.0, 0.0])
+
+
+def _pinned_draw(seed, draw):
+    rng = np.random.default_rng(seed)
+    for _ in range(draw + 1):
+        (spec, _, r1, safe, policies, kernel, prior, belief, _), epsilon = _gap_test_draw(rng)
+    return spec, r1, safe, policies, kernel, prior, belief, epsilon
 
 
 @pytest.mark.parametrize("seed, draw, parent_reward", [
-    # Two-stage mixes over vertex bases miss this three-stage mix; the
-    # sweeps find it.
+    # Two-stage mixes over vertex bases miss this three-stage mix.
     (7, 1076, -0.2640315923967308),
-    # Here Pab is about 1e-8, so the textbook root formula loses 0.23 %.
+    # Here one mixed corner term is about 1e-8, where the textbook root
+    # formula of a bilinear boundary lost 0.23 %.
     (11, 5508, 0.3838398847844077),
-    # The best pair mix re-scores a float below 1 - epsilon; without the
-    # nudge it is dropped and the plan falls to 1.618.
+    # The best mix re-scores a float below 1 - epsilon; without the nudge
+    # it is dropped and the plan falls to 1.618.
     (7, 654, 1.7098921772576055),
 ])
 def test_sweep_beats_pinned_ascent_plans(seed, draw, parent_reward):
-    # The reward the projected-gradient ascent used to reach on these draws.
-    rng = np.random.default_rng(seed)
-    for _ in range(draw + 1):
-        (spec, _, r1, safe, _, kernel, _, belief, _), epsilon = _gap_test_draw(rng)
+    # The reward the projected-gradient ascent used to reach on these draws;
+    # the branch-and-bound plan beats it and is proved optimal.
+    spec, r1, safe, _, kernel, _, belief, epsilon = _pinned_draw(seed, draw)
     result = optimize(kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon)
-    assert result.path == "sweep" and result.feasible
+    assert result.path == "branch-and-bound" and result.feasible
+    assert result.gap == 0.0
     assert result.expected_reward >= parent_reward
     assert result.constraint_probability >= 1.0 - epsilon
+
+
+def test_box_budget_stops_the_search_with_a_valid_bound(monkeypatch):
+    # A search cut short by the box budget reports a positive gap, and
+    # reward plus gap still bounds the optimum the full search proves,
+    # within the brute-force LP bound.
+    spec, r1, safe, policies, kernel, prior, belief, epsilon = _pinned_draw(7, 1076)
+    args = (kernel, r1, safe, belief, epsilon, spec.discount, spec.horizon)
+    optimum = _solve(*args).expected_reward
+    monkeypatch.setattr(planner, "BOX_BUDGET", 60)
+    result = _solve(*args)
+    assert result.path == "branch-and-bound" and result.feasible and result.gap > 0.0
+    assert result.constraint_probability >= 1.0 - epsilon
+    assert result.expected_reward <= optimum
+    assert result.expected_reward + result.gap >= optimum - 1e-10
+    assert result.expected_reward + result.gap <= lp_bound_oracle(
+        spec, policies, prior, belief.state, spec.horizon, safe,
+        lambda s: r1[s], spec.discount, 1.0 - epsilon,
+    ) + 1e-10
 
 
 def test_optimize_is_deterministic():
@@ -468,6 +515,14 @@ def test_optimize_rejects_bad_epsilon():
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
     with pytest.raises(ValueError):
         optimize(kernel, r1, safe, belief, 1.5, spec.discount, 2)
+
+
+@pytest.mark.parametrize("discount", [float("nan"), 0.0, -1.0, 2.0])
+def test_optimize_rejects_bad_discount(discount):
+    rng = np.random.default_rng(10)
+    spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(rng, horizon=2)
+    with pytest.raises(ValueError, match="discount"):
+        optimize(kernel, r1, safe, belief, 0.1, discount, 2)
 
 
 def test_optimize_rejects_empty_horizon():
@@ -719,6 +774,18 @@ def test_maximin_raises_when_everything_violates():
     spec = make_spec(table, [0.0, 0.0], [0.0, 0.0], [True, False], horizon=2)
     with pytest.raises(NoRobustPlanError):
         maximin_plan(spec, 0)
+
+
+@pytest.mark.parametrize("kwargs, fragment", [
+    ({"horizon": 0}, "horizon must be >= 1"), ({"horizon": -1}, "horizon must be >= 1"),
+    ({"discount": float("nan")}, "discount"), ({"discount": 0.0}, "discount"),
+    ({"discount": 1.5}, "discount"),
+])
+def test_maximin_rejects_bad_horizon_and_discount(kwargs, fragment):
+    table = np.array([[[1], [1]], [[1], [1]]])
+    spec = make_spec(table, [0.0, 1.0], [0.0, 0.0], [True, True], horizon=2)
+    with pytest.raises(ValueError, match=fragment):
+        maximin_plan(spec, 0, **kwargs)
 
 
 @given(arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=8),

@@ -338,6 +338,9 @@ def test_config_rejects_unknown_schema_version():
         ("human_pos_min", float("-inf")), ("level_prior", (float("nan"), float("nan"))),
         ("dt", float("nan")), ("dt", float("inf")), ("accel_set", (0.0, float("nan"))),
         ("ego_start", (float("nan"), 8.0, 0)), ("epsilon", float("nan")),
+        # Oversized problems, caught by arithmetic before anything is built:
+        # 9^8 ego action sequences, level 40 and about ten times MAX_STATES.
+        ("horizon", 8), ("levels", (1, 40)), ("ego_pos_max", 10_000.0),
     ],
 )
 def test_config_checks_itself_at_construction(field, bad):
