@@ -90,28 +90,70 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     return PolicyTable(level=q.level, player=q.player, probs=probs)
 
 
+def _column_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``terms.sum(axis=0)``, bit for bit equal to ``terms.T.sum(axis=1)``.
+
+    numpy adds the n entries of one contiguous row left to right below 8
+    entries; from 8 entries it keeps eight strided accumulators, adds them
+    pairwise and then the remainder, halving rows longer than 128 first.
+    Summing whole columns in that order keeps every Q value equal to the
+    row sum it was defined by, while each addition is one contiguous
+    vector add.  (``tests/test_hierarchy.py`` pins the equality, so a numpy
+    release that changes its row order fails there.)
+    """
+    n = terms.shape[0]
+    if n < 8:
+        return terms.sum(axis=0, out=out)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return np.add(_column_sum(terms[:half]), _column_sum(terms[half:]), out=out)
+    m = n - n % 8
+    acc = terms[:m].reshape(m // 8, 8, -1).sum(axis=0)
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    res = np.add(acc[0], acc[1], out=out)
+    for row in terms[m:]:
+        res += row
+    return res
+
+
 def _suffix_values(
-    succ: np.ndarray, opp_probs: np.ndarray, rewards: np.ndarray,
-    discount: float, depth: int,
+    succ: np.ndarray, succ_rewards: np.ndarray, opp_cols: np.ndarray,
+    discount: float, depth: int, terms: np.ndarray,
 ) -> Iterator[np.ndarray]:
     """Yield one expected-value vector per own-action suffix of ``depth`` steps.
 
     For a suffix ``(a_1, ..., a_d)`` the yielded vector holds, per start
     state, the expected value of ``sum_j discount^(j-1) R(x_j)`` when the
-    player executes the suffix and the opponent draws from ``opp_probs`` at
+    player executes the suffix and the opponent draws from its policy at
     each visited state independently.  Shared suffix tails are evaluated
     once (depth-first enumeration), keeping the cost at
     ``sum_d |U_own|^d`` vectorized backups.  The first action ``a_1`` varies
     fastest: the i-th vector belongs to a suffix starting with ``i % |U_own|``.
+
+    The tables are opponent-major: ``succ[u, o]`` is every state's successor
+    under own action ``u`` and opponent action ``o``, ``succ_rewards[u, o]``
+    its reward and ``opp_cols[o]`` the opponent's probability of ``o``.  A
+    backup gathers one contiguous row per opponent action into the scratch
+    ``terms`` and sums the rows with :func:`_column_sum`.  Each depth yields
+    the same buffer, overwritten by its next backup.
     """
+    nx = opp_cols.shape[1]
     if depth == 0:
-        yield np.zeros(succ.shape[0])
+        yield np.zeros(nx)
         return
-    n_own = succ.shape[1]
-    for tail in _suffix_values(succ, opp_probs, rewards, discount, depth - 1):
-        for u in range(n_own):
-            nxt = succ[:, u, :]
-            yield (opp_probs * (rewards[nxt] + discount * tail[nxt])).sum(axis=1)
+    scaled = np.empty(nx)
+    out = np.empty(nx)
+    for tail in _suffix_values(succ, succ_rewards, opp_cols, discount, depth - 1, terms):
+        np.multiply(discount, tail, out=scaled)
+        for nxt, rewards in zip(succ, succ_rewards):
+            # terms[o] = P[o] * (R[nxt[o]] + discount * tail[nxt[o]]).  Mode
+            # "clip" writes straight into ``terms`` ("raise" would buffer it);
+            # GameSpec keeps every successor in range.
+            np.take(scaled, nxt, out=terms, mode="clip")
+            terms += rewards
+            terms *= opp_cols
+            yield _column_sum(terms, out)
 
 
 def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTable:
@@ -123,6 +165,12 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     sampling independently per visited state from ``opponent_policy`` and
     states evolving through the game transition.  The expectation enumerates
     all opponent branches; nothing is sampled.
+
+    The successor and reward tables are laid out opponent-major once per
+    call, so each backup is ``n_opp`` contiguous gathers summed column by
+    column in numpy's own row-sum order: the values are bit-identical to
+    ``(P * (R[nxt] + discount * tail[nxt])).sum(axis=1)`` over
+    ``(states, n_opp)`` rows.
     """
     if player not in (EGO, ENV):
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
@@ -135,14 +183,16 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
             f"opponent policy shape {opponent_policy.probs.shape} does not match "
             f"({spec.num_states}, {n_opp})"
         )
-    # Successor table with the player's own action on axis 1.
-    succ = spec.transition_table
-    if player == ENV:
-        succ = succ.transpose(0, 2, 1)
-    rewards = spec.rewards(player)
-    opp_probs = opponent_policy.probs
+    # (own action, opponent action, state) successor table.
+    axes = (1, 2, 0) if player == EGO else (2, 1, 0)
+    succ = np.ascontiguousarray(spec.transition_table.transpose(axes), dtype=np.intp)
+    succ_rewards = spec.rewards(player)[succ]
+    opp_cols = np.ascontiguousarray(opponent_policy.probs.T)
+    terms = np.empty(opp_cols.shape)
     values = np.full((spec.num_states, n_own), -np.inf)
-    suffixes = _suffix_values(succ, opp_probs, rewards, spec.discount, spec.horizon)
+    suffixes = _suffix_values(
+        succ, succ_rewards, opp_cols, spec.discount, spec.horizon, terms
+    )
     for i, v in enumerate(suffixes):
         np.maximum(values[:, i % n_own], v, out=values[:, i % n_own])
     return QTable(level=opponent_policy.level + 1, player=player, values=values)

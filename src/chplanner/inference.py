@@ -147,25 +147,25 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
 
     ``P((x', k) | (x, k), u1)`` sums the policy mass of every env action
     ``u2`` with ``T(x, u1, u2) = x'``; transitions across levels have zero
-    probability and are not stored.
+    probability and are not stored.  A row lists its targets ascending, the
+    mass of env actions that reach the same target summed in env-action
+    order; env actions without mass add no entry.
 
-    The rows are built a block of consecutive states at a time, each block
-    at most ``KERNEL_BLOCK_ENTRIES`` ``(state, u1, u2)`` entries, so the
-    sort and merge temporaries stay a constant size however large the
-    game.  Blocks ascend in row order and a row never spans two blocks, so
-    the result does not depend on the block size.
+    Two passes run over blocks of consecutive states, each block at most
+    ``KERNEL_BLOCK_ENTRIES`` ``(state, u1, u2)`` entries.  The first counts
+    every row's successors without sorting, so ``indptr`` is final and the
+    target and probability arrays are allocated once, at their final size.
+    The second sorts each block's rows by target once, for all levels, and
+    writes every level's merged rows in place.  The build's temporaries
+    stay a constant size however large the game, and the result does not
+    depend on the block size.
     """
     if not env_policies:
         raise ValueError("env_policies must contain at least one level")
     levels = tuple(sorted(env_policies))
-    nx = spec.num_states
-    nu1 = spec.num_ego_actions
-    nu2 = spec.num_env_actions
-    block = max(1, KERNEL_BLOCK_ENTRIES // (nu1 * nu2))
-    counts = np.empty(nx * len(levels) * nu1, dtype=np.int64)
-    tgt_chunks: list[np.ndarray] = []
-    prob_chunks: list[np.ndarray] = []
-    for li, level in enumerate(levels):
+    table = spec.transition_table
+    nx, nu1, nu2 = table.shape
+    for level in levels:
         policy = env_policies[level]
         if policy.player != ENV:
             raise ValueError(f"policy for level {level} belongs to player {policy.player}")
@@ -174,64 +174,71 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
                 f"policy for level {level} has shape {policy.probs.shape}, "
                 f"expected ({nx}, {nu2})"
             )
-        for lo in range(0, nx, block):
-            hi = min(lo + block, nx)
-            block_counts, targets, probs = _merged_block(
-                spec.transition_table[lo:hi], policy.probs[lo:hi], li * nx
-            )
-            first_row = (li * nx + lo) * nu1
-            counts[first_row:first_row + block_counts.size] = block_counts
-            tgt_chunks.append(targets)
-            prob_chunks.append(probs)
+    policies = [env_policies[level].probs for level in levels]
+    block = max(1, KERNEL_BLOCK_ENTRIES // (nu1 * nu2))
+    blocks = [(lo, min(lo + block, nx)) for lo in range(0, nx, block)]
 
-    indptr = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    kernel = AugmentedKernel(
+    indptr = np.zeros(len(levels) * nx * nu1 + 1, dtype=np.int64)
+    counts = indptr[1:].reshape(len(levels), nx, nu1)
+    for lo, hi in blocks:
+        for li, policy in enumerate(policies):
+            _count_successors(table[lo:hi], policy[lo:hi] > 0.0, counts[li, lo:hi])
+    if not counts.all():
+        raise ValueError("kernel has empty rows; env policies assign no mass somewhere")
+    np.cumsum(indptr, out=indptr)
+
+    targets = np.empty(indptr[-1], dtype=np.int64)
+    probs = np.empty(indptr[-1])
+    for lo, hi in blocks:
+        rows = (hi - lo) * nu1
+        block_table = table[lo:hi].reshape(rows, nu2)
+        order = np.argsort(block_table, axis=1, kind="stable")
+        sorted_targets = np.take_along_axis(block_table, order, axis=1).ravel()
+        new_group = np.empty(sorted_targets.size, dtype=bool)
+        new_group[1:] = sorted_targets[1:] != sorted_targets[:-1]
+        new_group[::nu2] = True
+        group = np.cumsum(new_group)
+        # Entry (row, j) draws the mass of env action order[row, j] in row // nu1's state.
+        mass_index = (order + (np.arange(rows) // nu1 * nu2)[:, None]).ravel()
+        for li, policy in enumerate(policies):
+            mass = policy[lo:hi].ravel()[mass_index]
+            # Drop the massless entries before merging: numpy's reduceat adds
+            # a group's first entry to the sum of the rest, so a leading zero
+            # would change the summation order.
+            kept = np.flatnonzero(mass > 0.0)
+            first = np.diff(group[kept], prepend=0) != 0
+            heads = kept[first]
+            block_probs = np.add.reduceat(mass[kept], np.flatnonzero(first))
+            start, stop = indptr[(li * nx + lo) * nu1], indptr[(li * nx + hi) * nu1]
+            np.add(sorted_targets[heads], li * nx, out=targets[start:stop])
+            probs[start:stop] = block_probs
+            rowsums = np.bincount(heads // nu2, weights=block_probs, minlength=rows)
+            if np.abs(rowsums - 1.0).max() > ROW_SUM_TOL:
+                raise ValueError("kernel rows do not sum to 1; env policies are inconsistent")
+    return AugmentedKernel(
         num_states=nx,
         num_ego_actions=nu1,
         levels=levels,
         indptr=indptr,
-        targets=np.concatenate(tgt_chunks),
-        probs=np.concatenate(prob_chunks),
+        targets=targets,
+        probs=probs,
     )
-    del tgt_chunks, prob_chunks  # would double the CSR's memory through the checks
-    rowsums = np.add.reduceat(kernel.probs, kernel.indptr[:-1][counts > 0])
-    if rowsums.size and np.abs(rowsums - 1.0).max() > ROW_SUM_TOL:
-        raise ValueError("kernel rows do not sum to 1; env policies are inconsistent")
-    if (counts == 0).any():
-        raise ValueError("kernel has empty rows; env policies assign no mass somewhere")
-    return kernel
 
 
-def _merged_block(
-    table: np.ndarray, policy: np.ndarray, base: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kernel rows of one block of consecutive states at one level.
+def _count_successors(table: np.ndarray, massive: np.ndarray, out: np.ndarray) -> None:
+    """Add each (state, u1) row's number of distinct targets with mass to ``out``.
 
-    ``table`` and ``policy`` are the block's slices of the transition table
-    and of the level's env policy, ``base`` the level's first augmented
-    state.  Returns the entry count of each of the block's (state, u1) rows
-    and the rows' entries, concatenated: targets ascending within a row,
-    and the mass of env actions that reach the same target summed in
-    env-action order.
+    ``table`` is a block of the transition table, ``massive`` marks the env
+    actions with mass in each of its states.  An entry opens a new successor
+    if it has mass and no earlier entry of its row with mass shares its
+    target; no sort is needed.
     """
-    n, nu1, nu2 = table.shape
-    targets = (base + table).reshape(n * nu1, nu2)
-    probs = np.broadcast_to(policy[:, None, :], (n, nu1, nu2)).reshape(n * nu1, nu2)
-    order = np.argsort(targets, axis=1, kind="stable")
-    targets = np.take_along_axis(targets, order, axis=1)
-    probs = np.take_along_axis(probs, order, axis=1)
-    keep = probs > 0.0
-    rows = np.broadcast_to(np.arange(n * nu1)[:, None], keep.shape)[keep]
-    targets, probs = targets[keep], probs[keep]
-
-    # Merge duplicate (row, target) pairs so each successor appears once.
-    new_group = np.empty(rows.size, dtype=bool)
-    new_group[:1] = True
-    new_group[1:] = (rows[1:] != rows[:-1]) | (targets[1:] != targets[:-1])
-    starts = np.flatnonzero(new_group)
-    counts = np.bincount(rows[starts], minlength=n * nu1)
-    return counts, targets[starts], np.add.reduceat(probs, starts)
+    seen = np.empty(out.shape, dtype=bool)
+    for j in range(table.shape[2]):
+        seen[:] = False
+        for i in range(j):
+            seen |= (table[:, :, i] == table[:, :, j]) & massive[:, i, None]
+        out += massive[:, j, None] & ~seen
 
 
 def _level_likelihoods(

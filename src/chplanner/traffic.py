@@ -68,11 +68,12 @@ CONFIG_SCHEMA_VERSION = 1
 # is safe, after it only the left lane.
 MERGE_SECTION = (20.0, 100.0)
 
-# The largest joint state count, open-loop ego action sequences (|U1|^horizon)
+# The largest joint state count, open-loop action sequences of either player
+# (|U1|^horizon for the ego's plans, |U2|^horizon for the human's Q-tables)
 # and reasoning level a config may ask for; the packaged configs have at most
 # 234 k states, 729 sequences and level 2.
 MAX_STATES = 1_000_000
-MAX_EGO_SEQUENCES = 10_000
+MAX_ACTION_SEQUENCES = 10_000
 MAX_LEVEL = 10
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +217,7 @@ class ScenarioConfig:
     ``dataclasses.replace`` or directly is checked exactly once.  Every
     float, on its own or in a tuple, must be finite; that is checked first.
     The sizes the planning stack enumerates are bounded by ``MAX_STATES``,
-    ``MAX_EGO_SEQUENCES`` and ``MAX_LEVEL``, checked by arithmetic before
+    ``MAX_ACTION_SEQUENCES`` and ``MAX_LEVEL``, checked by arithmetic before
     anything scaling with them is allocated.
     """
 
@@ -317,11 +318,14 @@ class ScenarioConfig:
             raise ValueError(f"{ego.num_codes} ego x {human.num_codes} human cells exceed "
                              f"{MAX_STATES} states; narrow ego_pos_min..ego_pos_max or human_pos_"
                              "min..human_pos_max, lower a v_max, or coarsen pos_step or v_step")
-        nu = len(_actions(self, self.ego_lane_change))
-        # With nu >= 2 the bound is passed within bit_length() stages.
-        if nu ** min(self.horizon, MAX_EGO_SEQUENCES.bit_length()) > MAX_EGO_SEQUENCES:
-            raise ValueError(f"horizon {self.horizon} gives {nu}^{self.horizon} ego action "
-                             f"sequences, over {MAX_EGO_SEQUENCES}; lower horizon or accel_set")
+        for who, lane_change in (("ego", self.ego_lane_change),
+                                 ("human", self.human_lane_change)):
+            nu = len(_actions(self, lane_change))
+            # With nu >= 2 the bound is passed within bit_length() stages.
+            if nu ** min(self.horizon, MAX_ACTION_SEQUENCES.bit_length()) > MAX_ACTION_SEQUENCES:
+                raise ValueError(
+                    f"horizon {self.horizon} gives {nu}^{self.horizon} {who} action sequences, "
+                    f"over {MAX_ACTION_SEQUENCES}; lower horizon or accel_set")
         if self.k_max > MAX_LEVEL:
             raise ValueError(f"levels reach {self.k_max}, more than MAX_LEVEL = {MAX_LEVEL}")
 

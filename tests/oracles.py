@@ -74,6 +74,36 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
     return q
 
 
+def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> np.ndarray:
+    """Q(x, u) by backups over ``(states, opponent actions)`` rows.
+
+    Each backup is ``(P * (R[nxt] + discount * tail[nxt])).sum(axis=1)``, the
+    row form the Q-tables are defined by, so numpy's own row-sum order fixes
+    every bit of the result.  The suffix enumeration is the fast code's; only
+    the backup's layout differs.
+    """
+    succ = spec.transition_table
+    if player != EGO:
+        succ = succ.transpose(0, 2, 1)
+    rewards = spec.rewards(player)
+    probs = opponent.probs
+
+    def suffixes(depth):
+        if depth == 0:
+            yield np.zeros(spec.num_states)
+            return
+        for tail in suffixes(depth - 1):
+            for u in range(succ.shape[1]):
+                nxt = succ[:, u, :]
+                yield (probs * (rewards[nxt] + spec.discount * tail[nxt])).sum(axis=1)
+
+    n_own = succ.shape[1]
+    q = np.full((spec.num_states, n_own), -np.inf)
+    for i, v in enumerate(suffixes(spec.horizon)):
+        np.maximum(q[:, i % n_own], v, out=q[:, i % n_own])
+    return q
+
+
 def profile_value_oracle(
     spec: GameSpec,
     env_policies: dict[int, PolicyTable],
@@ -392,8 +422,10 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
     """``(indptr, targets, probs)`` of the augmented kernel, one row at a time.
 
     Row ``(k * |X| + x) * |U1| + u1`` lists each target ``k * |X| + T[x, u1, u2]``
-    once, in ascending order, with the policy mass of its env actions added
-    up in env-action order; zero-mass env actions contribute no entry.
+    once, in ascending order; zero-mass env actions contribute no entry.  A
+    target's probability is the mass of its first env action with mass plus
+    the sum, left to right, of the masses of its later ones: the order in
+    which numpy adds a segment of fewer than 9 entries.
     """
     nx, nu1, nu2 = spec.transition_table.shape
     indptr, targets, probs = [0], [], []
@@ -401,15 +433,16 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
         policy = env_policies[level].probs
         for x in range(nx):
             for u1 in range(nu1):
-                row: dict[int, float] = {}
+                row: dict[int, list[float]] = {}
                 for u2 in range(nu2):
                     p = float(policy[x, u2])
                     if p > 0.0:
                         target = li * nx + int(spec.transition_table[x, u1, u2])
-                        row[target] = row.get(target, 0.0) + p
+                        row.setdefault(target, []).append(p)
                 for target in sorted(row):
+                    first, *rest = row[target]
                     targets.append(target)
-                    probs.append(row[target])
+                    probs.append(first + sum(rest))
                 indptr.append(len(targets))
     return (np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
             np.array(probs, dtype=float))

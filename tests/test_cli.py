@@ -135,6 +135,23 @@ def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     assert list(own_cache.glob("hierarchy-*.npz")) == []
 
 
+def test_build_rejects_oversized_human_sequences(tmp_path, capsys, monkeypatch):
+    # 3 ego actions, 9 human ones.  Were the config accepted, the build would
+    # run for hours; the stub makes that a failure instead.
+    from chplanner import cli
+
+    def mutate(tree):
+        tree["ego"]["lane_change"] = False
+        tree["human"]["lane_change"] = True
+        tree["planning"]["horizon"] = 8
+
+    monkeypatch.setattr(cli, "build_artifacts", lambda *a: pytest.fail("config was accepted"))
+    config = _write_config(tmp_path, name="overtaking", mutate=mutate)
+    assert main(["build", "--config", str(config), "--cache-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "9^8 human action sequences" in err
+
+
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below-file"])
 def test_build_rejects_cache_dir_that_is_a_file(tmp_path, capsys, sub):
     blocker = tmp_path / "not-a-dir"

@@ -19,7 +19,7 @@ from chplanner.hierarchy import (
 )
 
 from conftest import make_spec
-from oracles import open_loop_q_oracle, random_game, random_policy
+from oracles import open_loop_q_oracle, random_game, random_policy, row_sum_q_reference
 
 finite_rows = st.lists(
     st.lists(st.floats(-30, 30), min_size=2, max_size=4),
@@ -112,6 +112,25 @@ def test_compute_q_matches_brute_force_oracle(player):
         q = compute_q(spec, player, opp)
         oracle = open_loop_q_oracle(spec, player, opp)
         assert np.abs(q.values - oracle).max() < 1e-9
+
+
+@pytest.mark.parametrize("player", [EGO, ENV])
+@pytest.mark.parametrize("n_opp", [1, 2, 3, 7, 8, 9, 16, 17, 130])
+def test_compute_q_is_bit_identical_to_row_sum_backups(player, n_opp):
+    # The column sums must add in numpy's row-sum order: left to right below
+    # 8 opponent actions, eight pairwise accumulators from 8, halving above
+    # 128.  A numpy release that changes that order fails here, rather than
+    # silently changing the cached tables.
+    rng = np.random.default_rng(100 + n_opp)
+    for horizon in (1, 2, 3):
+        nx = int(rng.integers(5, 12))
+        n_own = int(rng.integers(2, 4))
+        nu1, nu2 = (n_own, n_opp) if player == EGO else (n_opp, n_own)
+        spec, *_ = random_game(rng, nx, nu1, nu2, horizon=horizon)
+        opp_player = ENV if player == EGO else EGO
+        opp = softmax_policy(QTable(0, opp_player, rng.normal(size=(nx, n_opp)) * 3.0))
+        got = compute_q(spec, player, opp).values
+        assert got.tobytes() == row_sum_q_reference(spec, player, opp).tobytes()
 
 
 def test_compute_q_rejects_same_player_policy():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,28 +76,57 @@ def test_kernel_rows_stochastic_and_level_conserving():
             assert (targets // 7 == aug // 7).all()  # level never changes
 
 
-@pytest.mark.parametrize("block_entries", [30, 1 << 17])
+@pytest.mark.parametrize("block_entries", [1, 30, 1 << 17])
 def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entries):
-    # 23 states of 2 x 3 entries: with 30 entries a block holds 5 states, so
-    # each level spans 5 blocks and the last block is short.
+    # 23 states of 2 x 4 entries: with 30 entries a block holds 3 states, so
+    # each level spans 8 blocks and the last block is short; 1 entry is less
+    # than one state's 8, which still makes one-state blocks.
     monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", block_entries)
     rng = np.random.default_rng(12)
-    nx, nu1, nu2 = 23, 2, 3
+    nx, nu1, nu2 = 23, 2, 4
     spec, table, *_ = random_game(rng, nx, nu1, nu2)
-    table[::2, :, 2] = table[::2, :, 0]  # duplicate successors to merge
+    table[::2, :, 3] = table[::2, :, 0]  # duplicate successors to merge
+    table[::3, 0, :] = table[::3, 0, :1]  # rows whose four entries share one target
     spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
-    policies = {}
-    for k in (1, 2):
-        probs = rng.dirichlet(np.ones(nu2), size=nx)
-        probs[rng.random((nx, nu2)) < 0.3] = 0.0  # zero-mass env actions
-        probs[probs.sum(axis=1) == 0.0, 0] = 1.0
-        policies[k] = PolicyTable(k, ENV, probs / probs.sum(axis=1, keepdims=True))
+    probs = rng.dirichlet(np.ones(nu2), size=(3, nx))
+    # Level 1: the duplicate pair {0, 3} loses its first entry everywhere and
+    # all its mass in every fourth state; a one-target row then merges a
+    # massless entry followed by three with mass.
+    probs[0][:, 0] = 0.0
+    probs[0][::4, 3] = 0.0
+    probs[1][:, 3] = 0.0  # level 2: the pair keeps only its first entry
+    probs[2][rng.random((nx, nu2)) < 0.3] = 0.0  # level 3: scattered zeros
+    probs[2][probs[2].sum(axis=1) == 0.0, 1] = 1.0
+    policies = {
+        k: PolicyTable(k, ENV, p / p.sum(axis=1, keepdims=True))
+        for k, p in zip((1, 2, 3), probs)
+    }
 
     kernel = build_kernel(spec, policies)
     for got, want in zip((kernel.indptr, kernel.targets, kernel.probs),
                          kernel_csr_oracle(spec, policies)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
+    # The CSR arrays are allocated once at their final size and filled in
+    # place, so the traced peak is the finished kernel plus one block's
+    # temporaries.  Building them from per-block chunks and concatenating
+    # would hold the entries twice.
+    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", 1 << 12)
+    rng = np.random.default_rng(5)
+    nx, nu1, nu2 = 20_000, 3, 3
+    spec, *_ = random_game(rng, nx, nu1, nu2)
+    policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in (1, 2)}
+    tracemalloc.start()
+    try:
+        kernel = build_kernel(spec, policies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = kernel.indptr.nbytes + kernel.targets.nbytes + kernel.probs.nbytes
+    assert peak <= csr + (1 << 20), (peak, csr)
 
 
 def test_kernel_arrays_are_read_only():

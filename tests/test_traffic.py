@@ -353,6 +353,15 @@ def test_config_checks_itself_at_construction(field, bad):
         ScenarioConfig(**{**asdict(config), field: bad})
 
 
+def test_config_bounds_the_human_action_sequences():
+    # 3 ego actions but 9 human ones: 9^8 human sequences would make each env
+    # rung enumerate tens of millions of backups, so the human's count is
+    # bounded like the ego's.
+    with pytest.raises(ValueError, match="9\\^8 human action sequences"):
+        replace(default_config("overtaking"), ego_lane_change=False,
+                human_lane_change=True, horizon=8)
+
+
 def test_intersection_config_rejects_lane_changes():
     with pytest.raises(ValueError, match="ego_lane_change"):
         replace(default_config("intersection"), ego_lane_change=True)
