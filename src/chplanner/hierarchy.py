@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .game import EGO, ENV, GameSpec, PolicyTable
+from .game import EGO, ENV, GameSpec, PolicyTable, read_only
 
 __all__ = [
     "QTable",
@@ -45,7 +45,10 @@ CACHE_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class QTable:
-    """State-action values for one player at one reasoning level."""
+    """State-action values for one player at one reasoning level.
+
+    ``values`` is held read-only (see :func:`~chplanner.game.read_only`).
+    """
 
     level: int
     player: int
@@ -57,7 +60,7 @@ class QTable:
             raise ValueError("Q-table must be 2-D (states x actions)")
         if not np.isfinite(values).all():
             raise ValueError("Q-table contains non-finite entries")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", read_only(values, float))
 
 
 @dataclass(frozen=True)
@@ -80,13 +83,19 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     With the default unit temperature the action probabilities are
     proportional to ``exp(Q(x, u))``; reward scaling therefore controls how
     sharp the resulting policy is.
+
+    The work runs action-major, on contiguous ``(actions, states)`` rows,
+    and the normaliser is :func:`_column_sum`, so the table is bit-identical
+    to ``e / e.sum(axis=1, keepdims=True)`` over ``(states, actions)`` rows.
     """
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    z = q.values / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    probs = e / e.sum(axis=1, keepdims=True)
+    probs = np.empty(q.values.shape)  # before the temporaries, as in compute_q
+    z = np.divide(q.values.T, temperature, order="C")
+    z -= np.maximum.reduce(z, axis=0)
+    np.exp(z, out=z)
+    z /= _column_sum(z)
+    probs[...] = z.T
     return PolicyTable(level=q.level, player=q.player, probs=probs)
 
 
@@ -183,19 +192,24 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
             f"opponent policy shape {opponent_policy.probs.shape} does not match "
             f"({spec.num_states}, {n_opp})"
         )
+    # The kept table is allocated before the temporaries, so the heap they
+    # free lies above it and can be returned to the system.
+    q_values = np.empty((spec.num_states, n_own))
     # (own action, opponent action, state) successor table.
     axes = (1, 2, 0) if player == EGO else (2, 1, 0)
     succ = np.ascontiguousarray(spec.transition_table.transpose(axes), dtype=np.intp)
     succ_rewards = spec.rewards(player)[succ]
     opp_cols = np.ascontiguousarray(opponent_policy.probs.T)
     terms = np.empty(opp_cols.shape)
-    values = np.full((spec.num_states, n_own), -np.inf)
+    # Own-action-major, so each maximum is one contiguous row.
+    values = np.full((n_own, spec.num_states), -np.inf)
     suffixes = _suffix_values(
         succ, succ_rewards, opp_cols, spec.discount, spec.horizon, terms
     )
     for i, v in enumerate(suffixes):
-        np.maximum(values[:, i % n_own], v, out=values[:, i % n_own])
-    return QTable(level=opponent_policy.level + 1, player=player, values=values)
+        np.maximum(values[i % n_own], v, out=values[i % n_own])
+    q_values[...] = values.T
+    return QTable(level=opponent_policy.level + 1, player=player, values=q_values)
 
 
 def build_hierarchy(
@@ -234,9 +248,10 @@ def build_hierarchy(
 
 
 def _hash_array(h, arr: np.ndarray, dtype: str) -> None:
-    a = np.ascontiguousarray(arr.astype(dtype))
+    # Hashed in place: a table already C-contiguous in ``dtype`` is not copied.
+    a = np.ascontiguousarray(arr, dtype=dtype)
     h.update(np.asarray(a.shape, dtype="<i8").tobytes())
-    h.update(a.tobytes())
+    h.update(a)
 
 
 def hierarchy_content_hash(
@@ -250,7 +265,8 @@ def hierarchy_content_hash(
 
     Covers the tabulated game (transitions, rewards, discount, horizon), the
     level-0 anchors, ``k_max`` and the softmax temperature.  Arrays are
-    hashed in fixed little-endian layout so the hash is platform independent.
+    hashed in fixed little-endian C layout so the hash is platform
+    independent; an array already in that layout is hashed in place.
     """
     h = hashlib.sha256()
     h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
@@ -284,7 +300,7 @@ def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:
     }
     arrays = {"meta_json": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
     for k, pol in enumerate(hierarchy.env_policies):
-        arrays[f"env_{k}"] = pol.probs.astype("<f8")
+        arrays[f"env_{k}"] = np.asarray(pol.probs, dtype="<f8")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -308,7 +324,7 @@ def load_hierarchy(path) -> tuple[Hierarchy, str]:
             )
         k_max = int(meta["k_max"])
         env = tuple(
-            PolicyTable(level=k, player=ENV, probs=data[f"env_{k}"].astype(float))
+            PolicyTable(level=k, player=ENV, probs=np.asarray(data[f"env_{k}"], dtype=float))
             for k in range(k_max + 1)
         )
     return Hierarchy(env_policies=env), meta["content_hash"]

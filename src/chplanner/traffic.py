@@ -69,12 +69,13 @@ CONFIG_SCHEMA_VERSION = 1
 MERGE_SECTION = (20.0, 100.0)
 
 # The largest joint state count, open-loop action sequences of either player
-# (|U1|^horizon for the ego's plans, |U2|^horizon for the human's Q-tables)
-# and reasoning level a config may ask for; the packaged configs have at most
-# 234 k states, 729 sequences and level 2.
+# (|U1|^horizon for the ego's plans, |U2|^horizon for the human's Q-tables),
+# reasoning level and episode step cap a config may ask for; the packaged
+# configs have at most 234 k states, 729 sequences, level 2 and 30 steps.
 MAX_STATES = 1_000_000
 MAX_ACTION_SEQUENCES = 10_000
 MAX_LEVEL = 10
+MAX_STEP_CAP = 10_000
 
 @dataclass(frozen=True, slots=True)
 class VehicleState:
@@ -218,7 +219,8 @@ class ScenarioConfig:
     float, on its own or in a tuple, must be finite; that is checked first.
     The sizes the planning stack enumerates are bounded by ``MAX_STATES``,
     ``MAX_ACTION_SEQUENCES`` and ``MAX_LEVEL``, checked by arithmetic before
-    anything scaling with them is allocated.
+    anything scaling with them is allocated, and an episode's length by
+    ``MAX_STEP_CAP``.
     """
 
     name: str
@@ -328,6 +330,9 @@ class ScenarioConfig:
                     f"over {MAX_ACTION_SEQUENCES}; lower horizon or accel_set")
         if self.k_max > MAX_LEVEL:
             raise ValueError(f"levels reach {self.k_max}, more than MAX_LEVEL = {MAX_LEVEL}")
+        if self.step_cap > MAX_STEP_CAP:
+            raise ValueError(
+                f"step_cap {self.step_cap} is more than MAX_STEP_CAP = {MAX_STEP_CAP}")
 
     def _check_grid_closure(self) -> None:
         """Every (speed, acceleration) pair must land back on the grids."""
@@ -647,38 +652,51 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     n_h = scenario.human_grid.num_codes
     e_of = np.arange(spec.num_states) // n_h
     h_of = np.arange(spec.num_states) % n_h
+    # frozen[u, x] is x's successor under action u: action-major, so every
+    # pass below runs over contiguous rows of states.
     if player == EGO:
         succ = _vehicle_successors(scenario.ego_grid, scenario.ego_actions, config.dt)
-        frozen = succ[e_of] * n_h + h_of[:, None]
+        frozen = np.take(succ.T, e_of, axis=1) * n_h + h_of
         rewards = spec.ego_reward_table
         actions = scenario.ego_actions
     elif player == ENV:
         succ = _vehicle_successors(scenario.human_grid, scenario.env_actions, config.dt)
-        frozen = e_of[:, None] * n_h + succ[h_of]
+        frozen = e_of * n_h + np.take(succ.T, h_of, axis=1)
         rewards = spec.env_reward_table
         actions = scenario.env_actions
     else:
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
 
+    frozen_rewards = rewards[frozen]
     values = np.zeros(spec.num_states)
-    q = np.empty_like(frozen, dtype=float)
     for _ in range(config.horizon):
-        q = rewards[frozen] + config.discount * values[frozen]
-        values = q.max(axis=1)
+        q = frozen_rewards + config.discount * values[frozen]
+        values = np.maximum.reduce(q, axis=0)
 
     if config.level0_softmax:
         return softmax_policy(
-            QTable(level=0, player=player, values=q), config.softmax_temperature
+            QTable(level=0, player=player, values=q.T), config.softmax_temperature
         )
 
-    best = q.max(axis=1)
-    pick = q.argmax(axis=1)
-    preferred = actions.index((0.0, "keep"))
-    coast_ok = q[:, preferred] == best
-    pick = np.where(coast_ok, preferred, pick)
-    probs = np.zeros_like(q)
+    pick = _level0_pick(q, values, actions.index((0.0, "keep")))
+    probs = np.zeros((spec.num_states, len(actions)))
     probs[np.arange(spec.num_states), pick] = 1.0
     return PolicyTable(level=0, player=player, probs=probs)
+
+
+def _level0_pick(q: np.ndarray, best: np.ndarray, preferred: int) -> np.ndarray:
+    """Per state, ``preferred`` if it reaches ``best``, else the lowest action that does.
+
+    ``q`` is action-major, ``(actions, states)``, and ``best`` its column
+    maximum: this is ``argmax`` over ``(states, actions)`` rows with the
+    coast override on a tie, taken one contiguous action row at a time (the
+    lowest action is written last).
+    """
+    pick = np.full(q.shape[1], preferred)
+    for a in range(len(q) - 1, -1, -1):
+        np.copyto(pick, a, where=q[a] == best)
+    np.copyto(pick, preferred, where=q[preferred] == best)
+    return pick
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,23 @@
 Everything here enumerates paths one state at a time by indexing the game's
 transition table entry by entry, or writes the paper's dense recursions
 over the whole augmented space; nothing touches the compiled horizons,
-point-mass beliefs or vectorized Q-backups being verified.
+point-mass beliefs or vectorized Q-backups being verified.  The row-form
+references compute a table over ``(states, actions)`` rows, the form it is
+defined by, for the action-major code that must match it bit for bit.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
 import numpy as np
 
-from chplanner.game import EGO, GameSpec, PolicyTable
+from chplanner.game import EGO, ROW_SUM_TOL, GameSpec, PolicyTable
+from chplanner.hierarchy import CACHE_FORMAT_VERSION
 from chplanner.inference import Belief
-from chplanner.traffic import MERGE_SECTION
+from chplanner.traffic import MERGE_SECTION, _vehicle_successors
 
 
 def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
@@ -102,6 +106,93 @@ def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> n
     for i, v in enumerate(suffixes(spec.horizon)):
         np.maximum(q[:, i % n_own], v, out=q[:, i % n_own])
     return q
+
+
+def softmax_row_reference(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
+    """Softmax over ``(states, actions)`` rows, the form the policies are defined by."""
+    z = values / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def level0_pick_row_reference(q: np.ndarray, preferred: int) -> np.ndarray:
+    """Per ``(states, actions)`` row: ``argmax``, overridden by ``preferred`` on a tie."""
+    best = q.max(axis=1)
+    pick = q.argmax(axis=1)
+    coast_ok = q[:, preferred] == best
+    return np.where(coast_ok, preferred, pick)
+
+
+def level0_row_reference(scenario, player: int) -> np.ndarray:
+    """The level-0 anchor's table, computed over ``(states, actions)`` rows."""
+    config = scenario.config
+    spec = scenario.spec
+    n_h = scenario.human_grid.num_codes
+    e_of = np.arange(spec.num_states) // n_h
+    h_of = np.arange(spec.num_states) % n_h
+    if player == EGO:
+        succ = _vehicle_successors(scenario.ego_grid, scenario.ego_actions, config.dt)
+        frozen = succ[e_of] * n_h + h_of[:, None]
+        rewards = spec.ego_reward_table
+        actions = scenario.ego_actions
+    else:
+        succ = _vehicle_successors(scenario.human_grid, scenario.env_actions, config.dt)
+        frozen = e_of[:, None] * n_h + succ[h_of]
+        rewards = spec.env_reward_table
+        actions = scenario.env_actions
+
+    values = np.zeros(spec.num_states)
+    q = np.empty_like(frozen, dtype=float)
+    for _ in range(config.horizon):
+        q = rewards[frozen] + config.discount * values[frozen]
+        values = q.max(axis=1)
+
+    if config.level0_softmax:
+        return softmax_row_reference(q, config.softmax_temperature)
+
+    pick = level0_pick_row_reference(q, actions.index((0.0, "keep")))
+    probs = np.zeros_like(q)
+    probs[np.arange(spec.num_states), pick] = 1.0
+    return probs
+
+
+def check_rows_scan_reference(probs: np.ndarray, row: str) -> str | None:
+    """The message a row-by-row scan gives for the first non-distribution row, or ``None``."""
+    bad = ~((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all(axis=1)
+    bad |= np.abs(probs.sum(axis=1) - 1.0) > ROW_SUM_TOL
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    return (
+        f"{row} {i} is not a distribution (finite entries in [0, 1] summing "
+        f"to 1 within {ROW_SUM_TOL}): {probs[i]!r}"
+    )
+
+
+def hash_array_reference(h, arr: np.ndarray, dtype: str) -> None:
+    """Feed ``arr`` to ``h`` as a ``dtype`` copy's shape and bytes."""
+    a = np.ascontiguousarray(arr.astype(dtype))
+    h.update(np.asarray(a.shape, dtype="<i8").tobytes())
+    h.update(a.tobytes())
+
+
+def content_hash_reference(spec: GameSpec, k_max, level0_ego, level0_env, temperature=1.0):
+    """``hierarchy_content_hash`` with every array copied to bytes first."""
+    h = hashlib.sha256()
+    h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
+    header = np.array(
+        [spec.num_states, spec.num_ego_actions, spec.num_env_actions, spec.horizon, k_max],
+        dtype="<i8",
+    )
+    h.update(header.tobytes())
+    h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
+    hash_array_reference(h, spec.transition_table, "<i8")
+    hash_array_reference(h, spec.ego_reward_table, "<f8")
+    hash_array_reference(h, spec.env_reward_table, "<f8")
+    hash_array_reference(h, level0_ego.probs, "<f8")
+    hash_array_reference(h, level0_env.probs, "<f8")
+    return h.hexdigest()
 
 
 def profile_value_oracle(

@@ -112,13 +112,14 @@ def test_build_rejects_missing_file(tmp_path, cache_dir, capsys):
          "level_prior must be finite"),
         (lambda t: t["kinematics"].__setitem__("dt", float("nan")), "dt must be finite"),
         (lambda t: t["planning"].__setitem__("horizon", 9), "horizon 9 gives 3^9"),
+        (lambda t: t["episode"].__setitem__("step_cap", 10**9), "step_cap 1000000000"),
     ],
     ids=["yaml-syntax", "missing-start-pos", "scalar-start", "scalar-levels",
          "quoted-ego-flag", "string-human-flag", "integer-softmax-flag",
          "zero-temperature", "nan-temperature", "infinite-penalty", "negative-car-length",
          "infinite-lane-width", "boolean-horizon", "fractional-step-cap",
          "boolean-epsilon", "negative-seed", "infinite-v-max", "nan-prior", "nan-dt",
-         "oversized-horizon"],
+         "oversized-horizon", "oversized-step-cap"],
 )
 def test_build_rejects_malformed_config(tmp_path, capsys, mutate, fragment):
     if mutate is None:
@@ -260,12 +261,13 @@ def test_simulate_rejects_unknown_level(tmp_path, capsys):
     [
         (["simulate", "--steps", "-2"], "--steps"),
         (["simulate", "--steps", "0"], "--steps"),
+        (["simulate", "--steps", "1000000000"], "MAX_STEP_CAP"),
         (["evaluate", "--seeds", "-3"], "--seeds"),
         (["simulate", "--seed", "-1"], "seed"),
         (["evaluate", "--seed", "-1"], "seed"),
     ],
-    ids=["simulate-steps", "simulate-zero-steps", "evaluate-seeds", "simulate-seed",
-         "evaluate-seed"],
+    ids=["simulate-steps", "simulate-zero-steps", "simulate-huge-steps", "evaluate-seeds",
+         "simulate-seed", "evaluate-seed"],
 )
 def test_negative_cli_numbers_rejected_before_build(tmp_path, capsys, argv, flag):
     own_cache = tmp_path / "cache"

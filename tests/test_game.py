@@ -3,11 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from chplanner.game import EGO, ENV, GameSpec, PolicyTable, step
+from chplanner.game import EGO, ENV, GameSpec, PolicyTable, check_rows, step
 from chplanner.traffic import default_config, make_scenario, vehicle_step
 
 from conftest import make_spec
-from oracles import random_game
+from oracles import check_rows_scan_reference, random_game
 
 
 def test_validate_well_formed_game_passes():
@@ -184,3 +184,51 @@ def test_policy_table_validates_rows():
         PolicyTable(level=0, player=ENV, probs=[[0.5, 0.5], [np.inf, 0.0]])
     table = PolicyTable(0, EGO, np.array([[0.25, 0.75]]))
     assert table.num_states == 1 and table.num_actions == 2
+
+
+def _bad_entry(probs, i, value):
+    probs[i, 0] = value
+
+
+def _bad_sum(scale):
+    def scale_row(probs, i):
+        probs[i] *= scale
+    return scale_row
+
+
+@pytest.mark.parametrize("n", [2, 3, 9])
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        lambda p, i: _bad_entry(p, i, np.nan),
+        lambda p, i: _bad_entry(p, i, np.inf),
+        lambda p, i: _bad_entry(p, i, -np.inf),
+        lambda p, i: _bad_entry(p, i, -1e-6),
+        lambda p, i: _bad_entry(p, i, 1.0 + 1e-6),
+        _bad_sum(1.0 + 1e-8),
+        # Either side of the tolerance: the whole-table check leaves rows
+        # this close to the scan.
+        _bad_sum(1.0 + 0.9e-9),
+        _bad_sum(1.0 + 1.1e-9),
+        _bad_sum(1.0 - 1.1e-9),
+        None,
+    ],
+    ids=["nan", "inf", "-inf", "negative", "above-one", "sum-1e-8", "sum-0.9e-9",
+         "sum-1.1e-9", "sum-minus-1.1e-9", "valid"],
+)
+def test_check_rows_names_the_rows_a_row_scan_names(n, spoil):
+    rng = np.random.default_rng(n)
+    for where in (0, 23, 49):
+        probs = rng.dirichlet(np.ones(n), size=50)
+        if spoil is not None:
+            spoil(probs, where)
+            if where < 49:
+                spoil(probs, 49)  # a later bad row is not the one named
+        message = check_rows_scan_reference(probs, "policy row")
+        if message is None:
+            check_rows(probs, "policy row")
+        else:
+            assert message.startswith(f"policy row {where} ")
+            with pytest.raises(ValueError) as err:
+                check_rows(probs, "policy row")
+            assert str(err.value) == message

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,6 +11,7 @@ from chplanner.game import EGO, ENV, PolicyTable
 from chplanner.hierarchy import (
     CACHE_FORMAT_VERSION,
     QTable,
+    _hash_array,
     build_hierarchy,
     compute_q,
     hierarchy_content_hash,
@@ -19,7 +21,15 @@ from chplanner.hierarchy import (
 )
 
 from conftest import make_spec
-from oracles import open_loop_q_oracle, random_game, random_policy, row_sum_q_reference
+from oracles import (
+    content_hash_reference,
+    hash_array_reference,
+    open_loop_q_oracle,
+    random_game,
+    random_policy,
+    row_sum_q_reference,
+    softmax_row_reference,
+)
 
 finite_rows = st.lists(
     st.lists(st.floats(-30, 30), min_size=2, max_size=4),
@@ -55,6 +65,21 @@ def test_softmax_argmax_matches_q_argmax():
     values = rng.normal(size=(20, 4)) * 5
     pol = softmax_policy(QTable(1, EGO, values))
     assert (pol.probs.argmax(axis=1) == values.argmax(axis=1)).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 130])
+def test_softmax_is_bit_identical_to_row_softmax(n):
+    # The normaliser adds each column in numpy's row-sum order (see
+    # test_compute_q_is_bit_identical_to_row_sum_backups), so a numpy release
+    # that changes that order fails here too.
+    rng = np.random.default_rng(200 + n)
+    values = rng.normal(size=(40, n)) * 4.0
+    values[::7] = 1.5  # rows of equal entries
+    values[3, : (n + 1) // 2] = values[3].max()  # a tied maximum
+    for temperature in (1.0, 0.3):
+        got = softmax_policy(QTable(1, ENV, values), temperature).probs
+        assert got.flags.c_contiguous
+        assert got.tobytes() == softmax_row_reference(values, temperature).tobytes()
 
 
 def test_softmax_rejects_nonpositive_temperature():
@@ -131,6 +156,21 @@ def test_compute_q_is_bit_identical_to_row_sum_backups(player, n_opp):
         opp = softmax_policy(QTable(0, opp_player, rng.normal(size=(nx, n_opp)) * 3.0))
         got = compute_q(spec, player, opp).values
         assert got.tobytes() == row_sum_q_reference(spec, player, opp).tobytes()
+
+
+def test_policy_and_q_tables_are_read_only():
+    probs = np.full((2, 2), 0.5)
+    policy = PolicyTable(level=0, player=ENV, probs=probs)
+    assert policy.probs is probs  # taken over, not copied
+    with pytest.raises(ValueError, match="read-only"):
+        policy.probs[0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        probs[0, 0] = 1.0  # the caller's reference is frozen with it
+    q = QTable(1, EGO, np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="read-only"):
+        q.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        softmax_policy(q).probs[1] = [1.0, 0.0]
 
 
 def test_compute_q_rejects_same_player_policy():
@@ -262,3 +302,40 @@ def test_content_hash_tracks_inputs():
     assert base != hierarchy_content_hash(spec, 1, ego0, env0)
     other = random_policy(rng, 0, EGO, 4, 2)
     assert base != hierarchy_content_hash(spec, 2, other, env0)
+
+
+def test_content_hash_hashes_in_place_as_copied_bytes():
+    # Hashing a buffer in place gives the bytes of a little-endian C copy,
+    # whatever the array's layout or byte order, so the hash stays platform
+    # independent.
+    rng = np.random.default_rng(12)
+    table = rng.integers(0, 50, size=(5, 3, 4))
+    floats = rng.normal(size=(6, 3))
+    arrays = [
+        (table, "<i8"),
+        (table.transpose(2, 0, 1), "<i8"),
+        (table.astype(">i8"), "<i8"),
+        (table.astype(np.int32), "<i8"),
+        (floats, "<f8"),
+        (floats.T, "<f8"),
+        (floats.astype(">f8"), "<f8"),
+        (floats.astype(">f8").T, "<f8"),
+    ]
+    for arr, dtype in arrays:
+        got, want = hashlib.sha256(), hashlib.sha256()
+        _hash_array(got, arr, dtype)
+        hash_array_reference(want, arr, dtype)
+        assert got.hexdigest() == want.hexdigest()
+
+    # The same through a whole content hash, over a transposed transition
+    # table and big-endian inputs.
+    spec = make_spec(
+        np.ascontiguousarray(table.transpose(0, 2, 1)).transpose(0, 2, 1) % 5,
+        rng.normal(size=5).astype(">f8"), rng.normal(size=5), [True] * 5,
+    )
+    assert not spec.transition_table.flags.c_contiguous
+    ego0, env0 = _anchors(rng, spec)
+    for k_max, temperature in ((0, 1.0), (2, 0.5)):
+        assert hierarchy_content_hash(spec, k_max, ego0, env0, temperature) == (
+            content_hash_reference(spec, k_max, ego0, env0, temperature)
+        )

@@ -22,7 +22,13 @@ import yaml
 from dataclasses import asdict, replace
 from importlib import resources
 
-from oracles import classify_outcome_oracle, episode_complete_oracle, outcome_events_oracle
+from oracles import (
+    classify_outcome_oracle,
+    episode_complete_oracle,
+    level0_pick_row_reference,
+    level0_row_reference,
+    outcome_events_oracle,
+)
 
 
 def test_vehicle_step_textbook_kinematics():
@@ -284,6 +290,39 @@ def test_level0_policy_is_one_hot_and_softmax_flag_works():
     assert soft.level == 0
 
 
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_level0_policy_is_bit_identical_to_row_form(name):
+    # The anchors are computed action-major; they must equal the
+    # (states, actions) row form bit for bit, the softmax variant included.
+    config = default_config(name)
+    for level0_softmax in (False, True):
+        scenario = make_scenario(replace(config, level0_softmax=level0_softmax))
+        for player in (EGO, ENV):
+            got = level0_policy(scenario, player).probs
+            assert got.flags.c_contiguous
+            assert got.tobytes() == level0_row_reference(scenario, player).tobytes()
+
+
+@pytest.mark.parametrize("n, preferred", [(1, 0), (3, 1), (3, 0), (9, 4), (9, 8)])
+def test_level0_pick_matches_row_argmax_with_coast_override(n, preferred):
+    rng = np.random.default_rng(n * 10 + preferred)
+    q = rng.integers(-3, 3, size=(300, n)).astype(float)  # many natural ties
+    rows = np.arange(300)
+    others = [a for a in range(n) if a != preferred]
+    if others:
+        # Coast tied with another action at the maximum.
+        q[rows[:50], preferred] = q[rows[:50]].max(axis=1) + 1.0
+        q[rows[:50], rng.choice(others, size=50)] = q[rows[:50], preferred]
+    if len(others) >= 2:
+        # Two non-coast actions tied above coast.
+        a, b = rng.choice(others, size=2, replace=False)
+        top = q[rows[50:100]].max(axis=1) + 1.0
+        q[rows[50:100], a] = top
+        q[rows[50:100], b] = top
+    got = traffic._level0_pick(np.ascontiguousarray(q.T), q.max(axis=1), preferred)
+    assert got.tobytes() == level0_pick_row_reference(q, preferred).tobytes()
+
+
 def _config_tree(name):
     text = resources.files("chplanner.configs").joinpath(f"{name}.yaml").read_text()
     return yaml.safe_load(text)
@@ -339,8 +378,10 @@ def test_config_rejects_unknown_schema_version():
         ("dt", float("nan")), ("dt", float("inf")), ("accel_set", (0.0, float("nan"))),
         ("ego_start", (float("nan"), 8.0, 0)), ("epsilon", float("nan")),
         # Oversized problems, caught by arithmetic before anything is built:
-        # 9^8 ego action sequences, level 40 and about ten times MAX_STATES.
+        # 9^8 ego action sequences, level 40, about ten times MAX_STATES and
+        # episodes of up to a billion steps.
         ("horizon", 8), ("levels", (1, 40)), ("ego_pos_max", 10_000.0),
+        ("step_cap", 10**9), ("step_cap", traffic.MAX_STEP_CAP + 1),
     ],
 )
 def test_config_checks_itself_at_construction(field, bad):
@@ -351,6 +392,11 @@ def test_config_checks_itself_at_construction(field, bad):
         replace(config, **{field: bad})
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**{**asdict(config), field: bad})
+
+
+def test_config_accepts_step_cap_up_to_its_bound():
+    config = replace(default_config("overtaking"), step_cap=traffic.MAX_STEP_CAP)
+    assert config.step_cap == traffic.MAX_STEP_CAP
 
 
 def test_config_bounds_the_human_action_sequences():
