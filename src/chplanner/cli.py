@@ -143,8 +143,9 @@ def build_artifacts(
     """Scenario plus its (possibly cached) policy hierarchy and content hash.
 
     A cache file that cannot be read (for instance one truncated by a killed
-    process) or that holds another build counts as a miss: the hierarchy is
-    rebuilt and the file replaced.
+    process), that holds another build or whose env tables do not have the
+    game's ``(|X|, |U2|)`` shape counts as a miss: the hierarchy is rebuilt
+    and the file replaced.
     """
     scenario = make_scenario(config)
     anchor_ego = level0_policy(scenario, EGO)
@@ -158,7 +159,12 @@ def build_artifacts(
     if path.exists():
         try:
             hierarchy, stored = load_hierarchy(path)
-            if stored == content_hash and hierarchy.k_max == config.k_max:
+            shape = (scenario.spec.num_states, scenario.spec.num_env_actions)
+            if (
+                stored == content_hash
+                and hierarchy.k_max == config.k_max
+                and all(policy.probs.shape == shape for policy in hierarchy.env_policies)
+            ):
                 return scenario, hierarchy, content_hash
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             pass
@@ -170,7 +176,12 @@ def build_artifacts(
 
 
 def scenario_kernel(scenario: Scenario, hierarchy: Hierarchy) -> AugmentedKernel:
-    """Augmented kernel over the configured hypothesis levels."""
+    """Augmented kernel over the configured hypothesis levels.
+
+    The kernel references the scenario's transition table and the
+    hierarchy's env tables and computes its rows on demand, so this
+    allocates nothing table-sized.
+    """
     env_policies = {k: hierarchy.env(k) for k in scenario.config.levels}
     return build_kernel(scenario.spec, env_policies)
 

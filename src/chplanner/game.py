@@ -67,8 +67,9 @@ def read_only(values, dtype) -> np.ndarray:
     An array that owns its data and has the dtype is taken over, not
     copied: it is marked read-only in place, so the caller's reference can
     no longer write to it either.  Anything else is copied first.  This is
-    for the arrays ``planner.optimize`` keys its plan memo on, and for the
-    policy and Q tables.
+    for the arrays ``planner.optimize`` keys its plan memo on, among them
+    the transition and policy tables the inference kernel reads, and for
+    the Q tables.
     """
     arr = np.asarray(values, dtype=dtype)
     if not arr.flags.owndata:
@@ -83,11 +84,13 @@ class GameSpec:
 
     The game is held as dense tables only.  ``transition_table[x, u1, u2]``
     is the successor state index and must be total (every entry in
-    ``[0, |X|)``).  Rewards are functions of the successor state only, one
+    ``[0, |X|)``); it is held read-only (see :func:`read_only`), because the
+    inference kernel reads its rows from it and the plan memo keys on that
+    kernel.  Rewards are functions of the successor state only, one
     value per state and player; the general ``(state, u1, u2)`` reward form
     is out of scope.  ``safe_set`` is one
-    boolean membership mask over states, held read-only (see
-    :func:`read_only`): every scenario's safe set is time-invariant, so the
+    boolean membership mask over states, held read-only too: every
+    scenario's safe set is time-invariant, so the
     paper's time-indexed ``{X_t}`` is the same mask at every step.
 
     Construction checks the whole contract and raises ``ValueError`` naming
@@ -124,7 +127,7 @@ class GameSpec:
                 f"transition_table out of range [0, {num_states}) at "
                 f"(state={x}, u1={u1}, u2={u2}): -> {table[x, u1, u2]}"
             )
-        object.__setattr__(self, "transition_table", table)
+        object.__setattr__(self, "transition_table", read_only(table, np.int64))
         for name, dtype in (
             ("ego_reward_table", float),
             ("env_reward_table", float),

@@ -3,7 +3,7 @@
 The opponent's reasoning level is a hidden, static component of the state.
 Conditioned on it, the opponent's action is a stochastic disturbance drawn
 from the corresponding level-k policy, which makes the joint system a Markov
-chain per ego action.  This module builds that chain as a sparse kernel and
+chain per ego action.  This module holds that chain as a kernel and
 performs the Bayesian posterior update from the observed physical state and
 the executed ego action.
 
@@ -13,16 +13,21 @@ every belief the filter forms is a point mass in physical state: a
 never a dense |X|·K vector.  Its support in the augmented space is
 ``{state} x K``, indexed level-major: ``aug = level_index * |X| + x``.
 
-The kernel is assembled a block of consecutive states at a time, so its
-build needs the finished CSR arrays plus a few MB, not a sort over every
-(state, u1, u2) entry at once.
+The kernel is factored: it references the game's transition table and the
+K env policy tables and computes a row only when asked for, so building it
+allocates nothing table-sized, and an episode pays for the few hundred rows
+its plans read, not for all |X|·K·|U1| of them.  The Bayesian update reads
+the two tables directly and expands no row.  The compressed-row form of the
+whole kernel remains as a view built on first read, for readers outside the
+package.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -39,9 +44,11 @@ __all__ = [
 ]
 
 
-# Bound on the (state, u1, u2) entries :func:`build_kernel` sorts and merges
-# at once; it caps the build's temporaries at a few MB.
+# Bound on the (row, u2) entries the CSR view of :class:`AugmentedKernel`
+# computes at once; it caps the view's temporaries at a few MB.
 KERNEL_BLOCK_ENTRIES = 1 << 17
+# The one segment of :func:`np.add.reduceat` that merges a target's masses.
+_SEGMENT = np.zeros(1, dtype=np.intp)
 
 
 class InconsistentObservationError(ValueError):
@@ -94,27 +101,41 @@ class Belief:
         return levels * kernel.num_states + self.state, self.weights[levels]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedKernel:
-    """Sparse transition kernel ``P(aug' | aug, u1)`` in compressed row form.
+    """Transition kernel ``P(aug' | aug, u1)`` over (physical state x level), factored.
 
-    Row ``aug * num_ego_actions + u1`` stores the successor augmented states
-    and their probabilities.  The level component is conserved exactly: a
-    row's targets always carry the source row's level.  Each row sums to one
-    within ``ROW_SUM_TOL`` and duplicate successors are merged.  The three
-    arrays are read-only, so planners may cache results keyed on the kernel.
+    Row ``aug * num_ego_actions + u1`` of augmented state
+    ``aug = level_index * |X| + x`` lists the successor augmented states and
+    their probabilities: each target ``level_index * |X| + T[x, u1, u2]``
+    once, ascending, with the mass of the level's env actions that reach it
+    merged.  The level component is conserved exactly, so transitions
+    across levels are not stored.
+
+    The kernel holds the game's transition table and one env policy table
+    per level, the very arrays of the :class:`GameSpec` and the
+    ``PolicyTable`` objects, which are read-only; no row is stored.
+    :meth:`expand_rows` computes the rows a caller asks for.  An object whose
+    arrays no write can reach never changes, so planners may cache results
+    keyed on the kernel.
+
+    ``indptr``, ``targets`` and ``probs`` are the compressed-row form of
+    every row.  They are built on first read, by :meth:`expand_rows` one
+    block of rows at a time, for callers outside the package that read the
+    whole kernel; nothing in the package reads them.
     """
 
-    num_states: int
-    num_ego_actions: int
+    transition_table: np.ndarray = field(repr=False)
+    env_probs: tuple[np.ndarray, ...] = field(repr=False)
     levels: tuple[int, ...]
-    indptr: np.ndarray
-    targets: np.ndarray
-    probs: np.ndarray
 
-    def __post_init__(self):
-        for name, dtype in (("indptr", np.int64), ("targets", np.int64), ("probs", float)):
-            object.__setattr__(self, name, read_only(getattr(self, name), dtype))
+    @property
+    def num_states(self) -> int:
+        return self.transition_table.shape[0]
+
+    @property
+    def num_ego_actions(self) -> int:
+        return self.transition_table.shape[1]
 
     @property
     def num_augmented(self) -> int:
@@ -122,49 +143,94 @@ class AugmentedKernel:
 
     def row(self, aug: int, u1: int) -> tuple[np.ndarray, np.ndarray]:
         """Successors and probabilities for one (augmented state, ego action)."""
-        r = aug * self.num_ego_actions + u1
-        lo, hi = self.indptr[r], self.indptr[r + 1]
-        return self.targets[lo:hi], self.probs[lo:hi]
+        _, targets, probs = self.expand_rows(np.array([aug * self.num_ego_actions + u1]))
+        return targets, probs
 
     def expand_rows(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenate the entries of several rows.
+        """Concatenate the entries of several rows, computed from the tables.
 
         Returns ``(which_row, targets, probs)`` where ``which_row[i]`` is the
-        position in ``rows`` that entry ``i`` belongs to.
+        position in ``rows`` that entry ``i`` belongs to; entries follow
+        ``rows`` in order, each row's targets ascending.
+
+        The massless env actions are dropped first; the rest are sorted
+        stably by (position in ``rows``, target), so equal targets stay in
+        env-action order, and each run of equal targets is merged with
+        ``np.add.reduceat``: the first entry plus the rest.  A leading zero
+        would change that order, which is why massless entries go first.  A
+        row does not depend on the other rows asked for.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        total = int(counts.sum())
-        which = np.repeat(np.arange(rows.size), counts)
-        offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        flat = np.repeat(starts, counts) + offsets
-        return which, self.targets[flat], self.probs[flat]
+        nx = self.num_states
+        aug, u1 = np.divmod(np.asarray(rows, dtype=np.int64), self.num_ego_actions)
+        level, x = np.divmod(aug, nx)
+        succ = self.transition_table[x, u1]
+        mass = np.empty(succ.shape)
+        for li, probs in enumerate(self.env_probs):
+            copy = level == li
+            mass[copy] = probs[x[copy]]
+        kept = np.flatnonzero(mass > 0.0)
+        key = kept // succ.shape[1] * nx + succ.ravel()[kept]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        heads = np.flatnonzero(first)
+        probs = np.add.reduceat(mass.ravel()[kept[order]], heads)
+        which, targets = np.divmod(key[heads], nx)
+        return which, targets + level[which] * nx, probs
+
+    @cached_property
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Two passes over blocks of at most KERNEL_BLOCK_ENTRIES (row, u2)
+        # entries: the first counts each row's entries, so the target and
+        # probability arrays are allocated once at their final size; the
+        # second fills them.  The temporaries stay one block's size.
+        nrows = self.num_augmented * self.num_ego_actions
+        step = max(1, KERNEL_BLOCK_ENTRIES // self.transition_table.shape[2])
+        blocks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
+        indptr = np.zeros(nrows + 1, dtype=np.int64)
+        for lo, hi in blocks:
+            which, _, _ = self.expand_rows(np.arange(lo, hi))
+            indptr[lo + 1:hi + 1] = np.bincount(which, minlength=hi - lo)
+        np.cumsum(indptr, out=indptr)
+        targets = np.empty(indptr[-1], dtype=np.int64)
+        probs = np.empty(indptr[-1])
+        for lo, hi in blocks:
+            _, block_targets, block_probs = self.expand_rows(np.arange(lo, hi))
+            targets[indptr[lo]:indptr[hi]] = block_targets
+            probs[indptr[lo]:indptr[hi]] = block_probs
+        return read_only(indptr, np.int64), read_only(targets, np.int64), read_only(probs, float)
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self._csr[0]
+
+    @property
+    def targets(self) -> np.ndarray:
+        return self._csr[1]
+
+    @property
+    def probs(self) -> np.ndarray:
+        return self._csr[2]
 
 
 def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> AugmentedKernel:
-    """Assemble the augmented kernel from one env policy per hypothesized level.
+    """The augmented kernel of ``spec`` with one env policy per hypothesized level.
 
     ``P((x', k) | (x, k), u1)`` sums the policy mass of every env action
-    ``u2`` with ``T(x, u1, u2) = x'``; transitions across levels have zero
-    probability and are not stored.  A row lists its targets ascending, the
-    mass of env actions that reach the same target summed in env-action
-    order; env actions without mass add no entry.
-
-    Two passes run over blocks of consecutive states, each block at most
-    ``KERNEL_BLOCK_ENTRIES`` ``(state, u1, u2)`` entries.  The first counts
-    every row's successors without sorting, so ``indptr`` is final and the
-    target and probability arrays are allocated once, at their final size.
-    The second sorts each block's rows by target once, for all levels, and
-    writes every level's merged rows in place.  The build's temporaries
-    stay a constant size however large the game, and the result does not
-    depend on the block size.
+    ``u2`` with ``T(x, u1, u2) = x'``.  Levels are ordered ascending.  The
+    kernel references the spec's transition table and the policies' tables
+    and copies neither, so the build allocates nothing table-sized.  Every
+    policy must belong to the env player and match the game's shape.  A
+    ``PolicyTable``'s rows are distributions by contract (see
+    :func:`~chplanner.game.check_rows`), so no kernel row is empty and each
+    sums to one as its policy row does.
     """
     if not env_policies:
         raise ValueError("env_policies must contain at least one level")
     levels = tuple(sorted(env_policies))
-    table = spec.transition_table
-    nx, nu1, nu2 = table.shape
+    nx, _, nu2 = spec.transition_table.shape
     for level in levels:
         policy = env_policies[level]
         if policy.player != ENV:
@@ -174,83 +240,33 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
                 f"policy for level {level} has shape {policy.probs.shape}, "
                 f"expected ({nx}, {nu2})"
             )
-    policies = [env_policies[level].probs for level in levels]
-    block = max(1, KERNEL_BLOCK_ENTRIES // (nu1 * nu2))
-    blocks = [(lo, min(lo + block, nx)) for lo in range(0, nx, block)]
-
-    indptr = np.zeros(len(levels) * nx * nu1 + 1, dtype=np.int64)
-    counts = indptr[1:].reshape(len(levels), nx, nu1)
-    for lo, hi in blocks:
-        for li, policy in enumerate(policies):
-            _count_successors(table[lo:hi], policy[lo:hi] > 0.0, counts[li, lo:hi])
-    if not counts.all():
-        raise ValueError("kernel has empty rows; env policies assign no mass somewhere")
-    np.cumsum(indptr, out=indptr)
-
-    targets = np.empty(indptr[-1], dtype=np.int64)
-    probs = np.empty(indptr[-1])
-    for lo, hi in blocks:
-        rows = (hi - lo) * nu1
-        block_table = table[lo:hi].reshape(rows, nu2)
-        order = np.argsort(block_table, axis=1, kind="stable")
-        sorted_targets = np.take_along_axis(block_table, order, axis=1).ravel()
-        new_group = np.empty(sorted_targets.size, dtype=bool)
-        new_group[1:] = sorted_targets[1:] != sorted_targets[:-1]
-        new_group[::nu2] = True
-        group = np.cumsum(new_group)
-        # Entry (row, j) draws the mass of env action order[row, j] in row // nu1's state.
-        mass_index = (order + (np.arange(rows) // nu1 * nu2)[:, None]).ravel()
-        for li, policy in enumerate(policies):
-            mass = policy[lo:hi].ravel()[mass_index]
-            # Drop the massless entries before merging: numpy's reduceat adds
-            # a group's first entry to the sum of the rest, so a leading zero
-            # would change the summation order.
-            kept = np.flatnonzero(mass > 0.0)
-            first = np.diff(group[kept], prepend=0) != 0
-            heads = kept[first]
-            block_probs = np.add.reduceat(mass[kept], np.flatnonzero(first))
-            start, stop = indptr[(li * nx + lo) * nu1], indptr[(li * nx + hi) * nu1]
-            np.add(sorted_targets[heads], li * nx, out=targets[start:stop])
-            probs[start:stop] = block_probs
-            rowsums = np.bincount(heads // nu2, weights=block_probs, minlength=rows)
-            if np.abs(rowsums - 1.0).max() > ROW_SUM_TOL:
-                raise ValueError("kernel rows do not sum to 1; env policies are inconsistent")
     return AugmentedKernel(
-        num_states=nx,
-        num_ego_actions=nu1,
+        transition_table=spec.transition_table,
+        env_probs=tuple(env_policies[level].probs for level in levels),
         levels=levels,
-        indptr=indptr,
-        targets=targets,
-        probs=probs,
     )
-
-
-def _count_successors(table: np.ndarray, massive: np.ndarray, out: np.ndarray) -> None:
-    """Add each (state, u1) row's number of distinct targets with mass to ``out``.
-
-    ``table`` is a block of the transition table, ``massive`` marks the env
-    actions with mass in each of its states.  An entry opens a new successor
-    if it has mass and no earlier entry of its row with mass shares its
-    target; no sort is needed.
-    """
-    seen = np.empty(out.shape, dtype=bool)
-    for j in range(table.shape[2]):
-        seen[:] = False
-        for i in range(j):
-            seen |= (table[:, :, i] == table[:, :, j]) & massive[:, i, None]
-        out += massive[:, j, None] & ~seen
 
 
 def _level_likelihoods(
     kernel: AugmentedKernel, prior: Belief, executed_u1: int, observed_y: int
 ) -> np.ndarray:
-    """Unnormalized posterior mass arriving at ``(observed_y, k)`` per level."""
-    nx = kernel.num_states
+    """Unnormalized posterior mass arriving at ``(observed_y, k)`` per level.
+
+    Level ``k``'s mass is its prior weight times its kernel probability of
+    ``observed_y``: the mass of the env actions that reach ``observed_y``,
+    massless ones dropped, merged with ``np.add.reduceat`` in env-action
+    order as :meth:`AugmentedKernel.expand_rows` merges them, so it equals
+    the row's entry bit for bit.  No row is expanded.
+    """
+    support, weights = prior.support(kernel)
+    x = prior.state
+    hits = np.flatnonzero(kernel.transition_table[x, executed_u1] == observed_y)
     masses = np.zeros(len(kernel.levels))
-    support, mass = prior.support(kernel)
-    which, targets, probs = kernel.expand_rows(support * kernel.num_ego_actions + executed_u1)
-    hit = (targets % nx) == observed_y
-    np.add.at(masses, targets[hit] // nx, probs[hit] * mass[which[hit]])
+    for li, weight in zip(support // kernel.num_states, weights):
+        mass = kernel.env_probs[li][x, hits]
+        mass = mass[mass > 0.0]
+        if mass.size:
+            masses[li] = np.add.reduceat(mass, _SEGMENT)[0] * weight
     return masses
 
 

@@ -56,9 +56,11 @@ Each solver stage is one batched pass over the compiled reachable sets:
 
 A receding-horizon loop re-plans from the same few beliefs over and over,
 so :func:`optimize` memoises its plans.  The key is exact: the kernel,
-reward and safe set by identity (arrays no write can reach), the scalar
-parameters, and the belief's state and level-weight bytes.  A hit returns
-the plan the first call produced.
+reward and safe set by identity (a kernel computes its rows from the
+game's transition table and the env policy tables, and those, the reward
+and the safe set are arrays no write can reach), the scalar parameters,
+and the belief's state and level-weight bytes.  A hit returns the plan the
+first call produced.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ class _CompiledHorizon:
     """Reachable-set propagation graph for one planning instance.
 
     Unrolls the kernel over the augmented states reachable from the belief
-    support ``{state} x K`` within the horizon, with per-step local index
+    support ``{state} x K`` within the horizon, computing each step's rows
+    with :meth:`AugmentedKernel.expand_rows`, with per-step local index
     spaces; rewards and the safe set are read at each target's physical
     state.  Stages ``0..H-2`` are kept as sparse steps; the last stage is
     folded into two ``(actions, sources)`` matrices, ``last_reward[u, j]``
@@ -607,9 +610,10 @@ def optimize(
 
     The identity keys are sound only for inputs no write can reach: a
     ``reward`` or ``safe_set`` that is writeable, or a read-only view of a
-    writeable array, bypasses the memo (see :func:`_frozen`).  The kernel's
-    arrays are always read-only, and ``GameSpec.safe_set`` and
-    ``Scenario.ego_objective`` are made so (see :func:`game.read_only`).
+    writeable array, bypasses the memo (see :func:`_frozen`).  A kernel
+    reads only ``GameSpec.transition_table`` and ``PolicyTable.probs``,
+    which are always read-only, and ``GameSpec.safe_set`` and
+    ``Scenario.ego_objective`` are made so too (see :func:`game.read_only`).
     """
     if not (_frozen(reward) and _frozen(safe_set)):
         return _solve(kernel, reward, safe_set, belief, epsilon, discount, horizon)

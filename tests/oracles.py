@@ -509,14 +509,43 @@ def pure_minimax_value(payoff: np.ndarray) -> float:
     return float(payoff.min(axis=1).max())
 
 
+def pairwise_sum_reference(values: list[float]) -> float:
+    """numpy's pairwise sum of a contiguous float64 run, one addition at a time.
+
+    Below 8 entries the run is added left to right from -0.0.  From 8 to
+    128 entries eight accumulators take every eighth entry, are added
+    pairwise, and the remainder follows left to right; longer runs are
+    halved at a multiple of 8 and the halves added.
+    """
+    n = len(values)
+    if n < 8:
+        total = -0.0
+        for v in values:
+            total += v
+        return total
+    if n <= 128:
+        acc = list(values[:8])
+        m = n - n % 8
+        for i in range(8, m, 8):
+            for j in range(8):
+                acc[j] += values[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for v in values[m:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return pairwise_sum_reference(values[:half]) + pairwise_sum_reference(values[half:])
+
+
 def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, targets, probs)`` of the augmented kernel, one row at a time.
 
     Row ``(k * |X| + x) * |U1| + u1`` lists each target ``k * |X| + T[x, u1, u2]``
     once, in ascending order; zero-mass env actions contribute no entry.  A
     target's probability is the mass of its first env action with mass plus
-    the sum, left to right, of the masses of its later ones: the order in
-    which numpy adds a segment of fewer than 9 entries.
+    the sum of the masses of its later ones, in env-action order: the order
+    in which numpy adds a segment, left to right below 9 entries and
+    pairwise (:func:`pairwise_sum_reference`) from 9.
     """
     nx, nu1, nu2 = spec.transition_table.shape
     indptr, targets, probs = [0], [], []
@@ -533,10 +562,82 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
                 for target in sorted(row):
                     first, *rest = row[target]
                     targets.append(target)
-                    probs.append(first + sum(rest))
+                    probs.append(first + pairwise_sum_reference(rest))
                 indptr.append(len(targets))
     return (np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
             np.array(probs, dtype=float))
+
+
+def csr_rows_reference(csr, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(which_row, targets, probs)`` of ``rows`` read from CSR arrays, row by row."""
+    indptr, targets, probs = csr
+    which, picked = [], []
+    for i, r in enumerate(rows):
+        span = range(indptr[r], indptr[r + 1])
+        which += [i] * len(span)
+        picked += span
+    return (np.array(which, dtype=np.int64), targets[np.array(picked, dtype=np.int64)],
+            probs[np.array(picked, dtype=np.int64)])
+
+
+def level_likelihoods_csr_reference(csr, num_states, num_ego_actions, prior: Belief,
+                                    u1: int, y: int) -> np.ndarray:
+    """Per-level mass arriving at ``(y, k)``, read from a materialized CSR.
+
+    The rule the level update used while the kernel was stored: gather the
+    prior's support rows under ``u1`` and add ``prob * weight`` of each
+    entry whose target is ``y`` into its level with ``np.add.at``.
+    """
+    nx = num_states
+    num_levels = prior.weights.size
+    levels = np.flatnonzero(prior.weights)
+    mass = prior.weights[levels]
+    which, targets, probs = csr_rows_reference(csr, (levels * nx + prior.state) * num_ego_actions + u1)
+    masses = np.zeros(num_levels)
+    hit = (targets % nx) == y
+    np.add.at(masses, targets[hit] // nx, probs[hit] * mass[which[hit]])
+    return masses
+
+
+def bayes_update_csr_reference(csr, num_states, num_ego_actions, prior: Belief, u1: int,
+                               y: int, floor: float = 0.0):
+    """Posterior level weights from :func:`level_likelihoods_csr_reference`.
+
+    Lifts every mass to ``floor`` when it is positive and normalises;
+    ``None`` when no mass is left, where the update raises.
+    """
+    masses = level_likelihoods_csr_reference(csr, num_states, num_ego_actions, prior, u1, y)
+    if floor > 0.0:
+        masses = np.maximum(masses, floor)
+    total = masses.sum()
+    return None if total <= 0.0 else masses / total
+
+
+def kernel_row_check_reference(table: np.ndarray, policies) -> str | None:
+    """The row checks a stored kernel build ran, on raw policy arrays.
+
+    Every (level, state, u1) row needs at least one env action with mass,
+    and its merged probabilities, added left to right, must sum to one
+    within ``ROW_SUM_TOL``.  Returns the message of the first check that
+    fails, or ``None``.
+    """
+    nx, nu1, nu2 = table.shape
+    for probs in policies:
+        for x in range(nx):
+            for u1 in range(nu1):
+                row: dict[int, list[float]] = {}
+                for u2 in range(nu2):
+                    if probs[x, u2] > 0.0:
+                        row.setdefault(int(table[x, u1, u2]), []).append(float(probs[x, u2]))
+                if not row:
+                    return "kernel has empty rows"
+                total = 0.0
+                for target in sorted(row):
+                    first, *rest = row[target]
+                    total += first + pairwise_sum_reference(rest)
+                if abs(total - 1.0) > ROW_SUM_TOL:
+                    return "kernel rows do not sum to 1"
+    return None
 
 
 # ---------------------------------------------------------------------------

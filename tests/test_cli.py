@@ -8,7 +8,8 @@ import yaml
 from importlib import resources
 
 from chplanner.cli import build_artifacts, main, run_episode, write_episode_csv
-from chplanner.hierarchy import load_hierarchy
+from chplanner.game import ENV, PolicyTable
+from chplanner.hierarchy import Hierarchy, load_hierarchy, save_hierarchy
 from chplanner.traffic import default_config
 
 
@@ -69,6 +70,29 @@ def test_build_rebuilds_a_cache_holding_a_nan(tmp_path, cache_dir):
     for a, b in zip(rebuilt.env_policies, hierarchy.env_policies):
         assert np.array_equal(a.probs, b.probs)
     assert load_hierarchy(own_cache / name)[1] == content_hash
+
+
+def test_simulate_rebuilds_a_cache_holding_misshapen_tables(tmp_path, cache_dir):
+    # Valid (5, 3) policy tables saved under an intersection build's hash and
+    # k_max, meta and zip intact: a miss, rebuilt with the same content hash,
+    # not a traceback from the kernel build.
+    config = default_config("intersection")
+    _, hierarchy, content_hash = build_artifacts(config, cache_dir)
+    name = f"hierarchy-{content_hash[:16]}.npz"
+    small = Hierarchy(tuple(
+        PolicyTable(k, ENV, np.full((5, 3), 1.0 / 3.0)) for k in range(config.k_max + 1)
+    ))
+    own_cache = tmp_path / "cache"
+    own_cache.mkdir()
+    save_hierarchy(own_cache / name, small, content_hash)
+    assert load_hierarchy(own_cache / name)[1] == content_hash
+
+    assert main(["simulate", "--config", "intersection", "--cache-dir", str(own_cache),
+                 "--out", str(tmp_path / "episode")]) == 0
+    rebuilt, again = load_hierarchy(own_cache / name)
+    assert again == content_hash
+    for a, b in zip(rebuilt.env_policies, hierarchy.env_policies):
+        assert np.array_equal(a.probs, b.probs)
 
 
 def test_build_rejects_bad_epsilon(tmp_path, cache_dir, capsys):

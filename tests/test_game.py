@@ -24,14 +24,17 @@ def test_validate_well_formed_game_passes():
 
 
 def test_memo_keyed_arrays_are_read_only():
-    # planner.optimize keys its plan memo on the safe set and the ego objective.
+    # planner.optimize keys its plan memo on the safe set, the ego objective
+    # and the kernel, which reads its rows from the transition table.
     table = np.zeros((2, 2, 2), dtype=np.int64)
     safe = np.array([True, True])
     spec = make_spec(table, np.array([0.0, 1.0]), [1.0, 0.0], safe)
     assert spec.safe_set is safe  # taken over, not copied
-    with pytest.raises(ValueError, match="read-only"):
-        spec.safe_set[0] = False
-    assert spec.transition_table.flags.writeable and spec.ego_reward_table.flags.writeable
+    assert spec.transition_table is table
+    for arr, value in ((spec.safe_set, False), (spec.transition_table, 1)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = value
+    assert spec.ego_reward_table.flags.writeable
 
     pair = np.array([[True, False]])
     spec = make_spec(table, [0.0, 1.0], [1.0, 0.0], pair.ravel())

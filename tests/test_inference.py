@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chplanner import inference
-from chplanner.game import ENV, PolicyTable
+from chplanner import cli, inference
+from chplanner.game import ENV, ROW_SUM_TOL, PolicyTable
 from chplanner.inference import (
     Belief,
     InconsistentObservationError,
@@ -14,12 +14,18 @@ from chplanner.inference import (
     build_kernel,
     init_belief,
 )
+from chplanner.traffic import default_config
 
 from conftest import make_spec
 from oracles import (
+    bayes_update_csr_reference,
+    csr_rows_reference,
     dense_posterior_oracle,
     dense_predict_oracle,
     kernel_csr_oracle,
+    kernel_row_check_reference,
+    level_likelihoods_csr_reference,
+    pairwise_sum_reference,
     predict,
     random_game,
     random_policy,
@@ -76,15 +82,11 @@ def test_kernel_rows_stochastic_and_level_conserving():
             assert (targets // 7 == aug // 7).all()  # level never changes
 
 
-@pytest.mark.parametrize("block_entries", [1, 30, 1 << 17])
-def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entries):
-    # 23 states of 2 x 4 entries: with 30 entries a block holds 3 states, so
-    # each level spans 8 blocks and the last block is short; 1 entry is less
-    # than one state's 8, which still makes one-state blocks.
-    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", block_entries)
-    rng = np.random.default_rng(12)
+def _zero_pattern_game(rng):
+    """23 states x 2 ego x 4 env actions, three levels with planted zero patterns."""
     nx, nu1, nu2 = 23, 2, 4
     spec, table, *_ = random_game(rng, nx, nu1, nu2)
+    table = table.copy()  # the spec holds the table read-only
     table[::2, :, 3] = table[::2, :, 0]  # duplicate successors to merge
     table[::3, 0, :] = table[::3, 0, :1]  # rows whose four entries share one target
     spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
@@ -101,7 +103,33 @@ def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entri
         k: PolicyTable(k, ENV, p / p.sum(axis=1, keepdims=True))
         for k, p in zip((1, 2, 3), probs)
     }
+    return spec, policies
 
+
+def _wide_game(rng):
+    """|U2| = 12 onto 3 states, so runs of 9 or more equal targets merge pairwise."""
+    nx, nu1, nu2 = 3, 3, 12
+    table = rng.integers(0, nx, size=(nx, nu1, nu2))
+    table[0, 0, :] = 1  # one target for all twelve entries
+    table[1, 1, :10] = 2  # ten entries on one target, two elsewhere
+    spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
+    # Masses spread over decades make the pairwise and left-to-right sums differ.
+    probs = rng.random((2, nx, nu2)) * 10.0 ** rng.integers(-6, 1, size=(2, nx, nu2))
+    probs[1][rng.random((nx, nu2)) < 0.2] = 0.0
+    policies = {
+        k: PolicyTable(k, ENV, p / p.sum(axis=1, keepdims=True)) for k, p in zip((1, 2), probs)
+    }
+    return spec, policies
+
+
+@pytest.mark.parametrize("block_entries", [1, 30, 1 << 17])
+def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entries):
+    # 3 levels of 23 states x 2 ego actions are 138 rows of 4 entries: with
+    # 30 entries a block of the CSR view holds 7 rows, so blocks straddle
+    # states and levels and the last block is short; 1 entry is less than
+    # one row's 4, which still makes one-row blocks.
+    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", block_entries)
+    spec, policies = _zero_pattern_game(np.random.default_rng(12))
     kernel = build_kernel(spec, policies)
     for got, want in zip((kernel.indptr, kernel.targets, kernel.probs),
                          kernel_csr_oracle(spec, policies)):
@@ -109,12 +137,156 @@ def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entri
         assert np.array_equal(got, want)
 
 
-def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
-    # The CSR arrays are allocated once at their final size and filled in
-    # place, so the traced peak is the finished kernel plus one block's
-    # temporaries.  Building them from per-block chunks and concatenating
-    # would hold the entries twice.
-    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", 1 << 12)
+@pytest.mark.parametrize("game", [_zero_pattern_game, _wide_game])
+def test_expand_rows_matches_oracle_rows(game):
+    # Rows computed on demand against the materialized oracle, byte for byte:
+    # random subsets mix levels, repeat rows and come unsorted; every row is
+    # also asked for alone.
+    rng = np.random.default_rng(21)
+    spec, policies = game(rng)
+    kernel = build_kernel(spec, policies)
+    csr = kernel_csr_oracle(spec, policies)
+    num_rows = csr[0].size - 1
+    calls = [rng.integers(0, num_rows, size=int(rng.integers(1, 3 * num_rows)))
+             for _ in range(40)]
+    calls += [np.array([r]) for r in range(num_rows)]
+    for rows in calls:
+        for got, want in zip(kernel.expand_rows(rows), csr_rows_reference(csr, rows)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    nu1 = spec.num_ego_actions
+    for r in range(num_rows):
+        targets, probs = kernel.row(r // nu1, r % nu1)
+        assert targets.tobytes() == csr[1][csr[0][r]:csr[0][r + 1]].tobytes()
+        assert probs.tobytes() == csr[2][csr[0][r]:csr[0][r + 1]].tobytes()
+    if game is _wide_game:
+        # Some run of 9 or more equal targets sums otherwise pairwise than left
+        # to right, so the rows above cover numpy's pairwise branch.
+        differs = []
+        for policy in policies.values():
+            for x, u1, target in ((0, 0, 1), (1, 1, 2)):
+                run = [p for p, t in zip(policy.probs[x].tolist(),
+                                         spec.transition_table[x, u1].tolist())
+                       if p > 0.0 and t == target]
+                left_to_right = 0.0
+                for p in run:
+                    left_to_right += p
+                differs.append(run[0] + pairwise_sum_reference(run[1:]) != left_to_right)
+        assert any(differs)
+
+
+@pytest.mark.parametrize("game", [_zero_pattern_game, _wide_game])
+def test_bayes_update_matches_the_stored_kernel_rule(game):
+    # The update reads the tables, not rows; its weights are bit-identical to
+    # the rule that read a materialized kernel, including rows that merge
+    # three or more equal targets and the floor retry on an observation
+    # every level rules out.
+    rng = np.random.default_rng(22)
+    spec, policies = game(rng)
+    kernel = build_kernel(spec, policies)
+    csr = kernel_csr_oracle(spec, policies)
+    nx, nu1 = spec.num_states, spec.num_ego_actions
+    retries = 0
+    for _ in range(8):
+        weights = rng.dirichlet(np.ones(len(policies)))
+        if rng.random() < 0.3:
+            weights[rng.integers(len(policies))] = 0.0
+            weights /= weights.sum()
+        for x in range(nx):
+            prior = Belief(state=x, weights=weights)
+            for u1 in range(nu1):
+                for y in range(nx):
+                    want = level_likelihoods_csr_reference(csr, nx, nu1, prior, u1, y)
+                    got = inference._level_likelihoods(kernel, prior, u1, y)
+                    assert got.tobytes() == want.tobytes()
+                    expected = bayes_update_csr_reference(csr, nx, nu1, prior, u1, y)
+                    if expected is None:
+                        with pytest.raises(InconsistentObservationError):
+                            bayes_update(kernel, prior, u1, y)
+                        expected = bayes_update_csr_reference(csr, nx, nu1, prior, u1, y, 1e-9)
+                        post = bayes_update(kernel, prior, u1, y, floor=1e-9)
+                        retries += 1
+                    else:
+                        post = bayes_update(kernel, prior, u1, y)
+                    assert post.weights.tobytes() == expected.tobytes()
+    assert retries > 0
+
+
+def _policy_row(draw, nu2):
+    """A policy row that is a distribution or misses being one in a chosen way."""
+    row = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=nu2, max_size=nu2)))
+    row[np.array(draw(st.lists(st.booleans(), min_size=nu2, max_size=nu2)))] = 0.0
+    if not row.any():
+        row[0] = 1.0
+    row /= row.sum()
+    kind = draw(st.sampled_from(["ok", "scale", "negative", "empty", "nan", "above_one"]))
+    if kind == "scale":
+        k = draw(st.sampled_from([0.5, 0.999, 1.001, 1.5, 2.0, 1e3, 1e6]))
+        row *= 1.0 + draw(st.sampled_from([-1.0, 1.0])) * k * ROW_SUM_TOL
+    elif kind == "negative":
+        row[draw(st.integers(0, nu2 - 1))] = -draw(st.sampled_from([0.5e-12, 1e-12, 2e-12, 1e-6]))
+    elif kind == "empty":
+        row[:] = 0.0
+        if draw(st.booleans()):
+            row[0] = -0.5e-12
+    elif kind == "nan":
+        row[draw(st.integers(0, nu2 - 1))] = np.nan
+    elif kind == "above_one":
+        row[:] = 0.0
+        row[draw(st.integers(0, nu2 - 1))] = 1.0 + draw(st.sampled_from([2e-12, 1e-6]))
+    return row
+
+
+@st.composite
+def _policy_cases(draw):
+    nx, nu1, nu2 = 2, 2, draw(st.integers(1, 4))
+    table = np.array(draw(st.lists(st.integers(0, nx - 1), min_size=nx * nu1 * nu2,
+                                   max_size=nx * nu1 * nu2))).reshape(nx, nu1, nu2)
+    return table, np.array([_policy_row(draw, nu2) for _ in range(nx)])
+
+
+def _edge_band(nu2):
+    # Below the tolerance edge, the stored kernel's row check could reject a
+    # row check_rows accepts: entries down to -1e-12 count in check_rows' row
+    # sum and not in the kernel's, and the two sum in other orders.
+    return nu2 * 1e-12 + 1e-15
+
+
+@given(_policy_cases())
+@settings(max_examples=300, deadline=None)
+def test_policy_table_rejects_what_the_dropped_kernel_checks_rejected(case):
+    # build_kernel no longer checks row sums or empty rows; PolicyTable does.
+    # Every policy the stored kernel's checks rejected fails PolicyTable,
+    # except one with a row summing within _edge_band under the tolerance
+    # edge, which PolicyTable and the kernel now both accept.
+    table, probs = case
+    if kernel_row_check_reference(table, [probs]) is None:
+        return
+    try:
+        policy = PolicyTable(1, ENV, probs)
+    except ValueError:
+        return
+    deviation = np.abs(probs.sum(axis=1) - 1.0).max()
+    assert ROW_SUM_TOL - _edge_band(table.shape[2]) <= deviation <= ROW_SUM_TOL
+    build_kernel(make_spec(table, np.zeros(2), np.zeros(2), np.ones(2, bool)), {1: policy})
+
+
+def test_a_row_at_the_tolerance_edge_now_builds():
+    # The band case, pinned: with its -0.6e-12 entry the row sums to
+    # 1 + 0.9997e-9, so PolicyTable accepts it; without that entry it sums to
+    # 1 + 1.0003e-9, which the stored kernel's check rejected.
+    table = np.array([[[0, 1, 1]], [[0, 1, 1]]])
+    probs = np.array([[0.6, 0.4 + ROW_SUM_TOL + 0.3e-12, -0.6e-12]] * 2)
+    assert kernel_row_check_reference(table, [probs]) == "kernel rows do not sum to 1"
+    _, kernel = _kernel_for(table, {1: PolicyTable(1, ENV, probs)})
+    targets, row_probs = kernel.row(0, 0)
+    assert targets.tolist() == [0, 1]
+    assert abs(row_probs.sum() - 1.0) <= ROW_SUM_TOL + _edge_band(3)
+
+
+def test_build_kernel_allocates_nothing_table_sized():
+    # The kernel references the spec's and the policies' tables, so building
+    # it on a 20,000-state game (a 1.4 MB table) stays under 1 MiB traced.
     rng = np.random.default_rng(5)
     nx, nu1, nu2 = 20_000, 3, 3
     spec, *_ = random_game(rng, nx, nu1, nu2)
@@ -125,8 +297,57 @@ def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    csr = kernel.indptr.nbytes + kernel.targets.nbytes + kernel.probs.nbytes
+    assert peak <= 1 << 20, peak
+    assert kernel.transition_table is spec.transition_table
+    assert all(a is policies[k].probs for a, k in zip(kernel.env_probs, (1, 2)))
+
+
+def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
+    # The CSR view's arrays are allocated once at their final size and
+    # filled a block at a time, so building the view peaks at the finished
+    # arrays plus one block's temporaries.  Building them from per-block
+    # chunks and concatenating would hold the entries twice.
+    monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", 1 << 12)
+    rng = np.random.default_rng(5)
+    nx, nu1, nu2 = 20_000, 3, 3
+    spec, *_ = random_game(rng, nx, nu1, nu2)
+    policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in (1, 2)}
+    kernel = build_kernel(spec, policies)
+    tracemalloc.start()
+    try:
+        csr = kernel.indptr.nbytes + kernel.targets.nbytes + kernel.probs.nbytes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= csr + (1 << 20), (peak, csr)
+
+
+def test_kernel_tables_are_read_only_and_shared(built_scenarios):
+    rng = np.random.default_rng(3)
+    spec, *_ = random_game(rng, nx=4, nu1=2, nu2=2)
+    policy = random_policy(rng, 1, ENV, 4, 2)
+    build_kernel(spec, {1: policy})
+    for arr in (spec.transition_table, policy.probs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = arr[0, 0]
+    for name in ("intersection", "overtaking", "merging"):
+        scenario, hierarchy, kernel, _ = built_scenarios(name)
+        assert kernel.transition_table is scenario.spec.transition_table
+        assert not kernel.transition_table.flags.writeable
+        for probs, level in zip(kernel.env_probs, scenario.config.levels):
+            assert probs is hierarchy.env(level).probs
+            assert not probs.flags.writeable
+
+
+def test_start_up_and_episodes_leave_the_csr_view_unbuilt(cache_dir):
+    # Only the benchmark harness and the oracle tests read the CSR view; the
+    # start-up, the planner and the belief update never build it.
+    config = default_config("intersection")
+    scenario, hierarchy, _ = cli.build_artifacts(config, cache_dir)
+    kernel = cli.scenario_kernel(scenario, hierarchy)
+    cli.run_episode(scenario, hierarchy, kernel, config.levels[0], 0)
+    cli.evaluate_batch(scenario, hierarchy, kernel, [0, 1])
+    assert "_csr" not in vars(kernel)
 
 
 def test_kernel_arrays_are_read_only():
