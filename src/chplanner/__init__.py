@@ -20,6 +20,7 @@ from .hierarchy import (
     QTable,
     build_hierarchy,
     compute_q,
+    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,

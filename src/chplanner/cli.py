@@ -30,6 +30,7 @@ import json
 import sys
 import time
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .game import EGO, ENV
 from .hierarchy import (
     Hierarchy,
     build_hierarchy,
+    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,
@@ -146,13 +148,25 @@ def build_artifacts(
     process), that holds another build or whose env tables do not have the
     game's ``(|X|, |U2|)`` shape counts as a miss: the hierarchy is rebuilt
     and the file replaced.
+
+    The content hash is taken in two steps: a second thread hashes the game
+    tables (:func:`~chplanner.hierarchy.game_digest`, most of the bytes)
+    while this thread computes the two level-0 anchors, then
+    ``hierarchy_content_hash`` adds the anchors.  ``level0_policy`` and
+    ``hierarchy_content_hash`` are called through this module's names on
+    the calling thread, where a tracer that patches them can record them.
+    The hierarchy itself is built by :func:`build_hierarchy`, whose Q
+    builds split their work between two threads on a machine with two
+    cores.
     """
     scenario = make_scenario(config)
-    anchor_ego = level0_policy(scenario, EGO)
-    anchor_env = level0_policy(scenario, ENV)
-    content_hash = hierarchy_content_hash(
-        scenario.spec, config.k_max, anchor_ego, anchor_env, config.softmax_temperature
-    )
+    with ThreadPoolExecutor(1) as pool:
+        game = pool.submit(
+            game_digest, scenario.spec, config.k_max, config.softmax_temperature
+        )
+        anchor_ego = level0_policy(scenario, EGO)
+        anchor_env = level0_policy(scenario, ENV)
+        content_hash = hierarchy_content_hash(game.result(), anchor_ego, anchor_env)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"hierarchy-{content_hash[:16]}.npz"

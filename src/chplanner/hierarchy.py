@@ -12,6 +12,12 @@ over opponent behavior.  A closed-loop dynamic program would in general
 give different (larger) values and is intentionally not what is computed
 here.  Hard state constraints are never imposed during hierarchy
 construction; safety enters only through the game's reward penalties.
+
+Each Q computation splits its suffix tree between up to ``MAX_Q_WORKERS``
+threads, one per core, with byte-identical results (see :func:`compute_q`).
+A build's content hash is taken in two steps, :func:`game_digest` over the
+game and :func:`hierarchy_content_hash` over the level-0 anchors, so the
+first can run while the anchors are computed.
 """
 
 from __future__ import annotations
@@ -19,9 +25,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "softmax_policy",
     "compute_q",
     "build_hierarchy",
+    "game_digest",
     "hierarchy_content_hash",
     "save_hierarchy",
     "load_hierarchy",
@@ -41,6 +49,10 @@ __all__ = [
 # Hashed into every content hash: bump it whenever the cache layout or the
 # meaning of the Q-tables changes, so no stale table is ever reused.
 CACHE_FORMAT_VERSION = 2
+
+# Most workers one Q build splits its suffix tree between: each holds a
+# scratch set of its own (see compute_q), and only two were measured.
+MAX_Q_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,9 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     return PolicyTable(level=q.level, player=q.player, probs=probs)
 
 
-def _column_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _column_sum(
+    terms: np.ndarray, out: np.ndarray | None = None, acc: np.ndarray | None = None,
+) -> np.ndarray:
     """``terms.sum(axis=0)``, bit for bit equal to ``terms.T.sum(axis=1)``.
 
     numpy adds the n entries of one contiguous row left to right below 8
@@ -109,6 +123,12 @@ def _column_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     row sum it was defined by, while each addition is one contiguous
     vector add.  (``tests/test_hierarchy.py`` pins the equality, so a numpy
     release that changes its row order fails there.)
+
+    ``acc`` is a ``(14, width)`` scratch for the 8-, 4- and 2-row
+    accumulators, allocated here when not given.  With ``out`` and ``acc``
+    given, up to 128 rows allocate nothing row-sized.  The halving branch
+    above 128 rows still allocates its two halves: no packaged game has
+    more than 9 actions.
     """
     n = terms.shape[0]
     if n < 8:
@@ -116,19 +136,84 @@ def _column_sum(terms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     if n > 128:
         half = n // 2 - n // 2 % 8
         return np.add(_column_sum(terms[:half]), _column_sum(terms[half:]), out=out)
+    if acc is None:
+        acc = np.empty((14, terms.shape[1]))
+    acc8, acc4, acc2 = acc[:8], acc[8:12], acc[12:]
     m = n - n % 8
-    acc = terms[:m].reshape(m // 8, 8, -1).sum(axis=0)
-    acc = acc[0::2] + acc[1::2]
-    acc = acc[0::2] + acc[1::2]
-    res = np.add(acc[0], acc[1], out=out)
+    terms[:m].reshape(m // 8, 8, -1).sum(axis=0, out=acc8)
+    np.add(acc8[0::2], acc8[1::2], out=acc4)
+    np.add(acc4[0::2], acc4[1::2], out=acc2)
+    res = np.add(acc2[0], acc2[1], out=out)
     for row in terms[m:]:
         res += row
     return res
 
 
+class _Tables(NamedTuple):
+    """A Q build's opponent-major game tables, read by every worker.
+
+    ``succ[u, o]`` is every state's successor under own action ``u`` and
+    opponent action ``o``, ``rewards[u, o]`` its reward and ``opp_cols[o]``
+    the opponent's probability of ``o``.
+    """
+
+    succ: np.ndarray
+    rewards: np.ndarray
+    opp_cols: np.ndarray
+    discount: float
+
+
+class _Scratch(NamedTuple):
+    """One worker's buffers; the calling thread allocates them (see compute_q).
+
+    ``terms`` holds one backup's ``(opponent action, state)`` terms and
+    ``acc`` the :func:`_column_sum` accumulators.  Row 0 of ``vectors`` is
+    the zero tail; rows ``2d - 1`` and ``2d`` are depth ``d``'s scaled tail
+    and backup.  ``values`` holds the worker's per-action maxima.
+    """
+
+    terms: np.ndarray
+    acc: np.ndarray | None
+    vectors: np.ndarray
+    values: np.ndarray
+
+
+def _scratch(n_own: int, n_opp: int, nx: int, horizon: int) -> _Scratch:
+    vectors = np.empty((2 * horizon + 1, nx))
+    vectors[0] = 0.0
+    return _Scratch(
+        terms=np.empty((n_opp, nx)),
+        acc=np.empty((14, nx)) if 8 <= n_opp <= 128 else None,
+        vectors=vectors,
+        values=np.full((n_own, nx), -np.inf),
+    )
+
+
+def _backups(
+    tables: _Tables, tail: np.ndarray, actions: range, scratch: _Scratch, depth: int,
+) -> Iterator[np.ndarray]:
+    """Yield the backup of ``tail`` under each own action in ``actions``.
+
+    The backup is a depth-``depth`` suffix value; it gathers one contiguous
+    row per opponent action into ``scratch.terms`` and sums the rows with
+    :func:`_column_sum`.  Every yield is the same buffer, overwritten by the
+    next backup.
+    """
+    scaled, out = scratch.vectors[2 * depth - 1], scratch.vectors[2 * depth]
+    np.multiply(tables.discount, tail, out=scaled)
+    terms = scratch.terms
+    for u in actions:
+        # terms[o] = P[o] * (R[nxt[o]] + discount * tail[nxt[o]]).  Mode
+        # "clip" writes straight into ``terms`` ("raise" would buffer it);
+        # GameSpec keeps every successor in range.
+        np.take(scaled, tables.succ[u], out=terms, mode="clip")
+        terms += tables.rewards[u]
+        terms *= tables.opp_cols
+        yield _column_sum(terms, out, scratch.acc)
+
+
 def _suffix_values(
-    succ: np.ndarray, succ_rewards: np.ndarray, opp_cols: np.ndarray,
-    discount: float, depth: int, terms: np.ndarray,
+    tables: _Tables, depth: int, scratch: _Scratch, share: tuple[int, int] = (0, 1),
 ) -> Iterator[np.ndarray]:
     """Yield one expected-value vector per own-action suffix of ``depth`` steps.
 
@@ -140,29 +225,40 @@ def _suffix_values(
     ``sum_d |U_own|^d`` vectorized backups.  The first action ``a_1`` varies
     fastest: the i-th vector belongs to a suffix starting with ``i % |U_own|``.
 
-    The tables are opponent-major: ``succ[u, o]`` is every state's successor
-    under own action ``u`` and opponent action ``o``, ``succ_rewards[u, o]``
-    its reward and ``opp_cols[o]`` the opponent's probability of ``o``.  A
-    backup gathers one contiguous row per opponent action into the scratch
-    ``terms`` and sums the rows with :func:`_column_sum`.  Each depth yields
-    the same buffer, overwritten by its next backup.
+    With ``share = (k, n)`` only the vectors whose index is ``k`` modulo
+    ``n`` are computed and yielded; the shallower tails are all computed.
     """
-    nx = opp_cols.shape[1]
+    k, n = share
     if depth == 0:
-        yield np.zeros(nx)
+        if k == 0:
+            yield scratch.vectors[0]
         return
-    scaled = np.empty(nx)
-    out = np.empty(nx)
-    for tail in _suffix_values(succ, succ_rewards, opp_cols, discount, depth - 1, terms):
-        np.multiply(discount, tail, out=scaled)
-        for nxt, rewards in zip(succ, succ_rewards):
-            # terms[o] = P[o] * (R[nxt[o]] + discount * tail[nxt[o]]).  Mode
-            # "clip" writes straight into ``terms`` ("raise" would buffer it);
-            # GameSpec keeps every successor in range.
-            np.take(scaled, nxt, out=terms, mode="clip")
-            terms += rewards
-            terms *= opp_cols
-            yield _column_sum(terms, out)
+    n_own = len(tables.succ)
+    for j, tail in enumerate(_suffix_values(tables, depth - 1, scratch)):
+        actions = range((k - j * n_own) % n, n_own, n)
+        if actions:
+            yield from _backups(tables, tail, actions, scratch, depth)
+
+
+def _q_worker(tables: _Tables, horizon: int, share: tuple[int, int], scratch: _Scratch) -> None:
+    """Fold one worker's share of the suffixes into ``scratch.values``.
+
+    With ``share = (k, n)`` the worker takes the depth-``horizon - 1``
+    tails whose index is ``k`` modulo ``n``, re-deriving the shallower
+    tails itself, and the ``|U_own|`` root backups above each; ``values[u]``
+    becomes the maximum over those root backups with first action ``u``.
+    Every buffer comes from ``scratch``, so the worker allocates nothing
+    the size of the state space (below 129 opponent actions).
+    """
+    values = scratch.values
+    for tail in _suffix_values(tables, horizon - 1, scratch, share):
+        for u, v in enumerate(_backups(tables, tail, range(len(values)), scratch, horizon)):
+            np.maximum(values[u], v, out=values[u])
+
+
+def _worker_count(n_tails: int) -> int:
+    """Workers for a Q build with ``n_tails`` depth-``horizon - 1`` tails."""
+    return min(len(os.sched_getaffinity(0)), MAX_Q_WORKERS, n_tails)
 
 
 def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTable:
@@ -180,6 +276,18 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     column in numpy's own row-sum order: the values are bit-identical to
     ``(P * (R[nxt] + discount * tail[nxt])).sum(axis=1)`` over
     ``(states, n_opp)`` rows.
+
+    The suffix tree is split between :func:`_worker_count` workers, each
+    taking every n-th depth-``horizon - 1`` tail (see :func:`_q_worker`);
+    the first runs on the calling thread, the others on threads of their
+    own, and their maxima are merged with ``np.maximum``.  A suffix value
+    goes through the same float operations in whichever worker computes
+    it and the maximum is exact (no backup is -0.0: every row has a term of
+    positive probability), so any split gives the same bytes.  The calling
+    thread allocates every worker's buffers: glibc keeps a thread's own
+    malloc arena after the thread ends, so memory a worker allocated would
+    stay resident.  An error raised in a worker is re-raised here once
+    every worker has ended.
     """
     if player not in (EGO, ENV):
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
@@ -187,27 +295,35 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
         raise ValueError("opponent_policy belongs to the same player")
     n_own = spec.num_actions(player)
     n_opp = spec.num_actions(opponent_policy.player)
-    if opponent_policy.probs.shape != (spec.num_states, n_opp):
+    nx = spec.num_states
+    if opponent_policy.probs.shape != (nx, n_opp):
         raise ValueError(
             f"opponent policy shape {opponent_policy.probs.shape} does not match "
-            f"({spec.num_states}, {n_opp})"
+            f"({nx}, {n_opp})"
         )
     # The kept table is allocated before the temporaries, so the heap they
     # free lies above it and can be returned to the system.
-    q_values = np.empty((spec.num_states, n_own))
+    q_values = np.empty((nx, n_own))
     # (own action, opponent action, state) successor table.
     axes = (1, 2, 0) if player == EGO else (2, 1, 0)
     succ = np.ascontiguousarray(spec.transition_table.transpose(axes), dtype=np.intp)
-    succ_rewards = spec.rewards(player)[succ]
-    opp_cols = np.ascontiguousarray(opponent_policy.probs.T)
-    terms = np.empty(opp_cols.shape)
-    # Own-action-major, so each maximum is one contiguous row.
-    values = np.full((n_own, spec.num_states), -np.inf)
-    suffixes = _suffix_values(
-        succ, succ_rewards, opp_cols, spec.discount, spec.horizon, terms
+    tables = _Tables(
+        succ, spec.rewards(player)[succ], np.ascontiguousarray(opponent_policy.probs.T),
+        spec.discount,
     )
-    for i, v in enumerate(suffixes):
-        np.maximum(values[i % n_own], v, out=values[i % n_own])
+    n = _worker_count(n_own ** (spec.horizon - 1))
+    scratches = [_scratch(n_own, n_opp, nx, spec.horizon) for _ in range(n)]
+    jobs = [(tables, spec.horizon, (k, n), scratch) for k, scratch in enumerate(scratches)]
+    # The pool starts a thread per submitted job only: one worker runs inline.
+    with ThreadPoolExecutor(max(n - 1, 1)) as pool:
+        others = [pool.submit(_q_worker, *job) for job in jobs[1:]]
+        _q_worker(*jobs[0])
+    for future in others:
+        future.result()
+    # Own-action-major, so each maximum is one contiguous row.
+    values = scratches[0].values
+    for scratch in scratches[1:]:
+        np.maximum(values, scratch.values, out=values)
     q_values[...] = values.T
     return QTable(level=opponent_policy.level + 1, player=player, values=q_values)
 
@@ -254,19 +370,18 @@ def _hash_array(h, arr: np.ndarray, dtype: str) -> None:
     h.update(a)
 
 
-def hierarchy_content_hash(
-    spec: GameSpec,
-    k_max: int,
-    level0_ego: PolicyTable,
-    level0_env: PolicyTable,
-    temperature: float = 1.0,
-) -> str:
-    """Content hash identifying a hierarchy build.
+def game_digest(spec: GameSpec, k_max: int, temperature: float = 1.0):
+    """The ``hashlib`` sha256 state over a build's game: the first part of its content hash.
 
-    Covers the tabulated game (transitions, rewards, discount, horizon), the
-    level-0 anchors, ``k_max`` and the softmax temperature.  Arrays are
-    hashed in fixed little-endian C layout so the hash is platform
-    independent; an array already in that layout is hashed in place.
+    Covers the format tag, the header (table sizes, horizon, ``k_max``,
+    discount, softmax temperature), the transition table and both reward
+    tables; :func:`hierarchy_content_hash` adds the level-0 anchors.  Arrays
+    are hashed in fixed little-endian C layout so the hash is platform
+    independent; an array already in that layout, as every packaged
+    scenario's tables are, is hashed in place, allocating nothing.  The
+    tables are most of the hashed bytes and ``hashlib`` releases the GIL on
+    large buffers, so this can run on a second thread while the anchors are
+    computed (see ``cli.build_artifacts``).
     """
     h = hashlib.sha256()
     h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
@@ -279,6 +394,17 @@ def hierarchy_content_hash(
     _hash_array(h, spec.transition_table, "<i8")
     _hash_array(h, spec.ego_reward_table, "<f8")
     _hash_array(h, spec.env_reward_table, "<f8")
+    return h
+
+
+def hierarchy_content_hash(game, level0_ego: PolicyTable, level0_env: PolicyTable) -> str:
+    """Content hash identifying a hierarchy build.
+
+    ``game`` is the :func:`game_digest` of the build's game, ``k_max`` and
+    softmax temperature; it is copied, not changed, and the level-0 anchors
+    are added to the copy in the same layout.
+    """
+    h = game.copy()
     _hash_array(h, level0_ego.probs, "<f8")
     _hash_array(h, level0_env.probs, "<f8")
     return h.hexdigest()

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 import yaml
 from importlib import resources
 
+from chplanner import hierarchy as hierarchy_module
 from chplanner.cli import build_artifacts, main, run_episode, write_episode_csv
 from chplanner.game import ENV, PolicyTable
 from chplanner.hierarchy import Hierarchy, load_hierarchy, save_hierarchy
@@ -70,6 +72,27 @@ def test_build_rebuilds_a_cache_holding_a_nan(tmp_path, cache_dir):
     for a, b in zip(rebuilt.env_policies, hierarchy.env_policies):
         assert np.array_equal(a.probs, b.probs)
     assert load_hierarchy(own_cache / name)[1] == content_hash
+
+
+def test_build_writes_no_cache_when_a_q_worker_fails(tmp_path, monkeypatch):
+    # An error on a Q build's second thread comes out of build_artifacts as
+    # raised, after every thread has ended, and nothing is cached.
+    error = RuntimeError("column sum failed")
+    column_sum = hierarchy_module._column_sum
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return column_sum(*args)
+
+    monkeypatch.setattr(hierarchy_module, "_column_sum", failing)
+    monkeypatch.setattr(hierarchy_module, "_worker_count", lambda n_tails: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        build_artifacts(default_config("intersection"), tmp_path / "cache")
+    assert caught.value is error
+    assert threading.active_count() == before
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 def test_simulate_rebuilds_a_cache_holding_misshapen_tables(tmp_path, cache_dir):

@@ -13,6 +13,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 from chplanner.cli import EpisodeLog, StepRecord, run_episode, write_episode_csv
@@ -45,10 +46,46 @@ def test_plan_result_has_the_fields_the_tracer_reads():
 
 
 def test_scenario_kernel_has_the_csr_arrays(built_scenarios):
-    # built_scenarios makes its kernels with cli.scenario_kernel.
+    # built_scenarios makes its kernels with cli.scenario_kernel.  The names
+    # are checked on the class: reading them would build the whole CSR view
+    # of the shared kernel and keep it for the session.  The traced run below
+    # reads the arrays themselves.
     _, _, kernel, _ = built_scenarios("intersection")
     for name in ("indptr", "targets", "probs"):
-        assert hasattr(kernel, name), name
+        assert isinstance(getattr(type(kernel), name, None), property), name
+
+
+def test_patch_points_are_called_on_the_main_thread(tmp_path, monkeypatch):
+    # The tracer's span stack is not thread-safe, so every patched name must
+    # be called on the main thread, also while a start-up runs work on a
+    # second thread (the game digest, the Q builds' second worker).  A
+    # start-up calls each anchor and the content hash through cli's names.
+    from chplanner import cli, hierarchy
+    from chplanner.traffic import default_config
+
+    calls = []
+
+    def spy(key, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((key, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module_name, attr, *_ in _spans_module().PATCH_POINTS:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, spy(f"{module_name}.{attr}", getattr(module, attr)))
+    monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: min(2, n_tails))
+    config = default_config("intersection")
+    scenario, built, _ = cli.build_artifacts(config, tmp_path / "cache")
+    kernel = cli.scenario_kernel(scenario, built)
+    cli.run_episode(scenario, built, kernel, config.levels[0], 0)
+
+    assert calls and all(on_main for _, on_main in calls), calls
+    names = [key for key, _ in calls]
+    assert names.count("chplanner.cli.level0_policy") == 2
+    assert names.count("chplanner.cli.hierarchy_content_hash") == 1
+    assert names.count("chplanner.hierarchy.compute_q") == 3
+    assert names.count("chplanner.planner.optimize") >= 1
 
 
 def test_episode_log_has_the_fields_the_harness_reads(built_scenarios, tmp_path):

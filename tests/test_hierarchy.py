@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chplanner import hierarchy
 from chplanner.game import EGO, ENV, PolicyTable
 from chplanner.hierarchy import (
     CACHE_FORMAT_VERSION,
@@ -14,6 +19,7 @@ from chplanner.hierarchy import (
     _hash_array,
     build_hierarchy,
     compute_q,
+    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,
@@ -158,6 +164,135 @@ def test_compute_q_is_bit_identical_to_row_sum_backups(player, n_opp):
         assert got.tobytes() == row_sum_q_reference(spec, player, opp).tobytes()
 
 
+def _split_game(rng, player, n_opp, horizon, nx=9):
+    # Rewards of both signs, mostly negative, and an opponent whose rows are
+    # partly one-hot, so many terms are exact zeros.
+    n_own = 3 if horizon < 4 else 2
+    nu1, nu2 = (n_own, n_opp) if player == EGO else (n_opp, n_own)
+    spec = make_spec(
+        rng.integers(0, nx, size=(nx, nu1, nu2)), rng.normal(size=nx) - 1.0,
+        -rng.exponential(size=nx), np.ones(nx, bool), horizon=horizon,
+    )
+    opp_player = ENV if player == EGO else EGO
+    probs = softmax_policy(QTable(0, opp_player, rng.normal(size=(nx, n_opp)) * 3.0)).probs.copy()
+    probs[::2] = 0.0
+    probs[::2, rng.integers(0, n_opp)] = 1.0
+    return spec, PolicyTable(0, opp_player, probs)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 100])
+@pytest.mark.parametrize("player", [EGO, ENV])
+@pytest.mark.parametrize("n_opp", [1, 3, 8, 9, 17, 130])
+def test_compute_q_split_between_workers_is_bit_identical(monkeypatch, workers, player, n_opp):
+    # Any split of the depth-(horizon - 1) tails gives the same bytes, also
+    # with more workers than tails (horizon 1 has a single tail), where the
+    # spare workers see no suffix and keep -inf maxima.
+    monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: workers)
+    rng = np.random.default_rng(300 + n_opp)
+    for horizon in (1, 2, 3, 4):
+        spec, opp = _split_game(rng, player, n_opp, horizon)
+        before = threading.active_count()
+        got = compute_q(spec, player, opp).values
+        assert threading.active_count() == before
+        assert got.tobytes() == row_sum_q_reference(spec, player, opp).tobytes()
+
+
+def test_compute_q_split_under_fast_thread_switching(monkeypatch):
+    # More workers than cores, switching threads every microsecond: the
+    # workers share only read-only tables, so no interleaving changes a byte.
+    monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: min(4, n_tails))
+    rng = np.random.default_rng(23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for player, n_opp in ((EGO, 3), (ENV, 9)):
+            spec, opp = _split_game(rng, player, n_opp, 4, nx=300)
+            want = row_sum_q_reference(spec, player, opp).tobytes()
+            for _ in range(3):
+                assert compute_q(spec, player, opp).values.tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_count_is_capped_by_cores_workers_and_tails():
+    cores = len(os.sched_getaffinity(0))
+    assert hierarchy._worker_count(1) == 1
+    assert hierarchy._worker_count(1000) == min(cores, hierarchy.MAX_Q_WORKERS)
+
+
+def test_q_worker_allocates_nothing_state_sized():
+    # Every buffer comes from the caller (glibc would keep a worker thread's
+    # allocations resident in its own arena after the thread ends).  Traced
+    # inline on a 9-action opponent, whose column sums take the accumulator
+    # branch; one state vector is 160 KB.
+    nx, n_opp, horizon = 20_000, 9, 3
+    rng = np.random.default_rng(21)
+    spec, opp = _split_game(rng, ENV, n_opp, horizon, nx=nx)
+    succ = np.ascontiguousarray(spec.transition_table.transpose(2, 1, 0), dtype=np.intp)
+    tables = hierarchy._Tables(
+        succ, spec.rewards(ENV)[succ], np.ascontiguousarray(opp.probs.T), spec.discount
+    )
+    scratches = [hierarchy._scratch(3, n_opp, nx, horizon) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        for k, scratch in enumerate(scratches):
+            hierarchy._q_worker(tables, horizon, (k, 2), scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < nx * 8, peak
+    np.maximum(scratches[0].values, scratches[1].values, out=scratches[0].values)
+    want = row_sum_q_reference(spec, ENV, opp)
+    assert scratches[0].values.T.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_compute_q_reraises_a_worker_error_and_leaves_no_thread(monkeypatch, where):
+    error = RuntimeError("column sum failed")
+    column_sum = hierarchy._column_sum
+
+    def failing(*args):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (where == "caller"):
+            raise error
+        return column_sum(*args)
+
+    spec, opp = _split_game(np.random.default_rng(22), EGO, 3, 3)
+    monkeypatch.setattr(hierarchy, "_column_sum", failing)
+    monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: 2)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        compute_q(spec, EGO, opp)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
+# sha256 of the packaged scenarios' env_1 and env_2 tables (float64 bytes):
+# a change to the Q build's arithmetic or to its split between workers shows
+# here before it reaches an episode.
+ENV_TABLE_SHA256 = {
+    "intersection": (
+        "a637d5897fc3e0d535999a4a450bcb19206565cae0995bf7dcb8f56726df4589",
+        "769e429965ba0b78b735869c0c72f4250c455a6d6831c3cf6c48a2513298ab3f",
+    ),
+    "overtaking": (
+        "f225cc48b53a10d2491c3b0ae457d1bf91ae90e8a46e5408bef4f4fdd1b7a4b1",
+        "46ed990068cc6e0b67ba110798fff067eed791b2edddfdeb73b591d96071dd91",
+    ),
+    "merging": (
+        "b74a7fbfdc2d7d4793e7a33f14b063d6c03eddcd77d2511b387a7535ac8b784d",
+        "e914667ec63efc3e60ac9fcdc62e8f56f96f276c01b7b11fe14388f5ef427295",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENV_TABLE_SHA256))
+def test_packaged_env_tables_are_pinned(built_scenarios, name):
+    _, built, _, _ = built_scenarios(name)
+    got = tuple(hashlib.sha256(built.env(k).probs.tobytes()).hexdigest() for k in (1, 2))
+    assert got == ENV_TABLE_SHA256[name]
+
+
 def test_policy_and_q_tables_are_read_only():
     probs = np.full((2, 2), 0.5)
     policy = PolicyTable(level=0, player=ENV, probs=probs)
@@ -268,7 +403,7 @@ def _saved_hierarchy(tmp_path, seed):
     spec, *_ = random_game(rng, 5, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
-    content = hierarchy_content_hash(spec, 2, ego0, env0)
+    content = hierarchy_content_hash(game_digest(spec, 2), ego0, env0)
     path = tmp_path / "cache.npz"
     save_hierarchy(path, h, content)
     return h, content, path
@@ -297,11 +432,15 @@ def test_content_hash_tracks_inputs():
     rng = np.random.default_rng(9)
     spec, *_ = random_game(rng, 4, 2, 2)
     ego0, env0 = _anchors(rng, spec)
-    base = hierarchy_content_hash(spec, 2, ego0, env0)
-    assert base == hierarchy_content_hash(spec, 2, ego0, env0)
-    assert base != hierarchy_content_hash(spec, 1, ego0, env0)
+    game = game_digest(spec, 2)
+    base = hierarchy_content_hash(game, ego0, env0)
+    assert base == hierarchy_content_hash(game, ego0, env0)  # the digest is copied
+    assert base == hierarchy_content_hash(game_digest(spec, 2), ego0, env0)
+    assert base != hierarchy_content_hash(game_digest(spec, 1), ego0, env0)
+    assert base != hierarchy_content_hash(game_digest(spec, 2, 0.5), ego0, env0)
     other = random_policy(rng, 0, EGO, 4, 2)
-    assert base != hierarchy_content_hash(spec, 2, other, env0)
+    assert base != hierarchy_content_hash(game, other, env0)
+    assert base != hierarchy_content_hash(game, ego0, random_policy(rng, 0, ENV, 4, 2))
 
 
 def test_content_hash_hashes_in_place_as_copied_bytes():
@@ -336,6 +475,7 @@ def test_content_hash_hashes_in_place_as_copied_bytes():
     assert not spec.transition_table.flags.c_contiguous
     ego0, env0 = _anchors(rng, spec)
     for k_max, temperature in ((0, 1.0), (2, 0.5)):
-        assert hierarchy_content_hash(spec, k_max, ego0, env0, temperature) == (
+        game = game_digest(spec, k_max, temperature)
+        assert hierarchy_content_hash(game, ego0, env0) == (
             content_hash_reference(spec, k_max, ego0, env0, temperature)
         )
