@@ -13,8 +13,11 @@ give different (larger) values and is intentionally not what is computed
 here.  Hard state constraints are never imposed during hierarchy
 construction; safety enters only through the game's reward penalties.
 
-Each Q computation splits its suffix tree between up to ``MAX_Q_WORKERS``
-threads, one per core, with byte-identical results (see :func:`compute_q`).
+Every backup has one form: the reward is folded into the tail as one state
+vector, ``discount * tail + R``, gathered once per opponent action, and the
+opponent terms are added in order, left to right.  Each Q computation
+splits its suffix tree between up to ``MAX_Q_WORKERS`` threads, one per
+core, with byte-identical results (see :func:`compute_q`).
 A build's content hash is taken in two steps, :func:`game_digest` over the
 game and :func:`hierarchy_content_hash` over the level-0 anchors, so the
 first can run while the anchors are computed.
@@ -48,7 +51,7 @@ __all__ = [
 
 # Hashed into every content hash: bump it whenever the cache layout or the
 # meaning of the Q-tables changes, so no stale table is ever reused.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 # Most workers one Q build splits its suffix tree between: each holds a
 # scratch set of its own (see compute_q), and only two were measured.
@@ -96,9 +99,9 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     proportional to ``exp(Q(x, u))``; reward scaling therefore controls how
     sharp the resulting policy is.
 
-    The work runs action-major, on contiguous ``(actions, states)`` rows,
-    and the normaliser is :func:`_column_sum`, so the table is bit-identical
-    to ``e / e.sum(axis=1, keepdims=True)`` over ``(states, actions)`` rows.
+    The work runs action-major, on contiguous ``(actions, states)`` rows;
+    the normaliser adds the action rows in order, left to right, as the
+    backups in :func:`compute_q` do.
     """
     if temperature <= 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -106,55 +109,17 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
     z = np.divide(q.values.T, temperature, order="C")
     z -= np.maximum.reduce(z, axis=0)
     np.exp(z, out=z)
-    z /= _column_sum(z)
+    z /= z.sum(axis=0)
     probs[...] = z.T
     return PolicyTable(level=q.level, player=q.player, probs=probs)
-
-
-def _column_sum(
-    terms: np.ndarray, out: np.ndarray | None = None, acc: np.ndarray | None = None,
-) -> np.ndarray:
-    """``terms.sum(axis=0)``, bit for bit equal to ``terms.T.sum(axis=1)``.
-
-    numpy adds the n entries of one contiguous row left to right below 8
-    entries; from 8 entries it keeps eight strided accumulators, adds them
-    pairwise and then the remainder, halving rows longer than 128 first.
-    Summing whole columns in that order keeps every Q value equal to the
-    row sum it was defined by, while each addition is one contiguous
-    vector add.  (``tests/test_hierarchy.py`` pins the equality, so a numpy
-    release that changes its row order fails there.)
-
-    ``acc`` is a ``(14, width)`` scratch for the 8-, 4- and 2-row
-    accumulators, allocated here when not given.  With ``out`` and ``acc``
-    given, up to 128 rows allocate nothing row-sized.  The halving branch
-    above 128 rows still allocates its two halves: no packaged game has
-    more than 9 actions.
-    """
-    n = terms.shape[0]
-    if n < 8:
-        return terms.sum(axis=0, out=out)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return np.add(_column_sum(terms[:half]), _column_sum(terms[half:]), out=out)
-    if acc is None:
-        acc = np.empty((14, terms.shape[1]))
-    acc8, acc4, acc2 = acc[:8], acc[8:12], acc[12:]
-    m = n - n % 8
-    terms[:m].reshape(m // 8, 8, -1).sum(axis=0, out=acc8)
-    np.add(acc8[0::2], acc8[1::2], out=acc4)
-    np.add(acc4[0::2], acc4[1::2], out=acc2)
-    res = np.add(acc2[0], acc2[1], out=out)
-    for row in terms[m:]:
-        res += row
-    return res
 
 
 class _Tables(NamedTuple):
     """A Q build's opponent-major game tables, read by every worker.
 
     ``succ[u, o]`` is every state's successor under own action ``u`` and
-    opponent action ``o``, ``rewards[u, o]`` its reward and ``opp_cols[o]``
-    the opponent's probability of ``o``.
+    opponent action ``o``, ``rewards`` the player's ``(|X|,)`` reward vector
+    and ``opp_cols[o]`` the opponent's probability of ``o``.
     """
 
     succ: np.ndarray
@@ -166,14 +131,13 @@ class _Tables(NamedTuple):
 class _Scratch(NamedTuple):
     """One worker's buffers; the calling thread allocates them (see compute_q).
 
-    ``terms`` holds one backup's ``(opponent action, state)`` terms and
-    ``acc`` the :func:`_column_sum` accumulators.  Row 0 of ``vectors`` is
-    the zero tail; rows ``2d - 1`` and ``2d`` are depth ``d``'s scaled tail
-    and backup.  ``values`` holds the worker's per-action maxima.
+    ``terms`` holds one backup's ``(opponent action, state)`` terms.  Row 0
+    of ``vectors`` is the zero tail; rows ``2d - 1`` and ``2d`` are depth
+    ``d``'s folded tail ``discount * tail + R`` and backup.  ``values``
+    holds the worker's per-action maxima.
     """
 
     terms: np.ndarray
-    acc: np.ndarray | None
     vectors: np.ndarray
     values: np.ndarray
 
@@ -183,7 +147,6 @@ def _scratch(n_own: int, n_opp: int, nx: int, horizon: int) -> _Scratch:
     vectors[0] = 0.0
     return _Scratch(
         terms=np.empty((n_opp, nx)),
-        acc=np.empty((14, nx)) if 8 <= n_opp <= 128 else None,
         vectors=vectors,
         values=np.full((n_own, nx), -np.inf),
     )
@@ -194,22 +157,25 @@ def _backups(
 ) -> Iterator[np.ndarray]:
     """Yield the backup of ``tail`` under each own action in ``actions``.
 
-    The backup is a depth-``depth`` suffix value; it gathers one contiguous
-    row per opponent action into ``scratch.terms`` and sums the rows with
-    :func:`_column_sum`.  Every yield is the same buffer, overwritten by the
-    next backup.
+    The backup is a depth-``depth`` suffix value.  The reward is folded
+    into the tail once, ``folded = discount * tail + R``; each backup then
+    gathers one contiguous row of ``folded`` per opponent action into
+    ``scratch.terms``, weights it and adds the rows in order.  Every yield
+    is the same buffer, overwritten by the next backup.
     """
-    scaled, out = scratch.vectors[2 * depth - 1], scratch.vectors[2 * depth]
-    np.multiply(tables.discount, tail, out=scaled)
+    folded, out = scratch.vectors[2 * depth - 1], scratch.vectors[2 * depth]
+    np.multiply(tables.discount, tail, out=folded)
+    folded += tables.rewards
     terms = scratch.terms
     for u in actions:
         # terms[o] = P[o] * (R[nxt[o]] + discount * tail[nxt[o]]).  Mode
         # "clip" writes straight into ``terms`` ("raise" would buffer it);
         # GameSpec keeps every successor in range.
-        np.take(scaled, tables.succ[u], out=terms, mode="clip")
-        terms += tables.rewards[u]
+        np.take(folded, tables.succ[u], out=terms, mode="clip")
         terms *= tables.opp_cols
-        yield _column_sum(terms, out, scratch.acc)
+        # A C-contiguous axis-0 sum adds whole rows left to right into out
+        # (numpy sums a one-state game's single-entry rows pairwise from 9).
+        yield terms.sum(axis=0, out=out)
 
 
 def _suffix_values(
@@ -248,7 +214,7 @@ def _q_worker(tables: _Tables, horizon: int, share: tuple[int, int], scratch: _S
     tails itself, and the ``|U_own|`` root backups above each; ``values[u]``
     becomes the maximum over those root backups with first action ``u``.
     Every buffer comes from ``scratch``, so the worker allocates nothing
-    the size of the state space (below 129 opponent actions).
+    the size of the state space.
     """
     values = scratch.values
     for tail in _suffix_values(tables, horizon - 1, scratch, share):
@@ -271,11 +237,10 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     states evolving through the game transition.  The expectation enumerates
     all opponent branches; nothing is sampled.
 
-    The successor and reward tables are laid out opponent-major once per
-    call, so each backup is ``n_opp`` contiguous gathers summed column by
-    column in numpy's own row-sum order: the values are bit-identical to
-    ``(P * (R[nxt] + discount * tail[nxt])).sum(axis=1)`` over
-    ``(states, n_opp)`` rows.
+    The successor table is laid out opponent-major once per call and the
+    reward is folded into each tail (``discount * tail + R``, one state
+    vector), so each backup is ``n_opp`` contiguous gathers of that vector,
+    weighted and added in opponent-action order, left to right.
 
     The suffix tree is split between :func:`_worker_count` workers, each
     taking every n-th depth-``horizon - 1`` tail (see :func:`_q_worker`);
@@ -307,10 +272,8 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     # (own action, opponent action, state) successor table.
     axes = (1, 2, 0) if player == EGO else (2, 1, 0)
     succ = np.ascontiguousarray(spec.transition_table.transpose(axes), dtype=np.intp)
-    tables = _Tables(
-        succ, spec.rewards(player)[succ], np.ascontiguousarray(opponent_policy.probs.T),
-        spec.discount,
-    )
+    opp_cols = np.ascontiguousarray(opponent_policy.probs.T)
+    tables = _Tables(succ, spec.rewards(player), opp_cols, spec.discount)
     n = _worker_count(n_own ** (spec.horizon - 1))
     scratches = [_scratch(n_own, n_opp, nx, spec.horizon) for _ in range(n)]
     jobs = [(tables, spec.horizon, (k, n), scratch) for k, scratch in enumerate(scratches)]

@@ -667,10 +667,10 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     else:
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
 
-    frozen_rewards = rewards[frozen]
     values = np.zeros(spec.num_states)
     for _ in range(config.horizon):
-        q = frozen_rewards + config.discount * values[frozen]
+        # The reward is folded into the values before the one gather.
+        q = np.take(rewards + config.discount * values, frozen)
         values = np.maximum.reduce(q, axis=0)
 
     if config.level0_softmax:

@@ -78,13 +78,21 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
     return q
 
 
+def _add_columns(terms: np.ndarray) -> np.ndarray:
+    """Add the columns of a ``(rows, n)`` array left to right, one ``+`` each."""
+    total = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        total = total + terms[:, j]
+    return total
+
+
 def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> np.ndarray:
     """Q(x, u) by backups over ``(states, opponent actions)`` rows.
 
-    Each backup is ``(P * (R[nxt] + discount * tail[nxt])).sum(axis=1)``, the
-    row form the Q-tables are defined by, so numpy's own row-sum order fixes
-    every bit of the result.  The suffix enumeration is the fast code's; only
-    the backup's layout differs.
+    Each backup is ``P * (R[nxt] + discount * tail[nxt])`` over
+    ``(states, n_opp)`` rows, the row form the Q-tables are defined by, with
+    each row's terms added left to right in opponent-action order.  The
+    suffix enumeration is the fast code's; only the backup's layout differs.
     """
     succ = spec.transition_table
     if player != EGO:
@@ -99,7 +107,7 @@ def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> n
         for tail in suffixes(depth - 1):
             for u in range(succ.shape[1]):
                 nxt = succ[:, u, :]
-                yield (probs * (rewards[nxt] + spec.discount * tail[nxt])).sum(axis=1)
+                yield _add_columns(probs * (rewards[nxt] + spec.discount * tail[nxt]))
 
     n_own = succ.shape[1]
     q = np.full((spec.num_states, n_own), -np.inf)
@@ -109,11 +117,14 @@ def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> n
 
 
 def softmax_row_reference(values: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Softmax over ``(states, actions)`` rows, the form the policies are defined by."""
+    """Softmax over ``(states, actions)`` rows, the form the policies are defined by.
+
+    Each row's normaliser adds its entries left to right in action order.
+    """
     z = values / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _add_columns(e)[:, None]
 
 
 def level0_pick_row_reference(q: np.ndarray, preferred: int) -> np.ndarray:

@@ -75,9 +75,8 @@ def test_softmax_argmax_matches_q_argmax():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 130])
 def test_softmax_is_bit_identical_to_row_softmax(n):
-    # The normaliser adds each column in numpy's row-sum order (see
-    # test_compute_q_is_bit_identical_to_row_sum_backups), so a numpy release
-    # that changes that order fails here too.
+    # The normaliser adds the action rows left to right, as the reference
+    # adds each row's entries with one Python-level + per column.
     rng = np.random.default_rng(200 + n)
     values = rng.normal(size=(40, n)) * 4.0
     values[::7] = 1.5  # rows of equal entries
@@ -148,10 +147,9 @@ def test_compute_q_matches_brute_force_oracle(player):
 @pytest.mark.parametrize("player", [EGO, ENV])
 @pytest.mark.parametrize("n_opp", [1, 2, 3, 7, 8, 9, 16, 17, 130])
 def test_compute_q_is_bit_identical_to_row_sum_backups(player, n_opp):
-    # The column sums must add in numpy's row-sum order: left to right below
-    # 8 opponent actions, eight pairwise accumulators from 8, halving above
-    # 128.  A numpy release that changes that order fails here, rather than
-    # silently changing the cached tables.
+    # The backups add the opponent terms left to right, as the reference
+    # adds each row's terms with one Python-level + per column; the counts
+    # around 8 and 128 are where numpy's own row sum changes its order.
     rng = np.random.default_rng(100 + n_opp)
     for horizon in (1, 2, 3):
         nx = int(rng.integers(5, 12))
@@ -223,14 +221,13 @@ def test_worker_count_is_capped_by_cores_workers_and_tails():
 def test_q_worker_allocates_nothing_state_sized():
     # Every buffer comes from the caller (glibc would keep a worker thread's
     # allocations resident in its own arena after the thread ends).  Traced
-    # inline on a 9-action opponent, whose column sums take the accumulator
-    # branch; one state vector is 160 KB.
+    # inline on a 9-action opponent; one state vector is 160 KB.
     nx, n_opp, horizon = 20_000, 9, 3
     rng = np.random.default_rng(21)
     spec, opp = _split_game(rng, ENV, n_opp, horizon, nx=nx)
     succ = np.ascontiguousarray(spec.transition_table.transpose(2, 1, 0), dtype=np.intp)
     tables = hierarchy._Tables(
-        succ, spec.rewards(ENV)[succ], np.ascontiguousarray(opp.probs.T), spec.discount
+        succ, spec.rewards(ENV), np.ascontiguousarray(opp.probs.T), spec.discount
     )
     scratches = [hierarchy._scratch(3, n_opp, nx, horizon) for _ in range(2)]
     tracemalloc.start()
@@ -246,19 +243,40 @@ def test_q_worker_allocates_nothing_state_sized():
     assert scratches[0].values.T.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@pytest.mark.parametrize("player, n_opp", [(ENV, 9), (EGO, 3)])
+def test_compute_q_gathers_no_reward_table(monkeypatch, player, n_opp):
+    # The reward is folded into each tail, so a build holds the successor
+    # table, the workers' scratch sets, the opponent's columns and the Q
+    # table (twice, with its finiteness check), but no (|U_own|, |U_opp|,
+    # |X|) table of gathered rewards, which alone is as large as succ.
+    nx, n_own, horizon, workers = 20_000, 3, 3, 2
+    monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: workers)
+    spec, opp = _split_game(np.random.default_rng(24), player, n_opp, horizon, nx=nx)
+    succ_bytes = n_own * n_opp * nx * np.dtype(np.intp).itemsize
+    scratch_bytes = sum(a.nbytes for a in hierarchy._scratch(n_own, n_opp, nx, horizon))
+    bound = succ_bytes + workers * scratch_bytes + n_opp * nx * 8 + 2 * nx * n_own * 8
+    tracemalloc.start()
+    try:
+        compute_q(spec, player, opp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
 @pytest.mark.parametrize("where", ["worker", "caller"])
 def test_compute_q_reraises_a_worker_error_and_leaves_no_thread(monkeypatch, where):
-    error = RuntimeError("column sum failed")
-    column_sum = hierarchy._column_sum
+    error = RuntimeError("backup failed")
+    backups = hierarchy._backups
 
     def failing(*args):
         on_main = threading.current_thread() is threading.main_thread()
         if on_main == (where == "caller"):
             raise error
-        return column_sum(*args)
+        return backups(*args)
 
     spec, opp = _split_game(np.random.default_rng(22), EGO, 3, 3)
-    monkeypatch.setattr(hierarchy, "_column_sum", failing)
+    monkeypatch.setattr(hierarchy, "_backups", failing)
     monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: 2)
     before = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
@@ -277,11 +295,11 @@ ENV_TABLE_SHA256 = {
     ),
     "overtaking": (
         "f225cc48b53a10d2491c3b0ae457d1bf91ae90e8a46e5408bef4f4fdd1b7a4b1",
-        "46ed990068cc6e0b67ba110798fff067eed791b2edddfdeb73b591d96071dd91",
+        "fa2e32369ab664f3c0c5af4de06733f1a26ca738ec99f4d3f71e9baeaa6d3ae3",
     ),
     "merging": (
         "b74a7fbfdc2d7d4793e7a33f14b063d6c03eddcd77d2511b387a7535ac8b784d",
-        "e914667ec63efc3e60ac9fcdc62e8f56f96f276c01b7b11fe14388f5ef427295",
+        "0c96fc485b63e2a46d6d367c75417259913e7980e1848730ee9f4fda0e45250d",
     ),
 }
 

@@ -18,6 +18,7 @@ from chplanner import traffic
 
 import itertools
 import json
+import tracemalloc
 import yaml
 from dataclasses import asdict, replace
 from importlib import resources
@@ -301,6 +302,27 @@ def test_level0_policy_is_bit_identical_to_row_form(name):
             got = level0_policy(scenario, player).probs
             assert got.flags.c_contiguous
             assert got.tobytes() == level0_row_reference(scenario, player).tobytes()
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking"])
+@pytest.mark.parametrize("player", [EGO, ENV])
+def test_level0_policy_gathers_no_reward_table(built_scenarios, name, player):
+    # Each pass gathers the folded vector rewards + discount * values once,
+    # so the anchor holds the frozen successor table, two passes' value
+    # tables and a few state vectors (the state's two vehicle codes, two
+    # value vectors, the folded vector, the pick and one temporary), but no
+    # (actions, states) table of gathered rewards.
+    scenario = built_scenarios(name)[0]
+    nx, n = scenario.spec.num_states, scenario.spec.num_actions(player)
+    table = n * nx * 8
+    bound = 3 * table + 7 * nx * 8
+    tracemalloc.start()
+    try:
+        level0_policy(scenario, player)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 @pytest.mark.parametrize("n, preferred", [(1, 0), (3, 1), (3, 0), (9, 4), (9, 8)])
