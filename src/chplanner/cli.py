@@ -39,6 +39,7 @@ import numpy as np
 from .game import EGO, ENV
 from .hierarchy import (
     Hierarchy,
+    add_anchors,
     build_hierarchy,
     game_digest,
     hierarchy_content_hash,
@@ -149,12 +150,12 @@ def build_artifacts(
     game's ``(|X|, |U2|)`` shape counts as a miss: the hierarchy is rebuilt
     and the file replaced.
 
-    The content hash is taken in two steps: a second thread hashes the game
-    tables (:func:`~chplanner.hierarchy.game_digest`, most of the bytes)
-    while this thread computes the two level-0 anchors, then
-    ``hierarchy_content_hash`` adds the anchors.  ``level0_policy`` and
-    ``hierarchy_content_hash`` are called through this module's names on
-    the calling thread, where a tracer that patches them can record them.
+    The content hash is pipelined: a second thread hashes the game tables
+    (:func:`~chplanner.hierarchy.game_digest`, most of the bytes) while this
+    thread computes the ego anchor, then adds that anchor while this thread
+    computes the env anchor, which ``hierarchy_content_hash`` adds last.
+    ``level0_policy`` and ``hierarchy_content_hash`` are called through this
+    module's names on the calling thread, where a tracer can patch them.
     The hierarchy itself is built by :func:`build_hierarchy`, whose Q
     builds split their work between two threads on a machine with two
     cores.
@@ -165,8 +166,10 @@ def build_artifacts(
             game_digest, scenario.spec, config.k_max, config.softmax_temperature
         )
         anchor_ego = level0_policy(scenario, EGO)
+        # The one worker starts this once the game is hashed.
+        with_ego = pool.submit(lambda: add_anchors(game.result(), anchor_ego))
         anchor_env = level0_policy(scenario, ENV)
-        content_hash = hierarchy_content_hash(game.result(), anchor_ego, anchor_env)
+        content_hash = hierarchy_content_hash(with_ego.result(), anchor_env)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"hierarchy-{content_hash[:16]}.npz"

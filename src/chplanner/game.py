@@ -84,19 +84,20 @@ class GameSpec:
 
     The game is held as dense tables only.  ``transition_table[x, u1, u2]``
     is the successor state index and must be total (every entry in
-    ``[0, |X|)``); it is held read-only (see :func:`read_only`), because the
-    inference kernel reads its rows from it and the plan memo keys on that
-    kernel.  Rewards are functions of the successor state only, one
-    value per state and player; the general ``(state, u1, u2)`` reward form
-    is out of scope.  ``safe_set`` is one
-    boolean membership mask over states, held read-only too: every
-    scenario's safe set is time-invariant, so the
-    paper's time-indexed ``{X_t}`` is the same mask at every step.
+    ``[0, |X|)``); it is held as int32 and read-only (see :func:`read_only`),
+    because the inference kernel reads its rows from it and the plan memo
+    keys on that kernel.  Rewards are functions of the successor state
+    only, one value per state and player; the general ``(state, u1, u2)``
+    reward form is out of scope.  ``safe_set`` is one boolean membership
+    mask over states, held read-only too: every scenario's safe set is
+    time-invariant, so the paper's time-indexed ``{X_t}`` is the same mask
+    at every step.
 
     Construction checks the whole contract and raises ``ValueError`` naming
     the field: table shapes, at least one state and one action per player,
-    every transition target in range (the first bad ``(state, u1, u2)`` is
-    named), finite rewards, ``discount`` in (0, 1] and ``horizon >= 1``.
+    fewer than ``2**31`` states (by shape), every transition target in range
+    before the cast to int32 (the first bad ``(state, u1, u2)`` is named),
+    finite rewards, ``discount`` in (0, 1] and ``horizon >= 1``.
     """
 
     transition_table: np.ndarray = field(repr=False)
@@ -107,7 +108,9 @@ class GameSpec:
     horizon: int
 
     def __post_init__(self):
-        table = np.asarray(self.transition_table, dtype=np.int64)
+        table = np.asarray(self.transition_table)
+        if table.dtype.kind not in "iu":
+            table = table.astype(np.int64)
         if table.ndim != 3:
             raise ValueError(
                 f"transition_table must be 3-D (states x ego actions x env actions), "
@@ -119,6 +122,8 @@ class GameSpec:
                 f"player, got shape {table.shape}"
             )
         num_states = table.shape[0]
+        if num_states >= 2**31:
+            raise ValueError(f"transition_table has {num_states} states, int32 holds < 2**31")
         # min/max, not a mask: the range check allocates nothing table-sized.
         if table.min() < 0 or table.max() >= num_states:
             bad = np.flatnonzero((table < 0) | (table >= num_states))[0]
@@ -127,7 +132,7 @@ class GameSpec:
                 f"transition_table out of range [0, {num_states}) at "
                 f"(state={x}, u1={u1}, u2={u2}): -> {table[x, u1, u2]}"
             )
-        object.__setattr__(self, "transition_table", read_only(table, np.int64))
+        object.__setattr__(self, "transition_table", read_only(table, np.int32))
         for name, dtype in (
             ("ego_reward_table", float),
             ("env_reward_table", float),

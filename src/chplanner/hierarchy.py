@@ -18,9 +18,9 @@ vector, ``discount * tail + R``, gathered once per opponent action, and the
 opponent terms are added in order, left to right.  Each Q computation
 splits its suffix tree between up to ``MAX_Q_WORKERS`` threads, one per
 core, with byte-identical results (see :func:`compute_q`).
-A build's content hash is taken in two steps, :func:`game_digest` over the
-game and :func:`hierarchy_content_hash` over the level-0 anchors, so the
-first can run while the anchors are computed.
+A build's content hash is taken in steps (:func:`game_digest`, then
+:func:`add_anchors` and :func:`hierarchy_content_hash`), so the game and the
+ego anchor can be hashed while the anchors are computed.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ __all__ = [
     "compute_q",
     "build_hierarchy",
     "game_digest",
+    "add_anchors",
     "hierarchy_content_hash",
     "save_hierarchy",
     "load_hierarchy",
@@ -51,7 +52,7 @@ __all__ = [
 
 # Hashed into every content hash: bump it whenever the cache layout or the
 # meaning of the Q-tables changes, so no stale table is ever reused.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 # Most workers one Q build splits its suffix tree between: each holds a
 # scratch set of its own (see compute_q), and only two were measured.
@@ -337,9 +338,9 @@ def game_digest(spec: GameSpec, k_max: int, temperature: float = 1.0):
     """The ``hashlib`` sha256 state over a build's game: the first part of its content hash.
 
     Covers the format tag, the header (table sizes, horizon, ``k_max``,
-    discount, softmax temperature), the transition table and both reward
-    tables; :func:`hierarchy_content_hash` adds the level-0 anchors.  Arrays
-    are hashed in fixed little-endian C layout so the hash is platform
+    discount, softmax temperature), the int32 transition table and both
+    reward tables; :func:`add_anchors` adds the level-0 anchors.  Arrays are
+    hashed in fixed little-endian C layout so the hash is platform
     independent; an array already in that layout, as every packaged
     scenario's tables are, is hashed in place, allocating nothing.  The
     tables are most of the hashed bytes and ``hashlib`` releases the GIL on
@@ -354,23 +355,26 @@ def game_digest(spec: GameSpec, k_max: int, temperature: float = 1.0):
     )
     h.update(header.tobytes())
     h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
-    _hash_array(h, spec.transition_table, "<i8")
+    _hash_array(h, spec.transition_table, "<i4")
     _hash_array(h, spec.ego_reward_table, "<f8")
     _hash_array(h, spec.env_reward_table, "<f8")
     return h
 
 
-def hierarchy_content_hash(game, level0_ego: PolicyTable, level0_env: PolicyTable) -> str:
-    """Content hash identifying a hierarchy build.
+def add_anchors(digest, *anchors: PolicyTable):
+    """A copy of the sha256 state ``digest`` with the level-0 anchors added, ego then env.
 
-    ``game`` is the :func:`game_digest` of the build's game, ``k_max`` and
-    softmax temperature; it is copied, not changed, and the level-0 anchors
-    are added to the copy in the same layout.
+    ``digest`` is a :func:`game_digest`, or one that holds the ego anchor already.
     """
-    h = game.copy()
-    _hash_array(h, level0_ego.probs, "<f8")
-    _hash_array(h, level0_env.probs, "<f8")
-    return h.hexdigest()
+    h = digest.copy()
+    for anchor in anchors:
+        _hash_array(h, anchor.probs, "<f8")
+    return h
+
+
+def hierarchy_content_hash(digest, *anchors: PolicyTable) -> str:
+    """A build's hex content hash: :func:`add_anchors` of the anchors ``digest`` lacks."""
+    return add_anchors(digest, *anchors).hexdigest()
 
 
 def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:

@@ -335,36 +335,35 @@ class ScenarioConfig:
                 f"step_cap {self.step_cap} is more than MAX_STEP_CAP = {MAX_STEP_CAP}")
 
     def _check_grid_closure(self) -> None:
-        """Every (speed, acceleration) pair must land back on the grids."""
+        """Every (speed, acceleration) pair must land back on the grids.
+
+        The first bad entry in the C order of the ``(speed, acceleration,
+        cap, check)`` grid is named: a nested loop's order, speed first.
+        """
         v_max = max(self.ego_v_max, self.human_v_max)
-        speeds = self.v_step * np.arange(int(round(v_max / self.v_step)) + 1)
-        for v in speeds:
-            for a in self.accel_set:
-                for cap in (self.ego_v_max, self.human_v_max):
-                    if v > cap:
-                        continue
-                    v2 = min(max(v + self.dt * a, 0.0), cap)
-                    if abs(v2 / self.v_step - round(v2 / self.v_step)) > 1e-9:
-                        raise ValueError(
-                            f"grid closure violated (accel_set, dt, v_step): v={v}, "
-                            f"a={a} gives speed {v2} off the v grid"
-                        )
-                    disp = self.dt * (v + v2) / 2.0
-                    if abs(disp / self.pos_step - round(disp / self.pos_step)) > 1e-9:
-                        raise ValueError(
-                            f"grid closure violated (accel_set, dt, pos_step): v={v}, "
-                            f"a={a} gives displacement {disp} off the position grid"
-                        )
+        v = self.v_step * np.arange(int(round(v_max / self.v_step)) + 1)[:, None, None]
+        caps = np.array([self.ego_v_max, self.human_v_max])
+        v2 = np.minimum(np.maximum(v + self.dt * np.array(self.accel_set)[:, None], 0.0), caps)
+        values = np.stack([v2, self.dt * (v + v2) / 2.0], axis=-1)  # speed, displacement
+        steps = values / np.array([self.v_step, self.pos_step])
+        bad = (np.abs(steps - np.round(steps)) > 1e-9) & (v <= caps)[..., None]
+        if bad.any():
+            i, j, c, k = np.unravel_index(np.argmax(bad), bad.shape)
+            step, what, grid = (("v_step", "speed", "v"),
+                                ("pos_step", "displacement", "position"))[k]
+            raise ValueError(
+                f"grid closure violated (accel_set, dt, {step}): v={float(v[i, 0, 0])}, a="
+                f"{self.accel_set[j]} gives {what} {float(values[i, j, c, k])} off the {grid} grid")
 
     def _check_starts(self) -> None:
         """Start states must sit on their grids; encoding checks everything."""
-        for grid, (pos, v, lane), who in zip(
+        for grid, start, who in zip(
             _grids(self), (self.ego_start, self.human_start), ("ego", "human")
         ):
-            if not 0 <= lane < len(grid.lane_centers):
-                raise ValueError(f"{who}_start lane index {lane} out of range")
+            if not 0 <= start[2] < len(grid.lane_centers):
+                raise ValueError(f"{who}_start lane index {start[2]} out of range")
             try:
-                grid.encode(VehicleState(s_x=pos, s_y=grid.lane_centers[lane], v=v))
+                _start_code(grid, start)
             except ValueError as exc:
                 raise ValueError(f"{who}_start: {exc}") from None
 
@@ -407,6 +406,12 @@ def _grids(config: ScenarioConfig) -> tuple[VehicleGrid, VehicleGrid]:
     return ego, human
 
 
+def _start_code(grid: VehicleGrid, start: tuple[float, float, int]) -> int:
+    """Cell code of a ``(position, speed, lane index)`` start state."""
+    pos, v, lane = start
+    return grid.encode(VehicleState(s_x=pos, s_y=grid.lane_centers[lane], v=v))
+
+
 def _actions(config: ScenarioConfig, lane_change: bool) -> tuple[tuple[float, str], ...]:
     cmds = LANE_COMMANDS if lane_change else ("keep",)
     return tuple((a, cmd) for a in config.accel_set for cmd in cmds)
@@ -424,7 +429,7 @@ def _cells(grid: VehicleGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _vehicle_successors(
     grid: VehicleGrid, actions: Sequence[tuple[float, str]], dt: float
 ) -> np.ndarray:
-    """Per-vehicle successor codes, shape ``(num_codes, len(actions))``.
+    """Per-vehicle int32 successor codes, shape ``(num_codes, len(actions))``.
 
     A lane command whose target lane does not exist degrades to "keep";
     leaving the position range maps to the done cell, which is absorbing.
@@ -433,7 +438,7 @@ def _vehicle_successors(
     n_lanes = len(grid.lane_centers)
     pos, v, lane_idx = _cells(grid)
 
-    out = np.empty((grid.num_codes, len(actions)), dtype=np.int64)
+    out = np.empty((grid.num_codes, len(actions)), dtype=np.int32)
     for j, (a, cmd) in enumerate(actions):
         v2 = np.clip(v + dt * a, 0.0, grid.v_max)
         v2_idx = np.rint(v2 / grid.v_step).astype(np.int64)
@@ -465,6 +470,8 @@ class Scenario:
     env_actions: tuple[tuple[float, str], ...]
     ego_objective: np.ndarray  # raw (unpenalized) per-state planner reward
     env_objective: np.ndarray
+    ego_successors: np.ndarray  # (ego cells, ego actions), see _vehicle_successors
+    human_successors: np.ndarray
     complete: np.ndarray
     events: dict[str, np.ndarray]
     initial_state: int
@@ -476,21 +483,14 @@ class Scenario:
     def name(self) -> str:
         return self.config.name
 
-    def split(self, state: int) -> tuple[int, int]:
-        n_h = self.human_grid.num_codes
-        return state // n_h, state % n_h
-
-    def join(self, ego_code: int, human_code: int) -> int:
-        return ego_code * self.human_grid.num_codes + human_code
-
     def decode(self, state: int) -> tuple[VehicleState | None, VehicleState | None]:
-        e, h = self.split(state)
+        e, h = divmod(state, self.human_grid.num_codes)
         return self.ego_grid.decode(e), self.human_grid.decode(h)
 
     def encode(self, ego: VehicleState | None, human: VehicleState | None) -> int:
         e = self.ego_grid.done_code if ego is None else self.ego_grid.encode(ego)
         h = self.human_grid.done_code if human is None else self.human_grid.encode(human)
-        return self.join(e, h)
+        return e * self.human_grid.num_codes + h
 
     def is_safe(self, state: int) -> bool:
         return bool(self.spec.safe_set[state])
@@ -585,17 +585,19 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
 
     succ_e = _vehicle_successors(ego_grid, ego_actions, config.dt)
     succ_h = _vehicle_successors(human_grid, env_actions, config.dt)
-    n_h = human_grid.num_codes
-    num_states = ego_grid.num_codes * n_h
+    n_e, n_h = ego_grid.num_codes, human_grid.num_codes
+    nu1, nu2 = len(ego_actions), len(env_actions)
 
-    e_of = np.arange(num_states) // n_h
-    h_of = np.arange(num_states) % n_h
-    table = succ_e[e_of][:, :, None] * n_h + succ_h[h_of][:, None, :]
+    # One add over the (ego cell, human cell, u1 * u2) grid into a view of the
+    # kept table: a reshaped result would not own its data, so would be copied.
+    table = np.empty((n_e * n_h, nu1, nu2), dtype=np.int32)
+    np.add(np.repeat(succ_e * n_h, nu2, axis=1)[:, None, :], np.tile(succ_h, nu1)[None, :, :],
+           out=table.reshape(n_e, n_h, nu1 * nu2))
 
     safe_joint, complete, events = _state_tables(config, ego_grid, human_grid)
 
-    ego_obj = _vehicle_objective(config, ego_grid)[e_of]
-    env_obj = _vehicle_objective(config, human_grid)[h_of]
+    ego_obj = np.repeat(_vehicle_objective(config, ego_grid), n_h)
+    env_obj = np.tile(_vehicle_objective(config, human_grid), n_e)
     penalty = config.collision_penalty
     ego_pen = ego_obj + np.where(safe_joint, 0.0, penalty)
     env_pen = env_obj + np.where(safe_joint, 0.0, penalty)
@@ -609,17 +611,8 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
         horizon=config.horizon,
     )
 
-    ego_start = VehicleState(
-        s_x=config.ego_start[0],
-        s_y=ego_grid.lane_centers[config.ego_start[2]],
-        v=config.ego_start[1],
-    )
-    human_start = VehicleState(
-        s_x=config.human_start[0],
-        s_y=human_grid.lane_centers[config.human_start[2]],
-        v=config.human_start[1],
-    )
-    initial = ego_grid.encode(ego_start) * n_h + human_grid.encode(human_start)
+    initial = (_start_code(ego_grid, config.ego_start) * n_h
+               + _start_code(human_grid, config.human_start))
 
     return Scenario(
         config=config,
@@ -630,6 +623,8 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
         env_actions=env_actions,
         ego_objective=ego_obj,
         env_objective=env_obj,
+        ego_successors=succ_e,
+        human_successors=succ_h,
         complete=read_only(complete, bool),
         events={name: read_only(mask, bool) for name, mask in events.items()},
         initial_state=initial,
@@ -646,39 +641,36 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     (zero acceleration, keep lane) and then the lowest action index; the
     ``level0_softmax`` config flag switches to a softmax over the same
     values.
+    The values live on the ``(ego cell, human cell)`` grid, gathered along
+    the moving vehicle's axis with its successor table, action-major.
     """
     config = scenario.config
     spec = scenario.spec
-    n_h = scenario.human_grid.num_codes
-    e_of = np.arange(spec.num_states) // n_h
-    h_of = np.arange(spec.num_states) % n_h
-    # frozen[u, x] is x's successor under action u: action-major, so every
-    # pass below runs over contiguous rows of states.
+    grid = (scenario.ego_grid.num_codes, scenario.human_grid.num_codes)
     if player == EGO:
-        succ = _vehicle_successors(scenario.ego_grid, scenario.ego_actions, config.dt)
-        frozen = np.take(succ.T, e_of, axis=1) * n_h + h_of
-        rewards = spec.ego_reward_table
-        actions = scenario.ego_actions
+        succ, axis, actions = scenario.ego_successors, 0, scenario.ego_actions
     elif player == ENV:
-        succ = _vehicle_successors(scenario.human_grid, scenario.env_actions, config.dt)
-        frozen = e_of * n_h + np.take(succ.T, h_of, axis=1)
-        rewards = spec.env_reward_table
-        actions = scenario.env_actions
+        succ, axis, actions = scenario.human_successors, 1, scenario.env_actions
     else:
         raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
+    rewards = spec.rewards(player).reshape(grid)
 
-    values = np.zeros(spec.num_states)
+    q = np.empty((len(actions), *grid))
+    values = np.zeros(grid)
     for _ in range(config.horizon):
-        # The reward is folded into the values before the one gather.
-        q = np.take(rewards + config.discount * values, frozen)
+        folded = rewards + config.discount * values
+        for u in range(len(actions)):
+            # Mode "clip" writes straight into q[u]; every code is in range.
+            np.take(folded, succ[:, u], axis=axis, out=q[u], mode="clip")
         values = np.maximum.reduce(q, axis=0)
+    q = q.reshape(len(actions), spec.num_states)
 
     if config.level0_softmax:
         return softmax_policy(
             QTable(level=0, player=player, values=q.T), config.softmax_temperature
         )
 
-    pick = _level0_pick(q, values, actions.index((0.0, "keep")))
+    pick = _level0_pick(q, values.ravel(), actions.index((0.0, "keep")))
     probs = np.zeros((spec.num_states, len(actions)))
     probs[np.arange(spec.num_states), pick] = 1.0
     return PolicyTable(level=0, player=player, probs=probs)
@@ -688,13 +680,9 @@ def _level0_pick(q: np.ndarray, best: np.ndarray, preferred: int) -> np.ndarray:
     """Per state, ``preferred`` if it reaches ``best``, else the lowest action that does.
 
     ``q`` is action-major, ``(actions, states)``, and ``best`` its column
-    maximum: this is ``argmax`` over ``(states, actions)`` rows with the
-    coast override on a tie, taken one contiguous action row at a time (the
-    lowest action is written last).
+    maximum; ``argmax`` returns the lowest action that reaches it.
     """
-    pick = np.full(q.shape[1], preferred)
-    for a in range(len(q) - 1, -1, -1):
-        np.copyto(pick, a, where=q[a] == best)
+    pick = np.argmax(q, axis=0)
     np.copyto(pick, preferred, where=q[preferred] == best)
     return pick
 

@@ -168,6 +168,26 @@ def level0_row_reference(scenario, player: int) -> np.ndarray:
     return probs
 
 
+def grid_closure_loop_reference(config) -> str | None:
+    """The message of the first (speed, acceleration, cap) a nested loop finds off the grids."""
+    v_max = max(config.ego_v_max, config.human_v_max)
+    speeds = config.v_step * np.arange(int(round(v_max / config.v_step)) + 1)
+    for v in speeds:
+        for a in config.accel_set:
+            for cap in (config.ego_v_max, config.human_v_max):
+                if v > cap:
+                    continue
+                v2 = min(max(v + config.dt * a, 0.0), cap)
+                if abs(v2 / config.v_step - round(v2 / config.v_step)) > 1e-9:
+                    return (f"grid closure violated (accel_set, dt, v_step): v={v}, "
+                            f"a={a} gives speed {v2} off the v grid")
+                disp = config.dt * (v + v2) / 2.0
+                if abs(disp / config.pos_step - round(disp / config.pos_step)) > 1e-9:
+                    return (f"grid closure violated (accel_set, dt, pos_step): v={v}, "
+                            f"a={a} gives displacement {disp} off the position grid")
+    return None
+
+
 def check_rows_scan_reference(probs: np.ndarray, row: str) -> str | None:
     """The message a row-by-row scan gives for the first non-distribution row, or ``None``."""
     bad = ~((probs >= -1e-12) & (probs <= 1.0 + 1e-12)).all(axis=1)
@@ -198,7 +218,7 @@ def content_hash_reference(spec: GameSpec, k_max, level0_ego, level0_env, temper
     )
     h.update(header.tobytes())
     h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
-    hash_array_reference(h, spec.transition_table, "<i8")
+    hash_array_reference(h, spec.transition_table, "<i4")
     hash_array_reference(h, spec.ego_reward_table, "<f8")
     hash_array_reference(h, spec.env_reward_table, "<f8")
     hash_array_reference(h, level0_ego.probs, "<f8")

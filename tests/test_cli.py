@@ -2,17 +2,21 @@ import dataclasses
 import hashlib
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
 import yaml
 from importlib import resources
 
+from chplanner import cli
 from chplanner import hierarchy as hierarchy_module
 from chplanner.cli import build_artifacts, main, run_episode, write_episode_csv
-from chplanner.game import ENV, PolicyTable
+from chplanner.game import EGO, ENV, PolicyTable
 from chplanner.hierarchy import Hierarchy, load_hierarchy, save_hierarchy
-from chplanner.traffic import default_config
+from chplanner.traffic import default_config, level0_policy
+
+from oracles import content_hash_reference
 
 
 def _write_config(tmp_path, name="intersection", mutate=None):
@@ -72,6 +76,38 @@ def test_build_rebuilds_a_cache_holding_a_nan(tmp_path, cache_dir):
     for a, b in zip(rebuilt.env_policies, hierarchy.env_policies):
         assert np.array_equal(a.probs, b.probs)
     assert load_hierarchy(own_cache / name)[1] == content_hash
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_build_hash_equals_the_single_pass_reference(built_scenarios, name):
+    # The digest thread hashes the game and then the ego anchor, and the
+    # calling thread adds the env anchor: the same bytes in the same order
+    # as one pass that copies every array first.
+    scenario, _, _, content_hash = built_scenarios(name)
+    config = scenario.config
+    want = content_hash_reference(
+        scenario.spec, config.k_max, level0_policy(scenario, EGO),
+        level0_policy(scenario, ENV), config.softmax_temperature,
+    )
+    assert content_hash == want
+
+
+@pytest.mark.parametrize("slow", ["game_digest", "level0_policy"])
+def test_build_hash_holds_whichever_thread_is_slower(built_scenarios, cache_dir, monkeypatch,
+                                                    slow):
+    # With a slow game digest the ego anchor is handed over before the digest
+    # thread is free; with slow anchors the digest waits for it.  Either way
+    # the hash is the same, and the build is a cache hit.
+    scenario, _, _, content_hash = built_scenarios("intersection")
+    original = getattr(cli, slow)
+
+    def delayed(*args, **kwargs):
+        time.sleep(0.1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, slow, delayed)
+    monkeypatch.setattr(cli, "build_hierarchy", None)  # a miss would fail
+    assert build_artifacts(scenario.config, cache_dir)[2] == content_hash
 
 
 def test_build_rebuilds_a_cache_of_another_format_version(tmp_path, cache_dir):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,10 @@ def test_validate_well_formed_game_passes():
 
 def test_memo_keyed_arrays_are_read_only():
     # planner.optimize keys its plan memo on the safe set, the ego objective
-    # and the kernel, which reads its rows from the transition table.
-    table = np.zeros((2, 2, 2), dtype=np.int64)
+    # and the kernel, which reads its rows from the transition table.  The
+    # table is held as int32, so only an int32 table is taken over; any
+    # other is range-checked and copied.
+    table = np.zeros((2, 2, 2), dtype=np.int32)
     safe = np.array([True, True])
     spec = make_spec(table, np.array([0.0, 1.0]), [1.0, 0.0], safe)
     assert spec.safe_set is safe  # taken over, not copied
@@ -45,6 +48,34 @@ def test_memo_keyed_arrays_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         scenario.ego_objective[0] = 0.0
     assert scenario.env_objective.flags.writeable
+
+
+def test_spec_range_checks_the_table_before_narrowing_it():
+    # The table is held as int32.  An int64 entry of 2**32 + 1 would wrap to
+    # 1, a valid state, if it were cast first; it is checked in its own dtype.
+    table = np.zeros((2, 1, 1), dtype=np.int64)
+    table[1, 0, 0] = 2**32 + 1
+    assert table.astype(np.int32)[1, 0, 0] == 1
+    with pytest.raises(ValueError, match=r"\(state=1, u1=0, u2=0\): -> 4294967297"):
+        make_spec(table, [0.0, 0.0], [0.0, 0.0], [True, True])
+    table[1, 0, 0] = 1
+    spec = make_spec(table, [0.0, 0.0], [0.0, 0.0], [True, True])
+    assert spec.transition_table.dtype == np.int32
+    assert spec.transition_table.tolist() == table.tolist()
+
+
+def test_spec_rejects_2_to_the_31_states_by_shape():
+    # A zero-stride view of 2**31 states holds 8 bytes; the state count is
+    # rejected from the shape before any cast or range check reads it.
+    table = np.broadcast_to(np.zeros((1, 1, 1), dtype=np.int64), (2**31, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"transition_table has 2147483648 states"):
+            make_spec(table, [0.0], [0.0], [True])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_spec_rejects_mismatched_table_shapes():

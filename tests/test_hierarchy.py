@@ -17,6 +17,7 @@ from chplanner.hierarchy import (
     CACHE_FORMAT_VERSION,
     QTable,
     _hash_array,
+    add_anchors,
     build_hierarchy,
     compute_q,
     game_digest,
@@ -311,6 +312,20 @@ def test_packaged_env_tables_are_pinned(built_scenarios, name):
     assert got == ENV_TABLE_SHA256[name]
 
 
+# Cache format 4: the transition table is hashed as "<i4".
+CONTENT_HASH = {
+    "intersection": "a96d2dbad1c50f7fa3a67098089274bf5e03444d3d47945c88689f9d14487d62",
+    "overtaking": "bc666752154a594920bb5dd8b4ebc321bc306cc5ff1a78ccff4a74e3970a5a09",
+    "merging": "e2f140ab71923ce617f679b6ad8606c7f370f76fa33404c4624012cef903b029",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTENT_HASH))
+def test_packaged_content_hashes_are_pinned(built_scenarios, name):
+    assert CACHE_FORMAT_VERSION == 4
+    assert built_scenarios(name)[3] == CONTENT_HASH[name]
+
+
 def test_policy_and_q_tables_are_read_only():
     probs = np.full((2, 2), 0.5)
     policy = PolicyTable(level=0, player=ENV, probs=probs)
@@ -459,6 +474,11 @@ def test_content_hash_tracks_inputs():
     other = random_policy(rng, 0, EGO, 4, 2)
     assert base != hierarchy_content_hash(game, other, env0)
     assert base != hierarchy_content_hash(game, ego0, random_policy(rng, 0, ENV, 4, 2))
+    assert base != hierarchy_content_hash(game, env0, ego0)  # the anchors' order counts
+    # The ego anchor can be added first, to a copy: the game digest is unchanged.
+    with_ego = add_anchors(game, ego0)
+    assert hierarchy_content_hash(with_ego, env0) == base
+    assert hierarchy_content_hash(game, ego0, env0) == base
 
 
 def test_content_hash_hashes_in_place_as_copied_bytes():
@@ -473,6 +493,9 @@ def test_content_hash_hashes_in_place_as_copied_bytes():
         (table.transpose(2, 0, 1), "<i8"),
         (table.astype(">i8"), "<i8"),
         (table.astype(np.int32), "<i8"),
+        (table.astype(np.int32), "<i4"),
+        (table.astype(np.int32).transpose(1, 0, 2), "<i4"),
+        (table.astype(">i4"), "<i4"),
         (floats, "<f8"),
         (floats.T, "<f8"),
         (floats.astype(">f8"), "<f8"),

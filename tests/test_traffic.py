@@ -16,9 +16,11 @@ from chplanner.traffic import (
 )
 from chplanner import traffic
 
+import hashlib
 import itertools
 import json
 import tracemalloc
+from types import SimpleNamespace
 import yaml
 from dataclasses import asdict, replace
 from importlib import resources
@@ -26,6 +28,7 @@ from importlib import resources
 from oracles import (
     classify_outcome_oracle,
     episode_complete_oracle,
+    grid_closure_loop_reference,
     level0_pick_row_reference,
     level0_row_reference,
     outcome_events_oracle,
@@ -307,15 +310,16 @@ def test_level0_policy_is_bit_identical_to_row_form(name):
 @pytest.mark.parametrize("name", ["intersection", "overtaking"])
 @pytest.mark.parametrize("player", [EGO, ENV])
 def test_level0_policy_gathers_no_reward_table(built_scenarios, name, player):
-    # Each pass gathers the folded vector rewards + discount * values once,
-    # so the anchor holds the frozen successor table, two passes' value
-    # tables and a few state vectors (the state's two vehicle codes, two
-    # value vectors, the folded vector, the pick and one temporary), but no
-    # (actions, states) table of gathered rewards.
+    # Each pass gathers the folded grid rewards + discount * values along
+    # the moving vehicle's axis, so the anchor holds its action-major values,
+    # one more table (argmax's transposed copy, then the returned probs) and
+    # a few state vectors (two value grids, the folded grid, the pick and one
+    # temporary), but no frozen successor table and no (actions, states)
+    # table of gathered rewards.
     scenario = built_scenarios(name)[0]
     nx, n = scenario.spec.num_states, scenario.spec.num_actions(player)
     table = n * nx * 8
-    bound = 3 * table + 7 * nx * 8
+    bound = 2 * table + 6 * nx * 8
     tracemalloc.start()
     try:
         level0_policy(scenario, player)
@@ -323,6 +327,88 @@ def test_level0_policy_gathers_no_reward_table(built_scenarios, name, player):
     finally:
         tracemalloc.stop()
     assert peak < bound, (peak, bound)
+
+
+# sha256 of each packaged scenario's start-up tables, computed with the
+# int64 transition table and the flat-index anchors that preceded the grid
+# construction: the transition table as "<i8", both reward tables, the safe
+# set, and both anchors' probs, deterministic and softmax.
+STARTUP_TABLE_SHA256 = {
+    "intersection": {
+        "transition_table": "3a93963c374ebda7dd23097e7d0fa8ffc50f2bfb3065d3337917e7a0490e0979",
+        "ego_reward_table": "5b4ba0d8c08cf40399083f42f09c11704a59b70552df6d782097f2e59bf92a8a",
+        "env_reward_table": "452c7c45e1af7096387d1ee0d1e5e674894b4e261c9ffdd4fde73f1e5d840a6c",
+        "safe_set": "3e418185aa6bb642936db825428ca00d5c7d57226992008c3133e042205e6703",
+        "level0_ego": "96b404e4b3ce7470f7af40d73f508bc6f47224b428c72d4924f990c226fe94ce",
+        "level0_env": "8696446a485610191ece0f665763425367d0f3a7ec14dd6ed3a42b925fa97f7a",
+        "softmax_ego": "907063fb66f3688b2ebdd50994d8afdb078759d7eb471d50c1f45b8c35acae8d",
+        "softmax_env": "83064c2fb2c2c967191b96de80af5adee02e519f895aaaa4ebea753c713e0bf4",
+    },
+    "overtaking": {
+        "transition_table": "972efbb1d00c7e09a66c5bcb3e4c05ed63371a570134155f9287596ecd1d41aa",
+        "ego_reward_table": "2446dfc2d2f4a2059b133c9326cdb5ca23f458f618340ec0f773c98949477862",
+        "env_reward_table": "4b34500b4ecafbbcc6b66ee8fff0401b8466f59c7bd9545b03e73f0f9f8a617a",
+        "safe_set": "5c927687c5601223c2c7d5b6e6c00d1c000d9e5afe1779f7ecbd8381eca5b2b7",
+        "level0_ego": "0a8091cf8e51fd39014540a6988657d8fcf1b84a0a6b497f4cfb4ee89d727554",
+        "level0_env": "fe59c8ea9f2a29dad85314e6a985df72e60446aacb642970246280c55fcb8339",
+        "softmax_ego": "bb239dea4b5b6291ccb77bf38c1163230211fa2f211bf95b2a2bb89113c833e5",
+        "softmax_env": "1c6237b4be5bdc126aa440418ce7941be6f220a78ecb4fdb000e6503ece0d0ff",
+    },
+    "merging": {
+        "transition_table": "7b455e7dea6510c25689cc3f680c44b9285f6b1326970b8502f214127cf21107",
+        "ego_reward_table": "e76a3d40fc83d314e25cae3d2a761270363a1b876a18d501366b710e5ef222af",
+        "env_reward_table": "1f7a3669a79e23f32d5317b32368abe960075b767ea959310870334ac3b0ceab",
+        "safe_set": "0e49f5d44219dc1c2eb40d25ef8b3fbebd894b33333d75165aff4216ec20ab79",
+        "level0_ego": "b2e8d2e365ef765e5690981bf398554c57fccdfad0e94ab6117c07360994c202",
+        "level0_env": "986cdc259ba75c1a7c2f40ffc722d10103bea3904cbfb2ec76246f103a18d3cf",
+        "softmax_ego": "2fb2a05a69aa825578c06671b34494d37d16d369015c6a8ca5a229295c3c14e6",
+        "softmax_env": "1f950a7a789dd1cc34fa494de4e21513ab9e31b1973844bfb67567cf6b83fc2e",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(STARTUP_TABLE_SHA256))
+def test_startup_tables_are_pinned(built_scenarios, name):
+    def sha(arr, dtype):
+        return hashlib.sha256(np.ascontiguousarray(arr, dtype=dtype).tobytes()).hexdigest()
+
+    scenario = built_scenarios(name)[0]
+    spec = scenario.spec
+    soft = make_scenario(replace(scenario.config, level0_softmax=True))
+    assert spec.transition_table.dtype == np.int32
+    got = {
+        "transition_table": sha(spec.transition_table, "<i8"),
+        "ego_reward_table": sha(spec.ego_reward_table, "<f8"),
+        "env_reward_table": sha(spec.env_reward_table, "<f8"),
+        "safe_set": sha(spec.safe_set, bool),
+        "level0_ego": sha(level0_policy(scenario, EGO).probs, "<f8"),
+        "level0_env": sha(level0_policy(scenario, ENV).probs, "<f8"),
+        "softmax_ego": sha(level0_policy(soft, EGO).probs, "<f8"),
+        "softmax_env": sha(level0_policy(soft, ENV).probs, "<f8"),
+    }
+    assert got == STARTUP_TABLE_SHA256[name]
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_make_scenario_allocates_only_its_tables(name):
+    # The transition table is one add over the (ego cell, human cell) grid,
+    # written into the kept table, and the objectives repeat or tile a
+    # vehicle's cell rewards: the peak is the returned arrays plus under two
+    # state vectors, with no (states, actions) table of gathered successors.
+    config = default_config(name)
+    tracemalloc.start()
+    try:
+        scenario = make_scenario(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    spec = scenario.spec
+    kept = sum(arr.nbytes for arr in (
+        spec.transition_table, spec.ego_reward_table, spec.env_reward_table, spec.safe_set,
+        scenario.ego_objective, scenario.env_objective, scenario.complete,
+        *scenario.events.values(),
+    ))
+    assert peak < kept + 2 * spec.num_states * 8, (peak, kept)
 
 
 @pytest.mark.parametrize("n, preferred", [(1, 0), (3, 1), (3, 0), (9, 4), (9, 8)])
@@ -362,6 +448,74 @@ def test_config_rejects_grid_closure_violation():
     tree["kinematics"]["accel_set"] = [-3.0, 0.0, 3.0]
     with pytest.raises(ValueError, match="grid closure"):
         config_from_dict(tree)
+
+
+def _closure_config(**overrides):
+    """The fields ``ScenarioConfig._check_grid_closure`` reads, overtaking's by default."""
+    config = default_config("overtaking")
+    fields = {name: getattr(config, name) for name in
+              ("dt", "v_step", "pos_step", "accel_set", "ego_v_max", "human_v_max")}
+    return SimpleNamespace(**{**fields, **overrides})
+
+
+def _closure_error(config) -> str | None:
+    try:
+        ScenarioConfig._check_grid_closure(config)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"accel_set": (-3.0, 0.0, 3.0)},
+    {"pos_step": 2.0},
+    {"dt": 0.5},
+    {"dt": 0.75, "accel_set": (-2.0, 0.0, 2.0)},
+    {"ego_v_max": 9.0, "human_v_max": 12.0, "accel_set": (-2.0, 0.0, 2.0)},
+    {"ego_v_max": 12.0, "human_v_max": 8.0, "accel_set": (-1.0, 0.0, 2.0)},
+    {"v_step": 0.5, "pos_step": 0.25, "accel_set": (-0.75, 0.0, 1.0)},
+    {"accel_set": (0.0, 7.0), "ego_v_max": 6.0, "human_v_max": 4.0},
+    # Speeds above the lower cap are not that vehicle's: counted, they would
+    # fail, since v = 5 coasting under a cap of 4 would move 4.5.
+    {"dt": 1.0, "v_step": 1.0, "pos_step": 1.0, "accel_set": (0.0,), "ego_v_max": 4.0,
+     "human_v_max": 8.0},
+])
+def test_grid_closure_names_the_loops_first_error(overrides):
+    config = _closure_config(**overrides)
+    assert _closure_error(config) == grid_closure_loop_reference(config)
+
+
+def test_grid_closure_matches_the_loop_on_random_grids():
+    rng = np.random.default_rng(5)
+    raised = 0
+    for _ in range(200):
+        v_step = float(rng.choice([0.5, 1.0, 2.0]))
+        config = _closure_config(
+            dt=float(rng.choice([0.25, 0.5, 1.0, 1.5])),
+            v_step=v_step,
+            pos_step=float(rng.choice([0.25, 0.5, 1.0, 2.0])),
+            accel_set=(0.0, *rng.choice([-3.0, -2.0, -1.0, -0.5, 1.0, 2.0, 4.0], size=2)),
+            ego_v_max=v_step * int(rng.integers(1, 13)),
+            human_v_max=v_step * int(rng.integers(1, 13)),
+        )
+        want = grid_closure_loop_reference(config)
+        raised += want is not None
+        assert _closure_error(config) == want
+    assert 0 < raised < 200  # both outcomes are exercised
+
+
+def test_grid_closure_checks_a_fine_speed_grid_in_one_pass():
+    # About 10**5 speeds.  A capped speed moves (v + v_max) / 2, half a step
+    # off the coarse position grid for every other speed within 2 of the cap,
+    # so the first error sits near the top of the speed axis.
+    fine = _closure_config(dt=1.0, v_step=1e-4, pos_step=5e-5, accel_set=(0.0, 2.0),
+                           ego_v_max=10.0, human_v_max=10.0)
+    assert _closure_error(fine) is None
+    coarse = SimpleNamespace(**{**vars(fine), "pos_step": 1e-4})
+    message = _closure_error(coarse)
+    assert message is not None and "v=8.0001, a=2.0 gives displacement" in message
+    assert message == grid_closure_loop_reference(coarse)
 
 
 def test_config_rejects_off_grid_start():
