@@ -20,7 +20,6 @@ from .hierarchy import (
     QTable,
     build_hierarchy,
     compute_q,
-    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,
@@ -52,6 +51,7 @@ from .traffic import (
     classify_outcome,
     default_config,
     episode_complete,
+    hierarchy_key,
     level0_policy,
     load_config,
     make_scenario,

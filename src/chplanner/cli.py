@@ -30,7 +30,6 @@ import json
 import sys
 import time
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,9 +38,7 @@ import numpy as np
 from .game import EGO, ENV
 from .hierarchy import (
     Hierarchy,
-    add_anchors,
     build_hierarchy,
-    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,
@@ -60,6 +57,7 @@ from .traffic import (
     ScenarioConfig,
     classify_outcome,
     episode_complete,
+    hierarchy_key,
     level0_policy,
     load_config,
     make_scenario,
@@ -150,26 +148,17 @@ def build_artifacts(
     game's ``(|X|, |U2|)`` shape counts as a miss: the hierarchy is rebuilt
     and the file replaced.
 
-    The content hash is pipelined: a second thread hashes the game tables
-    (:func:`~chplanner.hierarchy.game_digest`, most of the bytes) while this
-    thread computes the ego anchor, then adds that anchor while this thread
-    computes the env anchor, which ``hierarchy_content_hash`` adds last.
-    ``level0_policy`` and ``hierarchy_content_hash`` are called through this
-    module's names on the calling thread, where a tracer can patch them.
-    The hierarchy itself is built by :func:`build_hierarchy`, whose Q
-    builds split their work between two threads on a machine with two
-    cores.
+    The content hash covers the game's factors (see
+    :func:`~chplanner.traffic.hierarchy_key`), not its joint tables or
+    anchors, so a hit builds the scenario, hashes a few hundred KB and
+    loads the archive; only a miss computes the level-0 anchors and
+    builds the hierarchy, whose Q builds split their work between two
+    threads on a machine with two cores.  ``hierarchy_content_hash`` and,
+    on a miss, ``level0_policy`` are called through this module's names on
+    the calling thread, where a tracer can patch them.
     """
     scenario = make_scenario(config)
-    with ThreadPoolExecutor(1) as pool:
-        game = pool.submit(
-            game_digest, scenario.spec, config.k_max, config.softmax_temperature
-        )
-        anchor_ego = level0_policy(scenario, EGO)
-        # The one worker starts this once the game is hashed.
-        with_ego = pool.submit(lambda: add_anchors(game.result(), anchor_ego))
-        anchor_env = level0_policy(scenario, ENV)
-        content_hash = hierarchy_content_hash(with_ego.result(), anchor_env)
+    content_hash = hierarchy_content_hash(*hierarchy_key(scenario))
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"hierarchy-{content_hash[:16]}.npz"
@@ -186,7 +175,8 @@ def build_artifacts(
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
             pass
     hierarchy = build_hierarchy(
-        scenario.spec, config.k_max, anchor_ego, anchor_env, config.softmax_temperature
+        scenario.spec, config.k_max, level0_policy(scenario, EGO), level0_policy(scenario, ENV),
+        config.softmax_temperature,
     )
     save_hierarchy(path, hierarchy, content_hash)
     return scenario, hierarchy, content_hash

@@ -18,9 +18,6 @@ vector, ``discount * tail + R``, gathered once per opponent action, and the
 opponent terms are added in order, left to right.  Each Q computation
 splits its suffix tree between up to ``MAX_Q_WORKERS`` threads, one per
 core, with byte-identical results (see :func:`compute_q`).
-A build's content hash is taken in steps (:func:`game_digest`, then
-:func:`add_anchors` and :func:`hierarchy_content_hash`), so the game and the
-ego anchor can be hashed while the anchors are computed.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +40,15 @@ __all__ = [
     "softmax_policy",
     "compute_q",
     "build_hierarchy",
-    "game_digest",
-    "add_anchors",
     "hierarchy_content_hash",
     "save_hierarchy",
     "load_hierarchy",
 ]
 
-# Hashed into every content hash: bump it whenever the cache layout or the
-# meaning of the Q-tables changes, so no stale table is ever reused.
-CACHE_FORMAT_VERSION = 4
+# Hashed into every content hash: bump it whenever the cache layout, the
+# Q-tables' meaning or how the tables and anchors follow from the hashed
+# inputs changes, so no stale table is ever reused.
+CACHE_FORMAT_VERSION = 5
 
 # Most workers one Q build splits its suffix tree between: each holds a
 # scratch set of its own (see compute_q), and only two were measured.
@@ -334,47 +330,23 @@ def _hash_array(h, arr: np.ndarray, dtype: str) -> None:
     h.update(a)
 
 
-def game_digest(spec: GameSpec, k_max: int, temperature: float = 1.0):
-    """The ``hashlib`` sha256 state over a build's game: the first part of its content hash.
+def hierarchy_content_hash(ints: Sequence[int], floats: Sequence[float], arrays) -> str:
+    """Hex sha256 of a build's inputs: the format tag, a numeric header and arrays.
 
-    Covers the format tag, the header (table sizes, horizon, ``k_max``,
-    discount, softmax temperature), the int32 transition table and both
-    reward tables; :func:`add_anchors` adds the level-0 anchors.  Arrays are
-    hashed in fixed little-endian C layout so the hash is platform
-    independent; an array already in that layout, as every packaged
-    scenario's tables are, is hashed in place, allocating nothing.  The
-    tables are most of the hashed bytes and ``hashlib`` releases the GIL on
-    large buffers, so this can run on a second thread while the anchors are
-    computed (see ``cli.build_artifacts``).
+    The header is ``ints`` as ``"<i8"`` then ``floats`` as ``"<f8"``; each
+    ``(array, dtype)`` pair adds the array's shape and its bytes in
+    ``dtype``, little-endian C layout, so the hash is platform independent.
+    An array already in that layout is hashed in place, allocating nothing.
+    ``CACHE_FORMAT_VERSION`` is in the tag, so it stands for everything
+    that turns these inputs into tables (see ``traffic.hierarchy_key``).
     """
     h = hashlib.sha256()
     h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
-    header = np.array(
-        [spec.num_states, spec.num_ego_actions, spec.num_env_actions, spec.horizon, k_max],
-        dtype="<i8",
-    )
-    h.update(header.tobytes())
-    h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
-    _hash_array(h, spec.transition_table, "<i4")
-    _hash_array(h, spec.ego_reward_table, "<f8")
-    _hash_array(h, spec.env_reward_table, "<f8")
-    return h
-
-
-def add_anchors(digest, *anchors: PolicyTable):
-    """A copy of the sha256 state ``digest`` with the level-0 anchors added, ego then env.
-
-    ``digest`` is a :func:`game_digest`, or one that holds the ego anchor already.
-    """
-    h = digest.copy()
-    for anchor in anchors:
-        _hash_array(h, anchor.probs, "<f8")
-    return h
-
-
-def hierarchy_content_hash(digest, *anchors: PolicyTable) -> str:
-    """A build's hex content hash: :func:`add_anchors` of the anchors ``digest`` lacks."""
-    return add_anchors(digest, *anchors).hexdigest()
+    h.update(np.array(ints, dtype="<i8").tobytes())
+    h.update(np.array(floats, dtype="<f8").tobytes())
+    for arr, dtype in arrays:
+        _hash_array(h, arr, dtype)
+    return h.hexdigest()
 
 
 def save_hierarchy(path, hierarchy: Hierarchy, content_hash: str) -> None:

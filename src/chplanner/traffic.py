@@ -51,6 +51,7 @@ __all__ = [
     "Scenario",
     "vehicle_step",
     "make_scenario",
+    "hierarchy_key",
     "level0_policy",
     "default_config",
     "load_config",
@@ -631,6 +632,31 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     )
 
 
+def hierarchy_key(scenario: Scenario) -> tuple[list[int], list[float], list[tuple]]:
+    """The factors of a scenario's hierarchy, for ``hierarchy_content_hash``.
+
+    The joint transition, reward and level-0 tables are fixed functions of
+    the successor tables, the cell objectives, the safe set and the header,
+    so these few hundred KB stand for them.
+    """
+    config = scenario.config
+    n_h = scenario.human_grid.num_codes
+    ints = [
+        scenario.ego_grid.num_codes, n_h, len(scenario.ego_actions),
+        len(scenario.env_actions), config.horizon, config.k_max, config.level0_softmax,
+        scenario.ego_actions.index((0.0, "keep")), scenario.env_actions.index((0.0, "keep")),
+    ]
+    floats = [config.discount, config.softmax_temperature, config.collision_penalty]
+    arrays = [
+        (scenario.ego_successors, "<i4"),
+        (scenario.human_successors, "<i4"),
+        (scenario.ego_objective[::n_h], "<f8"),  # one entry per ego cell
+        (scenario.env_objective[:n_h], "<f8"),  # one entry per human cell
+        (scenario.spec.safe_set, "|b1"),
+    ]
+    return ints, floats, arrays
+
+
 def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     """Non-strategic anchor policy: optimize against a frozen other vehicle.
 
@@ -643,6 +669,7 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     values.
     The values live on the ``(ego cell, human cell)`` grid, gathered along
     the moving vehicle's axis with its successor table, action-major.
+    A cache hit does not compute it (see :func:`hierarchy_key`).
     """
     config = scenario.config
     spec = scenario.spec
@@ -680,10 +707,12 @@ def _level0_pick(q: np.ndarray, best: np.ndarray, preferred: int) -> np.ndarray:
     """Per state, ``preferred`` if it reaches ``best``, else the lowest action that does.
 
     ``q`` is action-major, ``(actions, states)``, and ``best`` its column
-    maximum; ``argmax`` returns the lowest action that reaches it.
+    maximum.  One pass per row, the last action first and ``preferred``
+    last; ``argmax`` over axis 0 would copy the table transposed.
     """
-    pick = np.argmax(q, axis=0)
-    np.copyto(pick, preferred, where=q[preferred] == best)
+    pick = np.empty(q.shape[1], dtype=np.intp)
+    for a in (*range(len(q) - 1, -1, -1), preferred):
+        np.copyto(pick, a, where=q[a] == best)
     return pick
 
 

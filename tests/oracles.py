@@ -208,21 +208,31 @@ def hash_array_reference(h, arr: np.ndarray, dtype: str) -> None:
     h.update(a.tobytes())
 
 
-def content_hash_reference(spec: GameSpec, k_max, level0_ego, level0_env, temperature=1.0):
-    """``hierarchy_content_hash`` with every array copied to bytes first."""
+def content_hash_reference(scenario) -> str:
+    """``hierarchy_content_hash(*hierarchy_key(scenario))`` in one pass over copied bytes.
+
+    Each vehicle's cell objective is read back from the joint objective as
+    a row or a column of its (ego cell, human cell) grid.
+    """
+    config = scenario.config
+    n_e, n_h = scenario.ego_grid.num_codes, scenario.human_grid.num_codes
+    coast = (0.0, "keep")
     h = hashlib.sha256()
     h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
-    header = np.array(
-        [spec.num_states, spec.num_ego_actions, spec.num_env_actions, spec.horizon, k_max],
-        dtype="<i8",
-    )
-    h.update(header.tobytes())
-    h.update(np.array([spec.discount, temperature], dtype="<f8").tobytes())
-    hash_array_reference(h, spec.transition_table, "<i4")
-    hash_array_reference(h, spec.ego_reward_table, "<f8")
-    hash_array_reference(h, spec.env_reward_table, "<f8")
-    hash_array_reference(h, level0_ego.probs, "<f8")
-    hash_array_reference(h, level0_env.probs, "<f8")
+    header = [
+        n_e, n_h, len(scenario.ego_actions), len(scenario.env_actions), config.horizon,
+        max(config.levels), int(config.level0_softmax),
+        scenario.ego_actions.index(coast), scenario.env_actions.index(coast),
+    ]
+    h.update(np.array(header, dtype="<i8").tobytes())
+    h.update(np.array(
+        [config.discount, config.softmax_temperature, config.collision_penalty], dtype="<f8",
+    ).tobytes())
+    hash_array_reference(h, scenario.ego_successors, "<i4")
+    hash_array_reference(h, scenario.human_successors, "<i4")
+    hash_array_reference(h, scenario.ego_objective.reshape(n_e, n_h)[:, 0], "<f8")
+    hash_array_reference(h, scenario.env_objective.reshape(n_e, n_h)[0], "<f8")
+    hash_array_reference(h, scenario.spec.safe_set, "|b1")
     return h.hexdigest()
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import json
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -12,9 +11,9 @@ from importlib import resources
 from chplanner import cli
 from chplanner import hierarchy as hierarchy_module
 from chplanner.cli import build_artifacts, main, run_episode, write_episode_csv
-from chplanner.game import EGO, ENV, PolicyTable
+from chplanner.game import ENV, PolicyTable
 from chplanner.hierarchy import Hierarchy, load_hierarchy, save_hierarchy
-from chplanner.traffic import default_config, level0_policy
+from chplanner.traffic import default_config
 
 from oracles import content_hash_reference
 
@@ -80,34 +79,36 @@ def test_build_rebuilds_a_cache_holding_a_nan(tmp_path, cache_dir):
 
 @pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
 def test_build_hash_equals_the_single_pass_reference(built_scenarios, name):
-    # The digest thread hashes the game and then the ego anchor, and the
-    # calling thread adds the env anchor: the same bytes in the same order
-    # as one pass that copies every array first.
+    # The key's arrays are hashed in place, the objectives as strided views:
+    # the same bytes in the same order as one pass that copies every array.
     scenario, _, _, content_hash = built_scenarios(name)
-    config = scenario.config
-    want = content_hash_reference(
-        scenario.spec, config.k_max, level0_policy(scenario, EGO),
-        level0_policy(scenario, ENV), config.softmax_temperature,
-    )
-    assert content_hash == want
+    assert content_hash == content_hash_reference(scenario)
 
 
-@pytest.mark.parametrize("slow", ["game_digest", "level0_policy"])
-def test_build_hash_holds_whichever_thread_is_slower(built_scenarios, cache_dir, monkeypatch,
-                                                    slow):
-    # With a slow game digest the ego anchor is handed over before the digest
-    # thread is free; with slow anchors the digest waits for it.  Either way
-    # the hash is the same, and the build is a cache hit.
-    scenario, _, _, content_hash = built_scenarios("intersection")
-    original = getattr(cli, slow)
+def test_a_hit_computes_no_anchor_and_starts_no_thread(tmp_path, monkeypatch):
+    # A hit builds the scenario, hashes its key and loads the archive; only
+    # a miss computes the two level-0 anchors.  Either way the content hash
+    # is taken once, through cli's name, on the calling thread.
+    calls = []
 
-    def delayed(*args, **kwargs):
-        time.sleep(0.1)
-        return original(*args, **kwargs)
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cli, slow, delayed)
-    monkeypatch.setattr(cli, "build_hierarchy", None)  # a miss would fail
-    assert build_artifacts(scenario.config, cache_dir)[2] == content_hash
+    monkeypatch.setattr(cli, "level0_policy", spy("anchor", cli.level0_policy))
+    monkeypatch.setattr(cli, "hierarchy_content_hash", spy("hash", cli.hierarchy_content_hash))
+    monkeypatch.setattr(threading.Thread, "start", spy("thread", threading.Thread.start))
+    config = default_config("intersection")
+    build_artifacts(config, tmp_path)
+    miss = [name for name, _ in calls]
+    assert (miss.count("anchor"), miss.count("hash")) == (2, 1)
+    assert all(on_main for name, on_main in calls if name != "thread")
+
+    calls.clear()
+    build_artifacts(config, tmp_path)
+    assert calls == [("hash", True)]
 
 
 def test_build_rebuilds_a_cache_of_another_format_version(tmp_path, cache_dir):

@@ -17,10 +17,8 @@ from chplanner.hierarchy import (
     CACHE_FORMAT_VERSION,
     QTable,
     _hash_array,
-    add_anchors,
     build_hierarchy,
     compute_q,
-    game_digest,
     hierarchy_content_hash,
     load_hierarchy,
     save_hierarchy,
@@ -29,7 +27,6 @@ from chplanner.hierarchy import (
 
 from conftest import make_spec
 from oracles import (
-    content_hash_reference,
     hash_array_reference,
     open_loop_q_oracle,
     random_game,
@@ -312,17 +309,17 @@ def test_packaged_env_tables_are_pinned(built_scenarios, name):
     assert got == ENV_TABLE_SHA256[name]
 
 
-# Cache format 4: the transition table is hashed as "<i4".
+# Cache format 5: the key is the game's factors (traffic.hierarchy_key).
 CONTENT_HASH = {
-    "intersection": "a96d2dbad1c50f7fa3a67098089274bf5e03444d3d47945c88689f9d14487d62",
-    "overtaking": "bc666752154a594920bb5dd8b4ebc321bc306cc5ff1a78ccff4a74e3970a5a09",
-    "merging": "e2f140ab71923ce617f679b6ad8606c7f370f76fa33404c4624012cef903b029",
+    "intersection": "3f286bee0ea356b6c56a0f1f772e6056c9c71be90464ab1b43a677b3e0956e61",
+    "overtaking": "21565d0f4df2b288f5e06cf3afcf880b8507fe67901d37b829b75744a80e172e",
+    "merging": "d70bed4892079e3bb1d380151105f77cd20d9612131b9816a1dd96af4b91b280",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CONTENT_HASH))
 def test_packaged_content_hashes_are_pinned(built_scenarios, name):
-    assert CACHE_FORMAT_VERSION == 4
+    assert CACHE_FORMAT_VERSION == 5
     assert built_scenarios(name)[3] == CONTENT_HASH[name]
 
 
@@ -436,7 +433,7 @@ def _saved_hierarchy(tmp_path, seed):
     spec, *_ = random_game(rng, 5, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
-    content = hierarchy_content_hash(game_digest(spec, 2), ego0, env0)
+    content = hierarchy_content_hash([5, 2], [0.9], [(spec.transition_table, "<i4")])
     path = tmp_path / "cache.npz"
     save_hierarchy(path, h, content)
     return h, content, path
@@ -463,22 +460,26 @@ def test_hierarchy_cache_holds_only_env_tables(tmp_path):
 
 def test_content_hash_tracks_inputs():
     rng = np.random.default_rng(9)
-    spec, *_ = random_game(rng, 4, 2, 2)
-    ego0, env0 = _anchors(rng, spec)
-    game = game_digest(spec, 2)
-    base = hierarchy_content_hash(game, ego0, env0)
-    assert base == hierarchy_content_hash(game, ego0, env0)  # the digest is copied
-    assert base == hierarchy_content_hash(game_digest(spec, 2), ego0, env0)
-    assert base != hierarchy_content_hash(game_digest(spec, 1), ego0, env0)
-    assert base != hierarchy_content_hash(game_digest(spec, 2, 0.5), ego0, env0)
-    other = random_policy(rng, 0, EGO, 4, 2)
-    assert base != hierarchy_content_hash(game, other, env0)
-    assert base != hierarchy_content_hash(game, ego0, random_policy(rng, 0, ENV, 4, 2))
-    assert base != hierarchy_content_hash(game, env0, ego0)  # the anchors' order counts
-    # The ego anchor can be added first, to a copy: the game digest is unchanged.
-    with_ego = add_anchors(game, ego0)
-    assert hierarchy_content_hash(with_ego, env0) == base
-    assert hierarchy_content_hash(game, ego0, env0) == base
+    table = rng.integers(0, 4, size=(4, 2)).astype(np.int32)
+    floats = rng.normal(size=4)
+    args = ([4, 2, 3], [0.9, 1.0], [(table, "<i4"), (floats, "<f8")])
+    base = hierarchy_content_hash(*args)
+    assert len(base) == 64
+    assert base == hierarchy_content_hash(*args)
+    assert base == hierarchy_content_hash(
+        (4, 2, 3), np.array([0.9, 1.0]), [(table.astype(np.int64), "<i4"), (floats, "<f8")]
+    )
+    changed = [
+        ([4, 2, 2], [0.9, 1.0], [(table, "<i4"), (floats, "<f8")]),
+        ([4, 2, 3], [0.9, 0.5], [(table, "<i4"), (floats, "<f8")]),
+        ([4, 2, 3], [0.9, 1.0], [(table, "<i8"), (floats, "<f8")]),  # the dtype counts
+        ([4, 2, 3], [0.9, 1.0], [(table.reshape(2, 4), "<i4"), (floats, "<f8")]),  # the shape
+        ([4, 2, 3], [0.9, 1.0], [(floats, "<f8"), (table, "<i4")]),  # the order
+        ([4, 2, 3], [0.9, 1.0], [(table, "<i4")]),
+        ([4, 2, 3], [0.9, 1.0], [(table, "<i4"), (floats + 1e-12, "<f8")]),
+    ]
+    for ints, reals, arrays in changed:
+        assert hierarchy_content_hash(ints, reals, arrays) != base
 
 
 def test_content_hash_hashes_in_place_as_copied_bytes():
@@ -507,16 +508,9 @@ def test_content_hash_hashes_in_place_as_copied_bytes():
         hash_array_reference(want, arr, dtype)
         assert got.hexdigest() == want.hexdigest()
 
-    # The same through a whole content hash, over a transposed transition
-    # table and big-endian inputs.
-    spec = make_spec(
-        np.ascontiguousarray(table.transpose(0, 2, 1)).transpose(0, 2, 1) % 5,
-        rng.normal(size=5).astype(">f8"), rng.normal(size=5), [True] * 5,
-    )
-    assert not spec.transition_table.flags.c_contiguous
-    ego0, env0 = _anchors(rng, spec)
-    for k_max, temperature in ((0, 1.0), (2, 0.5)):
-        game = game_digest(spec, k_max, temperature)
-        assert hierarchy_content_hash(game, ego0, env0) == (
-            content_hash_reference(spec, k_max, ego0, env0, temperature)
-        )
+    # The same through a whole content hash, after the tag and the header.
+    want = hashlib.sha256(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
+    want.update(np.array([3, 1], dtype="<i8").tobytes() + np.array([0.5], dtype="<f8").tobytes())
+    for arr, dtype in arrays:
+        hash_array_reference(want, arr, dtype)
+    assert hierarchy_content_hash([3, 1], [0.5], arrays) == want.hexdigest()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chplanner.game import EGO, ENV
+from chplanner.hierarchy import build_hierarchy, hierarchy_content_hash
 from chplanner.traffic import (
     ScenarioConfig,
     VehicleGrid,
@@ -10,6 +11,7 @@ from chplanner.traffic import (
     config_from_dict,
     default_config,
     episode_complete,
+    hierarchy_key,
     level0_policy,
     make_scenario,
     vehicle_step,
@@ -22,7 +24,7 @@ import json
 import tracemalloc
 from types import SimpleNamespace
 import yaml
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from importlib import resources
 
 from oracles import (
@@ -429,6 +431,117 @@ def test_level0_pick_matches_row_argmax_with_coast_override(n, preferred):
         q[rows[50:100], b] = top
     got = traffic._level0_pick(np.ascontiguousarray(q.T), q.max(axis=1), preferred)
     assert got.tobytes() == level0_pick_row_reference(q, preferred).tobytes()
+
+
+# A 10,000-state intersection, and an overtaking game on the same grids
+# whose ego may change lanes (the intersection admits no lane change).
+SMALL_INTERSECTION = replace(
+    default_config("intersection"), pos_step=0.5, ego_pos_min=-8.0, ego_pos_max=8.0,
+    ego_v_max=4.0, ego_start=(-4.0, 2.0, 0), human_pos_min=-8.0, human_pos_max=8.0,
+    human_v_max=4.0, human_start=(-4.0, 2.0, 0), horizon=2,
+)
+SMALL_OVERTAKING = replace(SMALL_INTERSECTION, name="overtaking", ego_lane_change=True)
+
+# One valid change per ScenarioConfig field, made on the small intersection
+# except for the lane-change flags.
+PERTURBED = {
+    "name": "overtaking",
+    "dt": 2.0,
+    "car_length": 3.0,
+    "lane_width": 3.0,
+    "accel_set": (-2.0, 0.0),
+    "v_step": 1.0,
+    "pos_step": 1.0,
+    "ego_pos_min": -9.0,
+    "ego_pos_max": 9.0,
+    "ego_v_max": 6.0,
+    "ego_lane_change": False,
+    "ego_start": (-3.0, 2.0, 0),
+    "human_pos_min": -9.0,
+    "human_pos_max": 9.0,
+    "human_v_max": 6.0,
+    "human_lane_change": True,
+    "human_start": (-3.0, 2.0, 0),
+    "horizon": 3,
+    "epsilon": 0.05,
+    "discount": 0.8,
+    "on_infeasible": "abort",
+    "levels": (1, 3),
+    "level_prior": (0.3, 0.7),
+    "collision_penalty": -500.0,
+    "softmax_temperature": 0.5,
+    "level0_softmax": True,
+    "step_cap": 10,
+    "seed": 5,
+}
+
+# The fields no built table reads: they shape episodes only.
+EPISODE_ONLY_FIELDS = {
+    "ego_start", "human_start", "epsilon", "on_infeasible", "level_prior", "step_cap", "seed",
+}
+
+
+def _tables_and_key(config):
+    """Both anchors' and every env table's shape and bytes, and the content hash."""
+    scenario = make_scenario(config)
+    anchors = (level0_policy(scenario, EGO), level0_policy(scenario, ENV))
+    built = build_hierarchy(scenario.spec, config.k_max, *anchors, config.softmax_temperature)
+    tables = tuple(
+        (policy.probs.shape, policy.probs.tobytes()) for policy in (*anchors, *built.env_policies)
+    )
+    return tables, hierarchy_content_hash(*hierarchy_key(scenario))
+
+
+def test_every_config_field_is_perturbed():
+    assert set(PERTURBED) == {item.name for item in fields(ScenarioConfig)}
+
+
+@pytest.mark.parametrize("field", sorted(PERTURBED))
+def test_a_field_that_moves_a_built_table_moves_the_key(field):
+    # The cache is keyed on the game's factors, not on its tables: every
+    # change that reaches an anchor or an env table must reach the key, and
+    # the episode-only fields reach neither, so their builds share a cache.
+    base = SMALL_OVERTAKING if field.endswith("lane_change") else SMALL_INTERSECTION
+    tables, key = _tables_and_key(base)
+    new_tables, new_key = _tables_and_key(replace(base, **{field: PERTURBED[field]}))
+    assert (new_tables == tables) == (field in EPISODE_ONLY_FIELDS)
+    assert (new_key == key) == (field in EPISODE_ONLY_FIELDS)
+
+
+def test_each_factor_of_the_game_is_in_the_key():
+    scenario = make_scenario(SMALL_INTERSECTION)
+    n_e, n_h = scenario.ego_grid.num_codes, scenario.human_grid.num_codes
+
+    def successors(table):
+        table = table.copy()
+        table[3, 0] = (table[3, 0] + 1) % len(table)
+        return table
+
+    def ego_cell_objective(joint):
+        grid = joint.reshape(n_e, n_h).copy()
+        grid[5] += 1.0
+        return grid.ravel()
+
+    def human_cell_objective(joint):
+        grid = joint.reshape(n_e, n_h).copy()
+        grid[:, 5] += 1.0
+        return grid.ravel()
+
+    safe = scenario.spec.safe_set.copy()
+    safe[np.flatnonzero(safe)[0]] = False
+    variants = [
+        replace(scenario, ego_successors=successors(scenario.ego_successors)),
+        replace(scenario, human_successors=successors(scenario.human_successors)),
+        replace(scenario, ego_objective=ego_cell_objective(scenario.ego_objective)),
+        replace(scenario, env_objective=human_cell_objective(scenario.env_objective)),
+        replace(scenario, spec=replace(scenario.spec, safe_set=safe)),
+        replace(scenario, config=replace(scenario.config, collision_penalty=-999.0)),
+        # The coast action moves to index 0.
+        replace(scenario, ego_actions=scenario.ego_actions[1:] + scenario.ego_actions[:1]),
+        replace(scenario, env_actions=scenario.env_actions[1:] + scenario.env_actions[:1]),
+    ]
+    keys = {hierarchy_content_hash(*hierarchy_key(s)) for s in (scenario, *variants)}
+    assert len(keys) == len(variants) + 1
 
 
 def _config_tree(name):
