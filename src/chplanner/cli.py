@@ -149,8 +149,8 @@ def build_artifacts(
     and the file replaced.
 
     The content hash covers the game's factors (see
-    :func:`~chplanner.traffic.hierarchy_key`), not its joint tables or
-    anchors, so a hit builds the scenario, hashes a few hundred KB and
+    :func:`~chplanner.traffic.hierarchy_key`), not its joint reward tables
+    or anchors, so a hit builds the scenario, hashes a few hundred KB and
     loads the archive; only a miss computes the level-0 anchors and
     builds the hierarchy, whose Q builds split their work between two
     threads on a machine with two cores.  ``hierarchy_content_hash`` and,
@@ -185,7 +185,7 @@ def build_artifacts(
 def scenario_kernel(scenario: Scenario, hierarchy: Hierarchy) -> AugmentedKernel:
     """Augmented kernel over the configured hypothesis levels.
 
-    The kernel references the scenario's transition table and the
+    The kernel references the scenario's two successor tables and the
     hierarchy's env tables and computes its rows on demand, so this
     allocates nothing table-sized.
     """
@@ -269,7 +269,7 @@ def run_episode(
             plan.expected_reward, plan.constraint_probability, plan.feasible
         )
         records.append(StepRecord(t, state, tuple(belief.weights), u1, u2, *values, wall_ms))
-        next_state = int(scenario.spec.transition_table[state, u1, u2])
+        next_state = scenario.spec.successor(state, u1, u2)
         try:
             belief = bayes_update(kernel, belief, u1, next_state)
         except InconsistentObservationError:

@@ -1,12 +1,11 @@
-"""Finite two-player dynamic-game primitives.
+"""Finite two-vehicle dynamic-game primitives.
 
 States and actions are dense integer indices; domain layers supply codecs
-between indices and physical values.  Transitions are deterministic: all
-stochasticity in the planning stack enters through the opponent's policy.
-Every object here checks its contract when it is constructed and is
-immutable afterwards, so a spec or policy that exists is well formed, and
-specs, policies and the tables derived from them are safe to share across
-threads.
+between indices and physical values.  Each vehicle moves deterministically
+under its own dynamics (see :class:`GameSpec`); all stochasticity in the
+planning stack enters through the opponent's policy.  Every object here
+checks its contract when it is constructed and is immutable afterwards, so
+a spec or policy that exists is well formed and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ def read_only(values, dtype) -> np.ndarray:
     copied: it is marked read-only in place, so the caller's reference can
     no longer write to it either.  Anything else is copied first.  This is
     for the arrays ``planner.optimize`` keys its plan memo on, among them
-    the transition and policy tables the inference kernel reads, and for
-    the Q tables.
+    the two successor tables and the policy tables the inference kernel
+    reads, and for the Q tables.
     """
     arr = np.asarray(values, dtype=dtype)
     if not arr.flags.owndata:
@@ -80,27 +79,30 @@ def read_only(values, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GameSpec:
-    """Two-player dynamic game ``<X, U1 x U2, T, {R1, R2}, X_safe, discount, horizon>``.
+    """Two-vehicle product game ``<X, U1 x U2, T, {R1, R2}, X_safe, discount, horizon>``.
 
-    The game is held as dense tables only.  ``transition_table[x, u1, u2]``
-    is the successor state index and must be total (every entry in
-    ``[0, |X|)``); it is held as int32 and read-only (see :func:`read_only`),
-    because the inference kernel reads its rows from it and the plan memo
-    keys on that kernel.  Rewards are functions of the successor state
-    only, one value per state and player; the general ``(state, u1, u2)``
-    reward form is out of scope.  ``safe_set`` is one boolean membership
-    mask over states, held read-only too: every scenario's safe set is
-    time-invariant, so the paper's time-indexed ``{X_t}`` is the same mask
-    at every step.
+    ``ego_successors[e, u1]`` is the ego's next cell from cell ``e`` under
+    ``u1``, ``env_successors[h, u2]`` the env vehicle's from ``h`` under
+    ``u2``.  A state is a pair of cells, ``x = e * n_h + h`` with
+    ``|X| = n_e * n_h`` (a state vector reshapes to the ``(n_e, n_h)``
+    :attr:`grid`), and ``T[x, u1, u2] = ego_successors[e, u1] * n_h +
+    env_successors[h, u2]`` (:meth:`successor`).  No joint table is built,
+    and only such products of two moves can be described.  Both tables are
+    int32 and read-only (see :func:`read_only`): the inference kernel reads
+    them and the plan memo keys on that kernel.  Rewards are functions of
+    the successor state, one value per state and player; ``safe_set`` is
+    one read-only boolean mask, time-invariant, so the paper's ``{X_t}`` is
+    the same mask at every step.
 
     Construction checks the whole contract and raises ``ValueError`` naming
-    the field: table shapes, at least one state and one action per player,
-    fewer than ``2**31`` states (by shape), every transition target in range
-    before the cast to int32 (the first bad ``(state, u1, u2)`` is named),
-    finite rewards, ``discount`` in (0, 1] and ``horizon >= 1``.
+    the field: 2-D successor tables with a cell and an action, fewer than
+    ``2**31`` states (by shape), every successor a cell of its table before
+    the cast to int32 (naming the first bad ``(cell, action)``), reward and
+    safe-set shapes, finite rewards, ``discount`` in (0, 1], ``horizon >= 1``.
     """
 
-    transition_table: np.ndarray = field(repr=False)
+    ego_successors: np.ndarray = field(repr=False)
+    env_successors: np.ndarray = field(repr=False)
     ego_reward_table: np.ndarray = field(repr=False)
     env_reward_table: np.ndarray = field(repr=False)
     safe_set: np.ndarray = field(repr=False)
@@ -108,31 +110,28 @@ class GameSpec:
     horizon: int
 
     def __post_init__(self):
-        table = np.asarray(self.transition_table)
-        if table.dtype.kind not in "iu":
-            table = table.astype(np.int64)
-        if table.ndim != 3:
-            raise ValueError(
-                f"transition_table must be 3-D (states x ego actions x env actions), "
-                f"got shape {table.shape}"
-            )
-        if 0 in table.shape:
-            raise ValueError(
-                f"transition_table needs at least one state and one action per "
-                f"player, got shape {table.shape}"
-            )
-        num_states = table.shape[0]
+        tables = {}
+        for name in ("ego_successors", "env_successors"):
+            table = tables[name] = np.asarray(getattr(self, name))
+            if table.ndim != 2 or 0 in table.shape:
+                raise ValueError(f"{name} must be 2-D (cells x actions) with at least one "
+                                 f"cell and one action, got shape {table.shape}")
+        (n_e, _), (n_h, _) = (table.shape for table in tables.values())
+        num_states = n_e * n_h
         if num_states >= 2**31:
-            raise ValueError(f"transition_table has {num_states} states, int32 holds < 2**31")
-        # min/max, not a mask: the range check allocates nothing table-sized.
-        if table.min() < 0 or table.max() >= num_states:
-            bad = np.flatnonzero((table < 0) | (table >= num_states))[0]
-            x, u1, u2 = np.unravel_index(bad, table.shape)
-            raise ValueError(
-                f"transition_table out of range [0, {num_states}) at "
-                f"(state={x}, u1={u1}, u2={u2}): -> {table[x, u1, u2]}"
-            )
-        object.__setattr__(self, "transition_table", read_only(table, np.int32))
+            raise ValueError(f"ego_successors x env_successors give {n_e} x {n_h} = "
+                             f"{num_states} states, int32 holds < 2**31")
+        for (name, table), action in zip(tables.items(), ("u1", "u2")):
+            # Checked in the table's own dtype before the cast, so an entry
+            # of 2**32 + 1 cannot wrap to a valid cell.
+            if table.dtype.kind not in "iu":
+                table = table.astype(np.int64)
+            n = len(table)
+            if table.min() < 0 or table.max() >= n:
+                cell, u = np.argwhere((table < 0) | (table >= n))[0]
+                raise ValueError(f"{name} out of range [0, {n}) at (cell={cell}, "
+                                 f"{action}={u}): -> {table[cell, u]}")
+            object.__setattr__(self, name, read_only(table, np.int32))
         for name, dtype in (
             ("ego_reward_table", float),
             ("env_reward_table", float),
@@ -140,9 +139,7 @@ class GameSpec:
         ):
             arr = np.asarray(getattr(self, name), dtype=dtype)
             if arr.shape != (num_states,):
-                raise ValueError(
-                    f"{name} has shape {arr.shape}, expected ({num_states},)"
-                )
+                raise ValueError(f"{name} has shape {arr.shape}, expected ({num_states},)")
             if dtype is float and not np.isfinite(arr).all():
                 idx = int(np.argmax(~np.isfinite(arr)))
                 raise ValueError(f"{name} not finite at state {idx}: {arr[idx]!r}")
@@ -154,31 +151,46 @@ class GameSpec:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
     @property
+    def grid(self) -> tuple[int, int]:
+        """``(n_e, n_h)``: the ego's and the env vehicle's cell counts."""
+        return len(self.ego_successors), len(self.env_successors)
+
+    @property
     def num_states(self) -> int:
-        return self.transition_table.shape[0]
+        return len(self.ego_successors) * len(self.env_successors)
 
     @property
     def num_ego_actions(self) -> int:
-        return self.transition_table.shape[1]
+        return self.ego_successors.shape[1]
 
     @property
     def num_env_actions(self) -> int:
-        return self.transition_table.shape[2]
+        return self.env_successors.shape[1]
 
     def num_actions(self, player: int) -> int:
-        if player == EGO:
-            return self.num_ego_actions
-        if player == ENV:
-            return self.num_env_actions
-        raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
+        return self.successors(player).shape[1]
+
+    def successors(self, player: int) -> np.ndarray:
+        """``player``'s ``(cells, actions)`` successor table."""
+        return _of_player(player, self.ego_successors, self.env_successors)
 
     def rewards(self, player: int) -> np.ndarray:
         """Vector of per-state reward values ``R^player(x)`` over all states."""
-        if player == EGO:
-            return self.ego_reward_table
-        if player == ENV:
-            return self.env_reward_table
-        raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
+        return _of_player(player, self.ego_reward_table, self.env_reward_table)
+
+    def successor(self, state: int, u1: int, u2: int) -> int:
+        """``T[state, u1, u2]``, the two vehicles' moves composed; arguments unchecked."""
+        n_h = len(self.env_successors)
+        e, h = divmod(state, n_h)
+        return int(self.ego_successors[e, u1]) * n_h + int(self.env_successors[h, u2])
+
+
+def _of_player(player: int, ego, env):
+    if player == EGO:
+        return ego
+    if player == ENV:
+        return env
+    raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
 
 
 @dataclass(frozen=True)
@@ -217,21 +229,14 @@ class PolicyTable:
 
 
 def step(spec: GameSpec, state: int, u1: int, u2: int) -> tuple[int, float, float]:
-    """Advance the game one step.
+    """``(next_state, ego_reward, env_reward)``, both rewards at the successor state.
 
-    Returns ``(next_state, ego_reward, env_reward)`` with both rewards
-    evaluated at the successor state.
-
-    Raises
-    ------
-    ValueError
-        If ``state``, ``u1`` or ``u2`` is out of range.
+    Raises ``ValueError`` if ``state``, ``u1`` or ``u2`` is out of range.
     """
-    if not 0 <= state < spec.num_states:
-        raise ValueError(f"state {state} out of range [0, {spec.num_states})")
-    if not 0 <= u1 < spec.num_ego_actions:
-        raise ValueError(f"ego action {u1} out of range [0, {spec.num_ego_actions})")
-    if not 0 <= u2 < spec.num_env_actions:
-        raise ValueError(f"env action {u2} out of range [0, {spec.num_env_actions})")
-    nxt = int(spec.transition_table[state, u1, u2])
+    for name, value, n in (("state", state, spec.num_states),
+                           ("ego action", u1, spec.num_ego_actions),
+                           ("env action", u2, spec.num_env_actions)):
+        if not 0 <= value < n:
+            raise ValueError(f"{name} {value} out of range [0, {n})")
+    nxt = spec.successor(state, u1, u2)
     return nxt, float(spec.ego_reward_table[nxt]), float(spec.env_reward_table[nxt])

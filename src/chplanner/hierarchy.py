@@ -14,8 +14,9 @@ here.  Hard state constraints are never imposed during hierarchy
 construction; safety enters only through the game's reward penalties.
 
 Every backup has one form: the reward is folded into the tail as one state
-vector, ``discount * tail + R``, gathered once per opponent action, and the
-opponent terms are added in order, left to right.  Each Q computation
+vector, ``discount * tail + R``, gathered on the (ego cell, env cell) grid
+along the own vehicle's axis, then per opponent action along the other, and
+the opponent terms are added in order, left to right.  Each Q computation
 splits its suffix tree between up to ``MAX_Q_WORKERS`` threads, one per
 core, with byte-identical results (see :func:`compute_q`).
 """
@@ -112,14 +113,17 @@ def softmax_policy(q: QTable, temperature: float = 1.0) -> PolicyTable:
 
 
 class _Tables(NamedTuple):
-    """A Q build's opponent-major game tables, read by every worker.
+    """A Q build's action-major game tables, read by every worker.
 
-    ``succ[u, o]`` is every state's successor under own action ``u`` and
-    opponent action ``o``, ``rewards`` the player's ``(|X|,)`` reward vector
-    and ``opp_cols[o]`` the opponent's probability of ``o``.
+    ``own_succ[u]`` is every own cell's successor under own action ``u``,
+    ``opp_succ[o]`` every opponent cell's under ``o``, ``own_axis`` the own
+    vehicle's axis of the (ego cell, env cell) grid, ``rewards`` the reward
+    vector and ``opp_cols[o]`` the opponent's probability of ``o``.
     """
 
-    succ: np.ndarray
+    own_succ: np.ndarray
+    opp_succ: np.ndarray
+    own_axis: int
     rewards: np.ndarray
     opp_cols: np.ndarray
     discount: float
@@ -128,24 +132,27 @@ class _Tables(NamedTuple):
 class _Scratch(NamedTuple):
     """One worker's buffers; the calling thread allocates them (see compute_q).
 
-    ``terms`` holds one backup's ``(opponent action, state)`` terms.  Row 0
-    of ``vectors`` is the zero tail; rows ``2d - 1`` and ``2d`` are depth
-    ``d``'s folded tail ``discount * tail + R`` and backup.  ``values``
-    holds the worker's per-action maxima.
+    ``gathered`` is the ``(n_e, n_h)`` grid a folded tail is gathered into
+    along the own vehicle's axis, ``terms`` one backup's ``(opponent action,
+    state)`` terms.  Row 0 of ``vectors`` is the zero tail; rows ``2d - 1``
+    and ``2d`` are depth ``d``'s folded tail ``discount * tail + R`` and
+    backup.  ``values`` holds the worker's per-action maxima.
     """
 
+    gathered: np.ndarray
     terms: np.ndarray
     vectors: np.ndarray
     values: np.ndarray
 
 
-def _scratch(n_own: int, n_opp: int, nx: int, horizon: int) -> _Scratch:
-    vectors = np.empty((2 * horizon + 1, nx))
+def _scratch(n_own: int, n_opp: int, grid: tuple[int, int], horizon: int) -> _Scratch:
+    vectors = np.empty((2 * horizon + 1, grid[0] * grid[1]))
     vectors[0] = 0.0
     return _Scratch(
-        terms=np.empty((n_opp, nx)),
+        gathered=np.empty(grid),
+        terms=np.empty((n_opp, vectors.shape[1])),
         vectors=vectors,
-        values=np.full((n_own, nx), -np.inf),
+        values=np.full((n_own, vectors.shape[1]), -np.inf),
     )
 
 
@@ -155,20 +162,25 @@ def _backups(
     """Yield the backup of ``tail`` under each own action in ``actions``.
 
     The backup is a depth-``depth`` suffix value.  The reward is folded
-    into the tail once, ``folded = discount * tail + R``; each backup then
-    gathers one contiguous row of ``folded`` per opponent action into
-    ``scratch.terms``, weights it and adds the rows in order.  Every yield
-    is the same buffer, overwritten by the next backup.
+    into the tail once, ``folded = discount * tail + R``; each backup
+    gathers ``folded`` on the grid along the own vehicle's axis into
+    ``scratch.gathered``, then that along the opponent's into one row of
+    ``scratch.terms`` per opponent action, and weights the rows and adds
+    them in order.  Every yield is the same buffer, overwritten by the next.
     """
     folded, out = scratch.vectors[2 * depth - 1], scratch.vectors[2 * depth]
     np.multiply(tables.discount, tail, out=folded)
     folded += tables.rewards
-    terms = scratch.terms
+    gathered, terms = scratch.gathered, scratch.terms
+    term_grids = terms.reshape(len(terms), *gathered.shape)
     for u in actions:
-        # terms[o] = P[o] * (R[nxt[o]] + discount * tail[nxt[o]]).  Mode
-        # "clip" writes straight into ``terms`` ("raise" would buffer it);
-        # GameSpec keeps every successor in range.
-        np.take(folded, tables.succ[u], out=terms, mode="clip")
+        # terms[o] = P[o] * (R[nxt] + discount * tail[nxt]), nxt under (u, o).
+        # Mode "clip" writes straight into the buffers ("raise" would buffer
+        # them); GameSpec keeps every successor in range.
+        np.take(folded.reshape(gathered.shape), tables.own_succ[u], axis=tables.own_axis,
+                out=gathered, mode="clip")
+        for o, succ in enumerate(tables.opp_succ):
+            np.take(gathered, succ, axis=1 - tables.own_axis, out=term_grids[o], mode="clip")
         terms *= tables.opp_cols
         # A C-contiguous axis-0 sum adds whole rows left to right into out
         # (numpy sums a one-state game's single-entry rows pairwise from 9).
@@ -196,7 +208,7 @@ def _suffix_values(
         if k == 0:
             yield scratch.vectors[0]
         return
-    n_own = len(tables.succ)
+    n_own = len(tables.own_succ)
     for j, tail in enumerate(_suffix_values(tables, depth - 1, scratch)):
         actions = range((k - j * n_own) % n, n_own, n)
         if actions:
@@ -234,10 +246,9 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     states evolving through the game transition.  The expectation enumerates
     all opponent branches; nothing is sampled.
 
-    The successor table is laid out opponent-major once per call and the
-    reward is folded into each tail (``discount * tail + R``, one state
-    vector), so each backup is ``n_opp`` contiguous gathers of that vector,
-    weighted and added in opponent-action order, left to right.
+    The reward is folded into each tail (``discount * tail + R``), which
+    each backup gathers with the two vehicles' successor tables into
+    ``n_opp`` rows, added in opponent-action order (see :func:`_backups`).
 
     The suffix tree is split between :func:`_worker_count` workers, each
     taking every n-th depth-``horizon - 1`` tail (see :func:`_q_worker`);
@@ -266,13 +277,13 @@ def compute_q(spec: GameSpec, player: int, opponent_policy: PolicyTable) -> QTab
     # The kept table is allocated before the temporaries, so the heap they
     # free lies above it and can be returned to the system.
     q_values = np.empty((nx, n_own))
-    # (own action, opponent action, state) successor table.
-    axes = (1, 2, 0) if player == EGO else (2, 1, 0)
-    succ = np.ascontiguousarray(spec.transition_table.transpose(axes), dtype=np.intp)
-    opp_cols = np.ascontiguousarray(opponent_policy.probs.T)
-    tables = _Tables(succ, spec.rewards(player), opp_cols, spec.discount)
+    # Action-major successor rows, (actions, cells): a few KB each.
+    own_succ, opp_succ = (np.ascontiguousarray(spec.successors(p).T, dtype=np.intp)
+                          for p in (player, opponent_policy.player))
+    tables = _Tables(own_succ, opp_succ, 0 if player == EGO else 1, spec.rewards(player),
+                     np.ascontiguousarray(opponent_policy.probs.T), spec.discount)
     n = _worker_count(n_own ** (spec.horizon - 1))
-    scratches = [_scratch(n_own, n_opp, nx, spec.horizon) for _ in range(n)]
+    scratches = [_scratch(n_own, n_opp, spec.grid, spec.horizon) for _ in range(n)]
     jobs = [(tables, spec.horizon, (k, n), scratch) for k, scratch in enumerate(scratches)]
     # The pool starts a thread per submitted job only: one worker runs inline.
     with ThreadPoolExecutor(max(n - 1, 1)) as pool:

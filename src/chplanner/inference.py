@@ -13,11 +13,11 @@ every belief the filter forms is a point mass in physical state: a
 never a dense |X|·K vector.  Its support in the augmented space is
 ``{state} x K``, indexed level-major: ``aug = level_index * |X| + x``.
 
-The kernel is factored: it references the game's transition table and the
-K env policy tables and computes a row only when asked for, so building it
-allocates nothing table-sized, and an episode pays for the few hundred rows
+The kernel is factored: it references the game's two successor tables and
+the K env policy tables and computes a row only when asked for, so building
+it allocates nothing table-sized, and an episode pays for the few hundred rows
 its plans read, not for all |X|·K·|U1| of them.  The Bayesian update reads
-the two tables directly and expands no row.  The compressed-row form of the
+the tables directly and expands no row.  The compressed-row form of the
 whole kernel remains as a view built on first read, for readers outside the
 package.
 """
@@ -49,6 +49,7 @@ __all__ = [
 KERNEL_BLOCK_ENTRIES = 1 << 17
 # The one segment of :func:`np.add.reduceat` that merges a target's masses.
 _SEGMENT = np.zeros(1, dtype=np.intp)
+_NO_HITS = np.zeros(0, dtype=np.intp)
 
 
 class InconsistentObservationError(ValueError):
@@ -109,11 +110,12 @@ class AugmentedKernel:
     ``aug = level_index * |X| + x`` lists the successor augmented states and
     their probabilities: each target ``level_index * |X| + T[x, u1, u2]``
     once, ascending, with the mass of the level's env actions that reach it
-    merged.  The level component is conserved exactly, so transitions
-    across levels are not stored.
+    merged (``T`` composes the two successor tables, see :class:`GameSpec`).
+    The level component is conserved exactly, so transitions across levels
+    are not stored.
 
-    The kernel holds the game's transition table and one env policy table
-    per level, the very arrays of the :class:`GameSpec` and the
+    The kernel holds the game's two successor tables and one env policy
+    table per level, the very arrays of the :class:`GameSpec` and the
     ``PolicyTable`` objects, which are read-only; no row is stored.
     :meth:`expand_rows` computes the rows a caller asks for.  An object whose
     arrays no write can reach never changes, so planners may cache results
@@ -125,17 +127,18 @@ class AugmentedKernel:
     whole kernel; nothing in the package reads them.
     """
 
-    transition_table: np.ndarray = field(repr=False)
+    ego_successors: np.ndarray = field(repr=False)
+    env_successors: np.ndarray = field(repr=False)
     env_probs: tuple[np.ndarray, ...] = field(repr=False)
     levels: tuple[int, ...]
 
-    @property
+    @cached_property  # read several times per belief update
     def num_states(self) -> int:
-        return self.transition_table.shape[0]
+        return len(self.ego_successors) * len(self.env_successors)
 
     @property
     def num_ego_actions(self) -> int:
-        return self.transition_table.shape[1]
+        return self.ego_successors.shape[1]
 
     @property
     def num_augmented(self) -> int:
@@ -160,10 +163,13 @@ class AugmentedKernel:
         would change that order, which is why massless entries go first.  A
         row does not depend on the other rows asked for.
         """
-        nx = self.num_states
+        nx, n_h = self.num_states, len(self.env_successors)
         aug, u1 = np.divmod(np.asarray(rows, dtype=np.int64), self.num_ego_actions)
         level, x = np.divmod(aug, nx)
-        succ = self.transition_table[x, u1]
+        e, h = np.divmod(x, n_h)
+        # (rows, |U2|) successors: the ego's cell, then each env action's.
+        succ = self.env_successors[h]
+        succ += (self.ego_successors[e, u1] * n_h)[:, None]
         mass = np.empty(succ.shape)
         for li, probs in enumerate(self.env_probs):
             copy = level == li
@@ -187,7 +193,7 @@ class AugmentedKernel:
         # probability arrays are allocated once at their final size; the
         # second fills them.  The temporaries stay one block's size.
         nrows = self.num_augmented * self.num_ego_actions
-        step = max(1, KERNEL_BLOCK_ENTRIES // self.transition_table.shape[2])
+        step = max(1, KERNEL_BLOCK_ENTRIES // self.env_successors.shape[1])
         blocks = [(lo, min(lo + step, nrows)) for lo in range(0, nrows, step)]
         indptr = np.zeros(nrows + 1, dtype=np.int64)
         for lo, hi in blocks:
@@ -220,8 +226,8 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
 
     ``P((x', k) | (x, k), u1)`` sums the policy mass of every env action
     ``u2`` with ``T(x, u1, u2) = x'``.  Levels are ordered ascending.  The
-    kernel references the spec's transition table and the policies' tables
-    and copies neither, so the build allocates nothing table-sized.  Every
+    kernel references the spec's two successor tables and the policies'
+    tables and copies none, so the build allocates nothing table-sized.  Every
     policy must belong to the env player and match the game's shape.  A
     ``PolicyTable``'s rows are distributions by contract (see
     :func:`~chplanner.game.check_rows`), so no kernel row is empty and each
@@ -230,7 +236,7 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
     if not env_policies:
         raise ValueError("env_policies must contain at least one level")
     levels = tuple(sorted(env_policies))
-    nx, _, nu2 = spec.transition_table.shape
+    nx, nu2 = spec.num_states, spec.num_env_actions
     for level in levels:
         policy = env_policies[level]
         if policy.player != ENV:
@@ -241,7 +247,8 @@ def build_kernel(spec: GameSpec, env_policies: Mapping[int, PolicyTable]) -> Aug
                 f"expected ({nx}, {nu2})"
             )
     return AugmentedKernel(
-        transition_table=spec.transition_table,
+        ego_successors=spec.ego_successors,
+        env_successors=spec.env_successors,
         env_probs=tuple(env_policies[level].probs for level in levels),
         levels=levels,
     )
@@ -260,7 +267,12 @@ def _level_likelihoods(
     """
     support, weights = prior.support(kernel)
     x = prior.state
-    hits = np.flatnonzero(kernel.transition_table[x, executed_u1] == observed_y)
+    # An env action reaches y if its move reaches y's env cell and the
+    # ego's move y's ego cell.
+    n_h = len(kernel.env_successors)
+    (e, h), (y_e, y_h) = divmod(x, n_h), divmod(observed_y, n_h)
+    hits = (np.flatnonzero(kernel.env_successors[h] == y_h)
+            if kernel.ego_successors[e, executed_u1] == y_e else _NO_HITS)
     masses = np.zeros(len(kernel.levels))
     for li, weight in zip(support // kernel.num_states, weights):
         mass = kernel.env_probs[li][x, hits]

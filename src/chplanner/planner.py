@@ -57,7 +57,7 @@ Each solver stage is one batched pass over the compiled reachable sets:
 A receding-horizon loop re-plans from the same few beliefs over and over,
 so :func:`optimize` memoises its plans.  The key is exact: the kernel,
 reward and safe set by identity (a kernel computes its rows from the
-game's transition table and the env policy tables, and those, the reward
+game's two successor tables and the env policy tables, and those, the reward
 and the safe set are arrays no write can reach), the scalar parameters,
 and the belief's state and level-weight bytes.  A hit returns the plan the
 first call produced.
@@ -611,8 +611,8 @@ def optimize(
     The identity keys are sound only for inputs no write can reach: a
     ``reward`` or ``safe_set`` that is writeable, or a read-only view of a
     writeable array, bypasses the memo (see :func:`_frozen`).  A kernel
-    reads only ``GameSpec.transition_table`` and ``PolicyTable.probs``,
-    which are always read-only, and ``GameSpec.safe_set`` and
+    reads only the ``GameSpec``'s two successor tables and
+    ``PolicyTable.probs``, which are always read-only, and ``GameSpec.safe_set`` and
     ``Scenario.ego_objective`` are made so too (see :func:`game.read_only`).
     """
     if not (_frozen(reward) and _frozen(safe_set)):
@@ -781,7 +781,6 @@ def maximin_plan(
         raise ValueError(f"discount out of (0,1]: {discount!r}")
     if not 0 <= state < spec.num_states:
         raise ValueError(f"state {state} out of range")
-    table = spec.transition_table
     rewards = spec.rewards(EGO)
     env_seqs = list(itertools.product(range(spec.num_env_actions), repeat=horizon))
 
@@ -794,7 +793,7 @@ def maximin_plan(
             val = 0.0
             disc = 1.0
             for tau in range(horizon):
-                x = int(table[x, ego_seq[tau], env_seq[tau]])
+                x = spec.successor(x, ego_seq[tau], env_seq[tau])
                 if not spec.safe_set[x]:
                     val = -np.inf
                     break

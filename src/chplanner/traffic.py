@@ -4,7 +4,8 @@ Three two-vehicle scenarios are provided: an unsignalized intersection
 crossing, a two-lane overtaking maneuver, and a forced merge that must
 happen inside a bounded road section.  Each scenario discretizes both
 vehicles onto position/speed/lane grids that are closed under the
-kinematics (no rounding drift), composes the joint transition table, and
+kinematics (no rounding drift), tabulates each vehicle's successor table
+(the game is their product, see :class:`~chplanner.game.GameSpec`), and
 installs the scenario's reward functions and safe set.
 
 Each vehicle's state is expressed in its own travel frame: ``s_x`` is the
@@ -471,8 +472,6 @@ class Scenario:
     env_actions: tuple[tuple[float, str], ...]
     ego_objective: np.ndarray  # raw (unpenalized) per-state planner reward
     env_objective: np.ndarray
-    ego_successors: np.ndarray  # (ego cells, ego actions), see _vehicle_successors
-    human_successors: np.ndarray
     complete: np.ndarray
     events: dict[str, np.ndarray]
     initial_state: int
@@ -584,49 +583,26 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
     ego_actions = _actions(config, config.ego_lane_change)
     env_actions = _actions(config, config.human_lane_change)
 
-    succ_e = _vehicle_successors(ego_grid, ego_actions, config.dt)
-    succ_h = _vehicle_successors(human_grid, env_actions, config.dt)
     n_e, n_h = ego_grid.num_codes, human_grid.num_codes
-    nu1, nu2 = len(ego_actions), len(env_actions)
-
-    # One add over the (ego cell, human cell, u1 * u2) grid into a view of the
-    # kept table: a reshaped result would not own its data, so would be copied.
-    table = np.empty((n_e * n_h, nu1, nu2), dtype=np.int32)
-    np.add(np.repeat(succ_e * n_h, nu2, axis=1)[:, None, :], np.tile(succ_h, nu1)[None, :, :],
-           out=table.reshape(n_e, n_h, nu1 * nu2))
-
     safe_joint, complete, events = _state_tables(config, ego_grid, human_grid)
 
     ego_obj = np.repeat(_vehicle_objective(config, ego_grid), n_h)
     env_obj = np.tile(_vehicle_objective(config, human_grid), n_e)
-    penalty = config.collision_penalty
-    ego_pen = ego_obj + np.where(safe_joint, 0.0, penalty)
-    env_pen = env_obj + np.where(safe_joint, 0.0, penalty)
-
+    penalty = np.where(safe_joint, 0.0, config.collision_penalty)
     spec = GameSpec(
-        transition_table=table,
-        ego_reward_table=ego_pen,
-        env_reward_table=env_pen,
-        safe_set=safe_joint,
-        discount=config.discount,
-        horizon=config.horizon,
+        ego_successors=_vehicle_successors(ego_grid, ego_actions, config.dt),
+        env_successors=_vehicle_successors(human_grid, env_actions, config.dt),
+        ego_reward_table=ego_obj + penalty, env_reward_table=env_obj + penalty,
+        safe_set=safe_joint, discount=config.discount, horizon=config.horizon,
     )
 
     initial = (_start_code(ego_grid, config.ego_start) * n_h
                + _start_code(human_grid, config.human_start))
 
     return Scenario(
-        config=config,
-        spec=spec,
-        ego_grid=ego_grid,
-        human_grid=human_grid,
-        ego_actions=ego_actions,
-        env_actions=env_actions,
-        ego_objective=ego_obj,
-        env_objective=env_obj,
-        ego_successors=succ_e,
-        human_successors=succ_h,
-        complete=read_only(complete, bool),
+        config=config, spec=spec, ego_grid=ego_grid, human_grid=human_grid,
+        ego_actions=ego_actions, env_actions=env_actions, ego_objective=ego_obj,
+        env_objective=env_obj, complete=read_only(complete, bool),
         events={name: read_only(mask, bool) for name, mask in events.items()},
         initial_state=initial,
     )
@@ -635,9 +611,9 @@ def make_scenario(config: ScenarioConfig) -> Scenario:
 def hierarchy_key(scenario: Scenario) -> tuple[list[int], list[float], list[tuple]]:
     """The factors of a scenario's hierarchy, for ``hierarchy_content_hash``.
 
-    The joint transition, reward and level-0 tables are fixed functions of
-    the successor tables, the cell objectives, the safe set and the header,
-    so these few hundred KB stand for them.
+    The joint reward and level-0 tables are fixed functions of the
+    successor tables, the cell objectives, the safe set and the header, so
+    these few hundred KB stand for them.
     """
     config = scenario.config
     n_h = scenario.human_grid.num_codes
@@ -648,8 +624,8 @@ def hierarchy_key(scenario: Scenario) -> tuple[list[int], list[float], list[tupl
     ]
     floats = [config.discount, config.softmax_temperature, config.collision_penalty]
     arrays = [
-        (scenario.ego_successors, "<i4"),
-        (scenario.human_successors, "<i4"),
+        (scenario.spec.ego_successors, "<i4"),
+        (scenario.spec.env_successors, "<i4"),
         (scenario.ego_objective[::n_h], "<f8"),  # one entry per ego cell
         (scenario.env_objective[:n_h], "<f8"),  # one entry per human cell
         (scenario.spec.safe_set, "|b1"),
@@ -673,13 +649,9 @@ def level0_policy(scenario: Scenario, player: int) -> PolicyTable:
     """
     config = scenario.config
     spec = scenario.spec
-    grid = (scenario.ego_grid.num_codes, scenario.human_grid.num_codes)
-    if player == EGO:
-        succ, axis, actions = scenario.ego_successors, 0, scenario.ego_actions
-    elif player == ENV:
-        succ, axis, actions = scenario.human_successors, 1, scenario.env_actions
-    else:
-        raise ValueError(f"player must be {EGO} or {ENV}, got {player}")
+    succ = spec.successors(player)
+    axis, actions = (0, scenario.ego_actions) if player == EGO else (1, scenario.env_actions)
+    grid = spec.grid
     rewards = spec.rewards(player).reshape(grid)
 
     q = np.empty((len(actions), *grid))

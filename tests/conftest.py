@@ -10,10 +10,15 @@ from chplanner.game import GameSpec
 from chplanner.traffic import default_config
 
 
-def make_spec(table, r1, r2, safe, discount=0.9, horizon=3) -> GameSpec:
-    """GameSpec from plain arrays (transition table, rewards, safe mask)."""
+def make_spec(ego, env, r1, r2, safe, discount=0.9, horizon=3) -> GameSpec:
+    """GameSpec from plain arrays (the two successor tables, rewards, safe mask).
+
+    ``ego[e, u1]`` and ``env[h, u2]`` are the vehicles' successor cells;
+    state ``x = e * len(env) + h``.
+    """
     return GameSpec(
-        transition_table=table,
+        ego_successors=ego,
+        env_successors=env,
         ego_reward_table=r1,
         env_reward_table=r2,
         safe_set=safe,

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the fast code is tested against.
 
-Everything here enumerates paths one state at a time by indexing the game's
-transition table entry by entry, or writes the paper's dense recursions
+Everything here enumerates paths one state at a time, composing each
+transition from the two vehicles' moves by its definition (see
+:func:`joint_successor`), or writes the paper's dense recursions
 over the whole augmented space; nothing touches the compiled horizons,
 point-mass beliefs or vectorized Q-backups being verified.  The row-form
 references compute a table over ``(states, actions)`` rows, the form it is
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,23 +24,83 @@ from chplanner.inference import Belief
 from chplanner.traffic import MERGE_SECTION, _vehicle_successors
 
 
-def random_game(rng, nx, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
-    """Random dense-index game with a time-invariant safe set."""
-    table = rng.integers(0, nx, size=(nx, nu1, nu2))
+@dataclass(frozen=True, eq=False)
+class JointGame:
+    """A game given by an arbitrary joint table ``T[x, u1, u2]``.
+
+    ``GameSpec`` holds only products of two vehicles' moves; the planner's
+    regression draws were found on random joint tables, which are not such
+    products, and the planner reads a game only through its kernel.  The
+    oracles accept either (see :func:`joint_successor`), and
+    :class:`JointTableKernel` serves such a game's rows.
+    """
+
+    table: np.ndarray
+    discount: float
+    horizon: int
+
+    @property
+    def num_states(self) -> int:
+        return self.table.shape[0]
+
+    @property
+    def num_ego_actions(self) -> int:
+        return self.table.shape[1]
+
+    @property
+    def num_env_actions(self) -> int:
+        return self.table.shape[2]
+
+
+def joint_successor(spec, x: int, u1: int, u2: int) -> int:
+    """``T[x, u1, u2]`` by its definition: state ``x = e * n_h + h`` moves each vehicle."""
+    if isinstance(spec, JointGame):
+        return int(spec.table[x, u1, u2])
+    n_h = len(spec.env_successors)
+    e, h = x // n_h, x % n_h
+    return int(spec.ego_successors[e, u1]) * n_h + int(spec.env_successors[h, u2])
+
+
+def joint_table(spec: GameSpec) -> np.ndarray:
+    """The int64 ``(|X|, |U1|, |U2|)`` joint transition table, one entry per index triple.
+
+    Every entry is :func:`joint_successor`'s formula evaluated at its own
+    ``(x, u1, u2)``, over broadcast index grids so the packaged scenarios'
+    million-entry tables take a second, not minutes.
+    """
+    if isinstance(spec, JointGame):
+        return spec.table
+    n_h = len(spec.env_successors)
+    x, u1, u2 = np.ix_(np.arange(spec.num_states), np.arange(spec.num_ego_actions),
+                       np.arange(spec.num_env_actions))
+    ego = spec.ego_successors.astype(np.int64)
+    return ego[x // n_h, u1] * n_h + spec.env_successors.astype(np.int64)[x % n_h, u2]
+
+
+def random_game(rng, n_e, n_h, nu1, nu2, horizon=3, discount=0.9, safe_frac=0.7):
+    """Random product game of ``n_e`` ego and ``n_h`` env cells, time-invariant safe set.
+
+    Returns the spec, its :func:`joint_table`, both reward vectors and the
+    safe mask.
+    """
+    nx = n_e * n_h
+    ego = rng.integers(0, n_e, size=(n_e, nu1))
+    env = rng.integers(0, n_h, size=(n_h, nu2))
     r1 = rng.normal(size=nx)
     r2 = rng.normal(size=nx)
     safe = rng.random(nx) < safe_frac
     if not safe.any():
         safe[rng.integers(0, nx)] = True
     spec = GameSpec(
-        transition_table=table,
+        ego_successors=ego,
+        env_successors=env,
         ego_reward_table=r1,
         env_reward_table=r2,
         safe_set=safe,
         discount=discount,
         horizon=horizon,
     )
-    return spec, table, r1, r2, safe
+    return spec, joint_table(spec), r1, r2, safe
 
 
 def random_policy(rng, level, player, nx, num_actions) -> PolicyTable:
@@ -50,7 +112,6 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
     n_own = spec.num_actions(player)
     n_opp = opponent.num_actions
     rewards = spec.rewards(player)
-    table = spec.transition_table
     q = np.full((spec.num_states, n_own), -np.inf)
     for x in range(spec.num_states):
         for u0 in range(n_own):
@@ -68,9 +129,9 @@ def open_loop_q_oracle(spec: GameSpec, player: int, opponent: PolicyTable) -> np
                         if pw == 0.0:
                             continue
                         if player == EGO:
-                            ns = int(table[s, own[tau], o])
+                            ns = joint_successor(spec, s, own[tau], o)
                         else:
-                            ns = int(table[s, o, own[tau]])
+                            ns = joint_successor(spec, s, o, own[tau])
                         stack.append(
                             (ns, tau + 1, w * pw, acc + spec.discount**tau * rewards[ns])
                         )
@@ -94,7 +155,7 @@ def row_sum_q_reference(spec: GameSpec, player: int, opponent: PolicyTable) -> n
     each row's terms added left to right in opponent-action order.  The
     suffix enumeration is the fast code's; only the backup's layout differs.
     """
-    succ = spec.transition_table
+    succ = joint_table(spec)
     if player != EGO:
         succ = succ.transpose(0, 2, 1)
     rewards = spec.rewards(player)
@@ -217,6 +278,8 @@ def content_hash_reference(scenario) -> str:
     config = scenario.config
     n_e, n_h = scenario.ego_grid.num_codes, scenario.human_grid.num_codes
     coast = (0.0, "keep")
+    ego_succ = _vehicle_successors(scenario.ego_grid, scenario.ego_actions, config.dt)
+    human_succ = _vehicle_successors(scenario.human_grid, scenario.env_actions, config.dt)
     h = hashlib.sha256()
     h.update(b"chplanner-hierarchy-v%d" % CACHE_FORMAT_VERSION)
     header = [
@@ -228,8 +291,8 @@ def content_hash_reference(scenario) -> str:
     h.update(np.array(
         [config.discount, config.softmax_temperature, config.collision_penalty], dtype="<f8",
     ).tobytes())
-    hash_array_reference(h, scenario.ego_successors, "<i4")
-    hash_array_reference(h, scenario.human_successors, "<i4")
+    hash_array_reference(h, ego_succ, "<i4")
+    hash_array_reference(h, human_succ, "<i4")
     hash_array_reference(h, scenario.ego_objective.reshape(n_e, n_h)[:, 0], "<f8")
     hash_array_reference(h, scenario.env_objective.reshape(n_e, n_h)[0], "<f8")
     hash_array_reference(h, scenario.spec.safe_set, "|b1")
@@ -275,7 +338,7 @@ def profile_value_oracle(
                     pw = probs[s, o]
                     if pw == 0.0:
                         continue
-                    ns = int(spec.transition_table[s, useq[tau], o])
+                    ns = joint_successor(spec, s, useq[tau], o)
                     stack.append(
                         (
                             ns,
@@ -530,6 +593,7 @@ def monte_carlo_joint_safety(
     horizon = stages.shape[0]
     level_idx = rng.choice(len(levels), size=num_samples, p=np.asarray(level_prior))
     pol = np.stack([env_policies[k].probs for k in levels])  # (K, X, U2)
+    table = joint_table(spec)
     states = np.full(num_samples, start_state, dtype=np.int64)
     alive = np.ones(num_samples, dtype=bool)
     for tau in range(horizon):
@@ -538,7 +602,7 @@ def monte_carlo_joint_safety(
         cum = np.cumsum(rows, axis=1)
         draws = rng.random(num_samples)
         u2 = (draws[:, None] > cum).sum(axis=1)
-        states = spec.transition_table[states, u1, u2]
+        states = table[states, u1, u2]
         alive &= safe_set[states]
     p_hat = alive.mean()
     se = np.sqrt(max(p_hat * (1.0 - p_hat), 1e-12) / num_samples)
@@ -578,7 +642,7 @@ def pairwise_sum_reference(values: list[float]) -> float:
     return pairwise_sum_reference(values[:half]) + pairwise_sum_reference(values[half:])
 
 
-def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def kernel_csr_oracle(spec, env_policies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(indptr, targets, probs)`` of the augmented kernel, one row at a time.
 
     Row ``(k * |X| + x) * |U1| + u1`` lists each target ``k * |X| + T[x, u1, u2]``
@@ -588,7 +652,7 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
     in which numpy adds a segment, left to right below 9 entries and
     pairwise (:func:`pairwise_sum_reference`) from 9.
     """
-    nx, nu1, nu2 = spec.transition_table.shape
+    nx, nu1, nu2 = spec.num_states, spec.num_ego_actions, spec.num_env_actions
     indptr, targets, probs = [0], [], []
     for li, level in enumerate(sorted(env_policies)):
         policy = env_policies[level].probs
@@ -598,7 +662,7 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
                 for u2 in range(nu2):
                     p = float(policy[x, u2])
                     if p > 0.0:
-                        target = li * nx + int(spec.transition_table[x, u1, u2])
+                        target = li * nx + joint_successor(spec, x, u1, u2)
                         row.setdefault(target, []).append(p)
                 for target in sorted(row):
                     first, *rest = row[target]
@@ -607,6 +671,25 @@ def kernel_csr_oracle(spec: GameSpec, env_policies) -> tuple[np.ndarray, np.ndar
                 indptr.append(len(targets))
     return (np.array(indptr, dtype=np.int64), np.array(targets, dtype=np.int64),
             np.array(probs, dtype=float))
+
+
+class JointTableKernel:
+    """The kernel of a :class:`JointGame`, serving rows of :func:`kernel_csr_oracle`.
+
+    Those rows equal ``AugmentedKernel``'s bit for bit on product games
+    (the kernel tests check it), so the planner sees a joint game as it saw
+    it when the package held joint tables.
+    """
+
+    def __init__(self, game: JointGame, env_policies):
+        self.levels = tuple(sorted(env_policies))
+        self.num_states = game.num_states
+        self.num_ego_actions = game.num_ego_actions
+        self.num_augmented = self.num_states * len(self.levels)
+        self.csr = kernel_csr_oracle(game, env_policies)
+
+    def expand_rows(self, rows):
+        return csr_rows_reference(self.csr, rows)
 
 
 def csr_rows_reference(csr, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

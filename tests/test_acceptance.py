@@ -28,6 +28,7 @@ from oracles import (
     monte_carlo_joint_safety,
     open_loop_q_oracle,
     profile_value_oracle,
+    joint_successor,
     random_game,
     random_policy,
 )
@@ -46,11 +47,13 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
 def _random_planning_instance(rng):
     """Instance within the oracle-equivalence family: |X x K| <= 24."""
     num_levels = int(rng.integers(1, 3))
-    nx = int(rng.integers(2, 12 // num_levels + 1))
+    n_e = int(rng.integers(1, 4))
+    n_h = int(rng.integers(1, 12 // num_levels // n_e + 1))
+    nx = n_e * n_h
     nu1 = int(rng.integers(2, 4))
     nu2 = int(rng.integers(2, 4))
     horizon = int(rng.integers(1, 4))
-    spec, _, r1, _, safe = random_game(rng, nx, nu1, nu2, horizon=horizon)
+    spec, _, r1, _, safe = random_game(rng, n_e, n_h, nu1, nu2, horizon=horizon)
     policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in range(1, num_levels + 1)}
     kernel = build_kernel(spec, policies)
     prior = rng.dirichlet(np.ones(num_levels))
@@ -148,11 +151,12 @@ def test_criterion_3_level_k_oracle_and_softmax_properties():
     rng = np.random.default_rng(2026)
     worst_q = 0.0
     for _ in range(20):
-        nx = int(rng.integers(2, 11))
+        n_e, n_h = (int(n) for n in rng.integers(1, 4, size=2))
+        nx = n_e * n_h
         nu1 = int(rng.integers(2, 4))
         nu2 = int(rng.integers(2, 4))
         horizon = int(rng.integers(1, 4))
-        spec, *_ = random_game(rng, nx, nu1, nu2, horizon=horizon)
+        spec, *_ = random_game(rng, n_e, n_h, nu1, nu2, horizon=horizon)
         player = int(rng.choice([1, 2]))
         opp_player = 2 if player == 1 else 1
         opp = random_policy(rng, 0, opp_player, nx, spec.num_actions(opp_player))
@@ -287,14 +291,13 @@ def test_criterion_7_maximin_baseline(built_scenarios, seed_batches):
     scenario, hierarchy, kernel, _ = built_scenarios("intersection")
     horizon = scenario.config.horizon
     seq = maximin_plan(scenario.spec, scenario.initial_state)
-    table = scenario.spec.transition_table
     robust = True
     for env_seq in itertools.product(
         range(scenario.spec.num_env_actions), repeat=horizon
     ):
         x = scenario.initial_state
         for tau in range(horizon):
-            x = int(table[x, seq[tau], env_seq[tau]])
+            x = joint_successor(scenario.spec, x, seq[tau], env_seq[tau])
             robust &= bool(scenario.spec.safe_set[x])
 
     mm_log = run_episode(

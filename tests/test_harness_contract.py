@@ -58,8 +58,8 @@ def test_scenario_kernel_has_the_csr_arrays(built_scenarios):
 def test_patch_points_are_called_on_the_main_thread(tmp_path, monkeypatch):
     # The tracer's span stack is not thread-safe, so every patched name must
     # be called on the main thread, also while a start-up runs work on a
-    # second thread (the game digest, the Q builds' second worker).  A
-    # start-up calls each anchor and the content hash through cli's names.
+    # second thread (the Q builds' second worker).  A start-up calls each
+    # anchor and the content hash through cli's names.
     from chplanner import cli, hierarchy
     from chplanner.traffic import default_config
 

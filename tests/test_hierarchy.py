@@ -92,10 +92,10 @@ def test_softmax_rejects_nonpositive_temperature():
 
 def test_compute_q_single_step_is_expected_successor_reward():
     rng = np.random.default_rng(1)
-    spec, table, r1, _, _ = random_game(rng, nx=5, nu1=2, nu2=3, horizon=1)
-    opp = random_policy(rng, 0, ENV, 5, 3)
+    spec, table, r1, _, _ = random_game(rng, n_e=2, n_h=3, nu1=2, nu2=3, horizon=1)
+    opp = random_policy(rng, 0, ENV, 6, 3)
     q = compute_q(spec, EGO, opp)
-    for x in range(5):
+    for x in range(6):
         for u in range(2):
             expected = sum(opp.probs[x, o] * r1[table[x, u, o]] for o in range(3))
             assert q.values[x, u] == pytest.approx(expected, abs=1e-12)
@@ -103,7 +103,7 @@ def test_compute_q_single_step_is_expected_successor_reward():
 
 def test_compute_q_deterministic_opponent_matches_tree_search():
     rng = np.random.default_rng(2)
-    spec, table, r1, _, _ = random_game(rng, nx=6, nu1=3, nu2=2, horizon=2)
+    spec, table, r1, _, _ = random_game(rng, n_e=2, n_h=3, nu1=3, nu2=2, horizon=2)
     onehot = np.zeros((6, 2))
     onehot[np.arange(6), rng.integers(0, 2, size=6)] = 1.0
     opp = PolicyTable(0, ENV, onehot)
@@ -117,7 +117,7 @@ def test_compute_q_identity_transition_geometric_sum():
     lam = 0.7
     horizon = 4
     spec = make_spec(
-        np.zeros((1, 2, 2), int), [reward], [0.0], [True],
+        np.zeros((1, 2), int), np.zeros((1, 2), int), [reward], [0.0], [True],
         discount=lam, horizon=horizon,
     )
     opp = PolicyTable(0, ENV, np.full((1, 2), 0.5))
@@ -130,11 +130,12 @@ def test_compute_q_identity_transition_geometric_sum():
 def test_compute_q_matches_brute_force_oracle(player):
     rng = np.random.default_rng(11)
     for _ in range(8):
-        nx = int(rng.integers(2, 11))
+        n_e, n_h = (int(n) for n in rng.integers(1, 4, size=2))
+        nx = n_e * n_h
         nu1 = int(rng.integers(2, 4))
         nu2 = int(rng.integers(2, 4))
         horizon = int(rng.integers(1, 4))
-        spec, *_ = random_game(rng, nx, nu1, nu2, horizon=horizon)
+        spec, *_ = random_game(rng, n_e, n_h, nu1, nu2, horizon=horizon)
         opp_player = ENV if player == EGO else EGO
         opp = random_policy(rng, 0, opp_player, nx, spec.num_actions(opp_player))
         q = compute_q(spec, player, opp)
@@ -150,24 +151,27 @@ def test_compute_q_is_bit_identical_to_row_sum_backups(player, n_opp):
     # around 8 and 128 are where numpy's own row sum changes its order.
     rng = np.random.default_rng(100 + n_opp)
     for horizon in (1, 2, 3):
-        nx = int(rng.integers(5, 12))
+        n_e, n_h = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        nx = n_e * n_h
         n_own = int(rng.integers(2, 4))
         nu1, nu2 = (n_own, n_opp) if player == EGO else (n_opp, n_own)
-        spec, *_ = random_game(rng, nx, nu1, nu2, horizon=horizon)
+        spec, *_ = random_game(rng, n_e, n_h, nu1, nu2, horizon=horizon)
         opp_player = ENV if player == EGO else EGO
         opp = softmax_policy(QTable(0, opp_player, rng.normal(size=(nx, n_opp)) * 3.0))
         got = compute_q(spec, player, opp).values
         assert got.tobytes() == row_sum_q_reference(spec, player, opp).tobytes()
 
 
-def _split_game(rng, player, n_opp, horizon, nx=9):
+def _split_game(rng, player, n_opp, horizon, grid=(3, 3)):
     # Rewards of both signs, mostly negative, and an opponent whose rows are
     # partly one-hot, so many terms are exact zeros.
     n_own = 3 if horizon < 4 else 2
     nu1, nu2 = (n_own, n_opp) if player == EGO else (n_opp, n_own)
+    (n_e, n_h), nx = grid, grid[0] * grid[1]
     spec = make_spec(
-        rng.integers(0, nx, size=(nx, nu1, nu2)), rng.normal(size=nx) - 1.0,
-        -rng.exponential(size=nx), np.ones(nx, bool), horizon=horizon,
+        rng.integers(0, n_e, size=(n_e, nu1)), rng.integers(0, n_h, size=(n_h, nu2)),
+        rng.normal(size=nx) - 1.0, -rng.exponential(size=nx), np.ones(nx, bool),
+        horizon=horizon,
     )
     opp_player = ENV if player == EGO else EGO
     probs = softmax_policy(QTable(0, opp_player, rng.normal(size=(nx, n_opp)) * 3.0)).probs.copy()
@@ -202,7 +206,7 @@ def test_compute_q_split_under_fast_thread_switching(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for player, n_opp in ((EGO, 3), (ENV, 9)):
-            spec, opp = _split_game(rng, player, n_opp, 4, nx=300)
+            spec, opp = _split_game(rng, player, n_opp, 4, grid=(15, 20))
             want = row_sum_q_reference(spec, player, opp).tobytes()
             for _ in range(3):
                 assert compute_q(spec, player, opp).values.tobytes() == want
@@ -220,14 +224,15 @@ def test_q_worker_allocates_nothing_state_sized():
     # Every buffer comes from the caller (glibc would keep a worker thread's
     # allocations resident in its own arena after the thread ends).  Traced
     # inline on a 9-action opponent; one state vector is 160 KB.
-    nx, n_opp, horizon = 20_000, 9, 3
+    grid, n_opp, horizon = (100, 200), 9, 3
+    nx = grid[0] * grid[1]
     rng = np.random.default_rng(21)
-    spec, opp = _split_game(rng, ENV, n_opp, horizon, nx=nx)
-    succ = np.ascontiguousarray(spec.transition_table.transpose(2, 1, 0), dtype=np.intp)
+    spec, opp = _split_game(rng, ENV, n_opp, horizon, grid=grid)
     tables = hierarchy._Tables(
-        succ, spec.rewards(ENV), np.ascontiguousarray(opp.probs.T), spec.discount
+        np.ascontiguousarray(spec.env_successors.T, dtype=np.intp),
+        np.ascontiguousarray(spec.ego_successors.T, dtype=np.intp), 1, spec.rewards(ENV), np.ascontiguousarray(opp.probs.T), spec.discount,
     )
-    scratches = [hierarchy._scratch(3, n_opp, nx, horizon) for _ in range(2)]
+    scratches = [hierarchy._scratch(3, n_opp, grid, horizon) for _ in range(2)]
     tracemalloc.start()
     try:
         for k, scratch in enumerate(scratches):
@@ -243,16 +248,17 @@ def test_q_worker_allocates_nothing_state_sized():
 
 @pytest.mark.parametrize("player, n_opp", [(ENV, 9), (EGO, 3)])
 def test_compute_q_gathers_no_reward_table(monkeypatch, player, n_opp):
-    # The reward is folded into each tail, so a build holds the successor
-    # table, the workers' scratch sets, the opponent's columns and the Q
-    # table (twice, with its finiteness check), but no (|U_own|, |U_opp|,
-    # |X|) table of gathered rewards, which alone is as large as succ.
-    nx, n_own, horizon, workers = 20_000, 3, 3, 2
+    # The reward is folded into each tail and the successors are gathered
+    # from the two vehicles' tables, so a build holds the workers' scratch
+    # sets, the opponent's columns, the Q table (twice, with its finiteness
+    # check) and two more state vectors of slack, but no (|U_own|, |U_opp|,
+    # |X|) table of joint successors or of gathered rewards.
+    grid, n_own, horizon, workers = (100, 200), 3, 3, 2
+    nx = grid[0] * grid[1]
     monkeypatch.setattr(hierarchy, "_worker_count", lambda n_tails: workers)
-    spec, opp = _split_game(np.random.default_rng(24), player, n_opp, horizon, nx=nx)
-    succ_bytes = n_own * n_opp * nx * np.dtype(np.intp).itemsize
-    scratch_bytes = sum(a.nbytes for a in hierarchy._scratch(n_own, n_opp, nx, horizon))
-    bound = succ_bytes + workers * scratch_bytes + n_opp * nx * 8 + 2 * nx * n_own * 8
+    spec, opp = _split_game(np.random.default_rng(24), player, n_opp, horizon, grid=grid)
+    scratch_bytes = sum(a.nbytes for a in hierarchy._scratch(n_own, n_opp, grid, horizon))
+    bound = workers * scratch_bytes + n_opp * nx * 8 + 2 * nx * n_own * 8 + 2 * nx * 8
     tracemalloc.start()
     try:
         compute_q(spec, player, opp)
@@ -339,7 +345,8 @@ def test_policy_and_q_tables_are_read_only():
 
 
 def test_compute_q_rejects_same_player_policy():
-    spec = make_spec(np.zeros((2, 2, 2), int), [0, 0], [0, 0], [True, True])
+    spec = make_spec(np.zeros((2, 2), int), np.zeros((1, 2), int), [0, 0], [0, 0],
+                     [True, True])
     own = PolicyTable(0, EGO, np.full((2, 2), 0.5))
     with pytest.raises(ValueError):
         compute_q(spec, EGO, own)
@@ -353,7 +360,7 @@ def _anchors(rng, spec):
 
 def test_build_hierarchy_k0_returns_anchors_only():
     rng = np.random.default_rng(3)
-    spec, *_ = random_game(rng, 4, 2, 2)
+    spec, *_ = random_game(rng, 2, 2, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 0, ego0, env0)
     assert h.k_max == 0
@@ -362,7 +369,7 @@ def test_build_hierarchy_k0_returns_anchors_only():
 
 def test_build_hierarchy_rejects_negative_k():
     rng = np.random.default_rng(4)
-    spec, *_ = random_game(rng, 3, 2, 2)
+    spec, *_ = random_game(rng, 1, 3, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     with pytest.raises(ValueError):
         build_hierarchy(spec, -1, ego0, env0)
@@ -372,7 +379,7 @@ def test_build_hierarchy_one_state_hand_computed():
     # Single state, identity transition: env level 1 is the softmax of the
     # discounted-sum of its own successor reward, constant across actions.
     lam = 0.8
-    spec = make_spec(np.zeros((1, 2, 2), int), [1.0], [2.0], [True],
+    spec = make_spec(np.zeros((1, 2), int), np.zeros((1, 2), int), [1.0], [2.0], [True],
                      discount=lam, horizon=1)
     ego0 = PolicyTable(0, EGO, np.array([[0.3, 0.7]]))
     env0 = PolicyTable(0, ENV, np.array([[1.0, 0.0]]))
@@ -385,7 +392,7 @@ def test_build_hierarchy_one_state_hand_computed():
 
 def test_build_hierarchy_env_ladder_dependencies():
     rng = np.random.default_rng(5)
-    spec, *_ = random_game(rng, 5, 2, 3)
+    spec, *_ = random_game(rng, 2, 3, 2, 3)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
     ego1 = softmax_policy(compute_q(spec, EGO, env0))
@@ -395,7 +402,7 @@ def test_build_hierarchy_env_ladder_dependencies():
 
     # env[2] responds to ego[1], which depends only on env[0]: changing ego0
     # moves env[1] and leaves env[2] unchanged.
-    other_ego0 = random_policy(rng, 0, EGO, 5, 2)
+    other_ego0 = random_policy(rng, 0, EGO, 6, 2)
     h2 = build_hierarchy(spec, 2, other_ego0, env0)
     assert not np.array_equal(h.env(1).probs, h2.env(1).probs)
     assert np.array_equal(h.env(2).probs, h2.env(2).probs)
@@ -411,7 +418,7 @@ def test_build_hierarchy_computes_only_the_needed_rungs(monkeypatch):
 
     monkeypatch.setattr("chplanner.hierarchy.compute_q", spy)
     rng = np.random.default_rng(7)
-    spec, *_ = random_game(rng, 4, 2, 3)
+    spec, *_ = random_game(rng, 2, 2, 2, 3)
     ego0, env0 = _anchors(rng, spec)
     build_hierarchy(spec, 2, ego0, env0)
     assert calls == [(ENV, 1), (EGO, 1), (ENV, 2)]
@@ -419,7 +426,7 @@ def test_build_hierarchy_computes_only_the_needed_rungs(monkeypatch):
 
 def test_build_hierarchy_is_bit_for_bit_deterministic():
     rng = np.random.default_rng(6)
-    spec, *_ = random_game(rng, 6, 3, 2)
+    spec, *_ = random_game(rng, 2, 3, 3, 2)
     ego0, env0 = _anchors(rng, spec)
     h1 = build_hierarchy(spec, 2, ego0, env0)
     h2 = build_hierarchy(spec, 2, ego0, env0)
@@ -430,10 +437,12 @@ def test_build_hierarchy_is_bit_for_bit_deterministic():
 
 def _saved_hierarchy(tmp_path, seed):
     rng = np.random.default_rng(seed)
-    spec, *_ = random_game(rng, 5, 2, 2)
+    spec, *_ = random_game(rng, 2, 3, 2, 2)
     ego0, env0 = _anchors(rng, spec)
     h = build_hierarchy(spec, 2, ego0, env0)
-    content = hierarchy_content_hash([5, 2], [0.9], [(spec.transition_table, "<i4")])
+    content = hierarchy_content_hash(
+        [2, 3, 2], [0.9], [(spec.ego_successors, "<i4"), (spec.env_successors, "<i4")]
+    )
     path = tmp_path / "cache.npz"
     save_hierarchy(path, h, content)
     return h, content, path

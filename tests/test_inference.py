@@ -22,6 +22,7 @@ from oracles import (
     csr_rows_reference,
     dense_posterior_oracle,
     dense_predict_oracle,
+    joint_table,
     kernel_csr_oracle,
     kernel_row_check_reference,
     level_likelihoods_csr_reference,
@@ -32,17 +33,28 @@ from oracles import (
 )
 
 
-def _kernel_for(table, policies, horizon=3):
-    nx, nu1, nu2 = table.shape
-    spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool), horizon=horizon)
+def _zero_spec(ego, env, horizon=3):
+    """A product game of the given successor tables with zero rewards, all safe."""
+    nx = len(ego) * len(env)
+    return make_spec(ego, env, np.zeros(nx), np.zeros(nx), np.ones(nx, bool), horizon=horizon)
+
+
+def _kernel_for(ego, env, policies, horizon=3):
+    spec = _zero_spec(ego, env, horizon)
     return spec, build_kernel(spec, policies)
 
 
+# One ego cell and action: the env vehicle's table is the whole transition.
+ONE_EGO_CELL = [[0]]
+# One env cell and action: the ego's table is the whole transition.
+ONE_ENV_CELL = [[0]]
+
+
 def test_kernel_one_hot_policy_gives_unit_rows():
-    table = np.array([[[1, 0]], [[0, 1]]])  # 2 states, 1 ego action, 2 env actions
+    env = [[1, 0], [0, 1]]  # 2 states, 1 ego action, 2 env actions
     onehot = np.zeros((2, 2))
     onehot[:, 0] = 1.0
-    _, kernel = _kernel_for(table, {1: PolicyTable(1, ENV, onehot)})
+    _, kernel = _kernel_for(ONE_EGO_CELL, env, {1: PolicyTable(1, ENV, onehot)})
     targets, probs = kernel.row(0, 0)
     assert list(targets) == [1] and list(probs) == [1.0]
     targets, probs = kernel.row(1, 0)
@@ -50,18 +62,18 @@ def test_kernel_one_hot_policy_gives_unit_rows():
 
 
 def test_kernel_uniform_policy_splits_mass():
-    table = np.array([[[1, 2]], [[1, 1]], [[2, 2]]])
+    env = [[1, 2], [1, 1], [2, 2]]
     uniform = PolicyTable(1, ENV, np.full((3, 2), 0.5))
-    _, kernel = _kernel_for(table, {1: uniform})
+    _, kernel = _kernel_for(ONE_EGO_CELL, env, {1: uniform})
     targets, probs = kernel.row(0, 0)
     assert list(targets) == [1, 2]
     assert np.allclose(probs, 0.5)
 
 
 def test_kernel_aggregates_same_successor():
-    table = np.array([[[1, 1]], [[1, 1]]])  # both env actions reach state 1
+    env = [[1, 1], [1, 1]]  # both env actions reach state 1
     policy = PolicyTable(1, ENV, np.array([[0.3, 0.7], [0.3, 0.7]]))
-    _, kernel = _kernel_for(table, {1: policy})
+    _, kernel = _kernel_for(ONE_EGO_CELL, env, {1: policy})
     targets, probs = kernel.row(0, 0)
     assert list(targets) == [1]
     assert probs[0] == pytest.approx(1.0, abs=1e-12)
@@ -69,27 +81,28 @@ def test_kernel_aggregates_same_successor():
 
 def test_kernel_rows_stochastic_and_level_conserving():
     rng = np.random.default_rng(0)
-    spec, table, *_ = random_game(rng, nx=7, nu1=3, nu2=3)
+    spec, table, *_ = random_game(rng, n_e=2, n_h=4, nu1=3, nu2=3)
     policies = {
-        1: random_policy(rng, 1, ENV, 7, 3),
-        2: random_policy(rng, 2, ENV, 7, 3),
+        1: random_policy(rng, 1, ENV, 8, 3),
+        2: random_policy(rng, 2, ENV, 8, 3),
     }
     kernel = build_kernel(spec, policies)
     for aug in range(kernel.num_augmented):
         for u1 in range(kernel.num_ego_actions):
             targets, probs = kernel.row(aug, u1)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert (targets // 7 == aug // 7).all()  # level never changes
+            assert (targets // 8 == aug // 8).all()  # level never changes
 
 
 def _zero_pattern_game(rng):
-    """23 states x 2 ego x 4 env actions, three levels with planted zero patterns."""
-    nx, nu1, nu2 = 23, 2, 4
-    spec, table, *_ = random_game(rng, nx, nu1, nu2)
-    table = table.copy()  # the spec holds the table read-only
-    table[::2, :, 3] = table[::2, :, 0]  # duplicate successors to merge
-    table[::3, 0, :] = table[::3, 0, :1]  # rows whose four entries share one target
-    spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
+    """6 x 4 cells, 2 ego x 4 env actions, three levels with planted zero patterns."""
+    n_e, n_h, nu1, nu2 = 6, 4, 2, 4
+    nx = n_e * n_h
+    spec, *_ = random_game(rng, n_e, n_h, nu1, nu2)
+    env = spec.env_successors.copy()  # the spec holds the table read-only
+    env[::2, 3] = env[::2, 0]  # duplicate successors to merge
+    env[::3, :] = env[::3, :1]  # rows whose four entries share one target
+    spec = _zero_spec(spec.ego_successors, env)
     probs = rng.dirichlet(np.ones(nu2), size=(3, nx))
     # Level 1: the duplicate pair {0, 3} loses its first entry everywhere and
     # all its mass in every fourth state; a one-target row then merges a
@@ -107,12 +120,13 @@ def _zero_pattern_game(rng):
 
 
 def _wide_game(rng):
-    """|U2| = 12 onto 3 states, so runs of 9 or more equal targets merge pairwise."""
-    nx, nu1, nu2 = 3, 3, 12
-    table = rng.integers(0, nx, size=(nx, nu1, nu2))
-    table[0, 0, :] = 1  # one target for all twelve entries
-    table[1, 1, :10] = 2  # ten entries on one target, two elsewhere
-    spec = make_spec(table, np.zeros(nx), np.zeros(nx), np.ones(nx, bool))
+    """|U2| = 12 onto 3 env cells, so runs of 9 or more equal targets merge pairwise."""
+    n_e, n_h, nu1, nu2 = 2, 3, 3, 12
+    nx = n_e * n_h
+    env = rng.integers(0, n_h, size=(n_h, nu2))
+    env[0, :] = 1  # one target for all twelve entries
+    env[1, :10] = 2  # ten entries on one target, two elsewhere
+    spec = _zero_spec(rng.integers(0, n_e, size=(n_e, nu1)), env)
     # Masses spread over decades make the pairwise and left-to-right sums differ.
     probs = rng.random((2, nx, nu2)) * 10.0 ** rng.integers(-6, 1, size=(2, nx, nu2))
     probs[1][rng.random((nx, nu2)) < 0.2] = 0.0
@@ -124,7 +138,7 @@ def _wide_game(rng):
 
 @pytest.mark.parametrize("block_entries", [1, 30, 1 << 17])
 def test_kernel_matches_row_by_row_oracle_across_blocks(monkeypatch, block_entries):
-    # 3 levels of 23 states x 2 ego actions are 138 rows of 4 entries: with
+    # 3 levels of 24 states x 2 ego actions are 144 rows of 4 entries: with
     # 30 entries a block of the CSR view holds 7 rows, so blocks straddle
     # states and levels and the last block is short; 1 entry is less than
     # one row's 4, which still makes one-row blocks.
@@ -163,11 +177,11 @@ def test_expand_rows_matches_oracle_rows(game):
         # Some run of 9 or more equal targets sums otherwise pairwise than left
         # to right, so the rows above cover numpy's pairwise branch.
         differs = []
+        table = joint_table(spec)
         for policy in policies.values():
-            for x, u1, target in ((0, 0, 1), (1, 1, 2)):
-                run = [p for p, t in zip(policy.probs[x].tolist(),
-                                         spec.transition_table[x, u1].tolist())
-                       if p > 0.0 and t == target]
+            for x, u1 in ((0, 0), (1, 1)):  # env cells 0 and 1: 12 and 10 equal targets
+                run = [p for p, t in zip(policy.probs[x].tolist(), table[x, u1].tolist())
+                       if p > 0.0 and t == table[x, u1, 0]]
                 left_to_right = 0.0
                 for p in run:
                     left_to_right += p
@@ -212,6 +226,60 @@ def test_bayes_update_matches_the_stored_kernel_rule(game):
     assert retries > 0
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_expand_rows_matches_the_oracle_on_random_product_games(seed):
+    # Every row of random product games, all at once and one at a time,
+    # against the oracle that composes each target from the definition.
+    # With n_h < |U2| two env actions share a target in every row, so the
+    # rows merge targets.
+    rng = np.random.default_rng(400 + seed)
+    n_e, n_h = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    nu1, nu2 = int(rng.integers(1, 4)), int(rng.integers(n_h + 1, 7))
+    spec, *_ = random_game(rng, n_e, n_h, nu1, nu2)
+    nx = spec.num_states
+    policies = {}
+    for k in (1, 3):
+        probs = rng.dirichlet(np.ones(nu2), size=nx) * (rng.random((nx, nu2)) < 0.7)
+        probs[probs.sum(axis=1) == 0.0, -1] = 1.0
+        policies[k] = PolicyTable(k, ENV, probs / probs.sum(axis=1, keepdims=True))
+    kernel = build_kernel(spec, policies)
+    csr = kernel_csr_oracle(spec, policies)
+    rows = np.arange(csr[0].size - 1)
+    for got, want in zip(kernel.expand_rows(rows), csr_rows_reference(csr, rows)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for r in rng.permutation(rows)[:40]:
+        got = kernel.expand_rows(np.array([r]))
+        for a, b in zip(got, csr_rows_reference(csr, [r])):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_bayes_update_rejects_an_observation_off_the_ego_move():
+    # y's ego cell must be the ego's successor cell: an observation whose
+    # env cell some env action reaches, with the ego elsewhere, has zero
+    # likelihood under every level, and the floor retry gives the uniform
+    # posterior.
+    ego = [[1, 2], [2, 0], [0, 1]]  # 3 ego cells, 2 ego actions
+    env = [[1, 0, 1], [1, 1, 0]]  # 2 env cells, 3 env actions
+    policies = {k: PolicyTable(k, ENV, np.full((6, 3), 1.0 / 3.0)) for k in (1, 2, 3)}
+    spec, kernel = _kernel_for(ego, env, policies)
+    prior = Belief(state=2 * 2 + 1, weights=[0.2, 0.5, 0.3])  # ego cell 2, env cell 1
+    u1 = 1
+    assert spec.ego_successors[2, u1] == 1
+    for y_e in range(3):
+        for y_h in range(2):
+            y = y_e * 2 + y_h
+            if y_e == 1:
+                post = bayes_update(kernel, prior, u1, y)
+                assert post.weights.tolist() == pytest.approx([0.2, 0.5, 0.3], abs=1e-15)
+                continue
+            assert inference._level_likelihoods(kernel, prior, u1, y).tolist() == [0.0] * 3
+            with pytest.raises(InconsistentObservationError):
+                bayes_update(kernel, prior, u1, y)
+            post = bayes_update(kernel, prior, u1, y, floor=1e-9)
+            assert post.state == y
+            assert post.weights.tolist() == [1.0 / 3.0] * 3
+
+
 def _policy_row(draw, nu2):
     """A policy row that is a distribution or misses being one in a chosen way."""
     row = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=nu2, max_size=nu2)))
@@ -239,10 +307,14 @@ def _policy_row(draw, nu2):
 
 @st.composite
 def _policy_cases(draw):
-    nx, nu1, nu2 = 2, 2, draw(st.integers(1, 4))
-    table = np.array(draw(st.lists(st.integers(0, nx - 1), min_size=nx * nu1 * nu2,
-                                   max_size=nx * nu1 * nu2))).reshape(nx, nu1, nu2)
-    return table, np.array([_policy_row(draw, nu2) for _ in range(nx)])
+    (n_e, n_h), nu1, nu2 = draw(st.sampled_from([(1, 2), (2, 1)])), 2, draw(st.integers(1, 4))
+
+    def successors(n, nu):
+        return np.array(draw(st.lists(st.integers(0, n - 1), min_size=n * nu,
+                                      max_size=n * nu))).reshape(n, nu)
+
+    spec = _zero_spec(successors(n_e, nu1), successors(n_h, nu2))
+    return spec, np.array([_policy_row(draw, nu2) for _ in range(n_e * n_h)])
 
 
 def _edge_band(nu2):
@@ -259,26 +331,27 @@ def test_policy_table_rejects_what_the_dropped_kernel_checks_rejected(case):
     # Every policy the stored kernel's checks rejected fails PolicyTable,
     # except one with a row summing within _edge_band under the tolerance
     # edge, which PolicyTable and the kernel now both accept.
-    table, probs = case
-    if kernel_row_check_reference(table, [probs]) is None:
+    spec, probs = case
+    if kernel_row_check_reference(joint_table(spec), [probs]) is None:
         return
     try:
         policy = PolicyTable(1, ENV, probs)
     except ValueError:
         return
     deviation = np.abs(probs.sum(axis=1) - 1.0).max()
-    assert ROW_SUM_TOL - _edge_band(table.shape[2]) <= deviation <= ROW_SUM_TOL
-    build_kernel(make_spec(table, np.zeros(2), np.zeros(2), np.ones(2, bool)), {1: policy})
+    assert ROW_SUM_TOL - _edge_band(spec.num_env_actions) <= deviation <= ROW_SUM_TOL
+    build_kernel(spec, {1: policy})
 
 
 def test_a_row_at_the_tolerance_edge_now_builds():
     # The band case, pinned: with its -0.6e-12 entry the row sums to
     # 1 + 0.9997e-9, so PolicyTable accepts it; without that entry it sums to
     # 1 + 1.0003e-9, which the stored kernel's check rejected.
-    table = np.array([[[0, 1, 1]], [[0, 1, 1]]])
+    env = [[0, 1, 1], [0, 1, 1]]
     probs = np.array([[0.6, 0.4 + ROW_SUM_TOL + 0.3e-12, -0.6e-12]] * 2)
-    assert kernel_row_check_reference(table, [probs]) == "kernel rows do not sum to 1"
-    _, kernel = _kernel_for(table, {1: PolicyTable(1, ENV, probs)})
+    spec, kernel = _kernel_for(ONE_EGO_CELL, env, {1: PolicyTable(1, ENV, probs)})
+    assert (kernel_row_check_reference(joint_table(spec), [probs])
+            == "kernel rows do not sum to 1")
     targets, row_probs = kernel.row(0, 0)
     assert targets.tolist() == [0, 1]
     assert abs(row_probs.sum() - 1.0) <= ROW_SUM_TOL + _edge_band(3)
@@ -286,10 +359,10 @@ def test_a_row_at_the_tolerance_edge_now_builds():
 
 def test_build_kernel_allocates_nothing_table_sized():
     # The kernel references the spec's and the policies' tables, so building
-    # it on a 20,000-state game (a 1.4 MB table) stays under 1 MiB traced.
+    # it on a 20,000-state game (two 480 KB policies) stays under 1 MiB traced.
     rng = np.random.default_rng(5)
     nx, nu1, nu2 = 20_000, 3, 3
-    spec, *_ = random_game(rng, nx, nu1, nu2)
+    spec, *_ = random_game(rng, 100, 200, nu1, nu2)
     policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in (1, 2)}
     tracemalloc.start()
     try:
@@ -298,7 +371,8 @@ def test_build_kernel_allocates_nothing_table_sized():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20, peak
-    assert kernel.transition_table is spec.transition_table
+    assert kernel.ego_successors is spec.ego_successors
+    assert kernel.env_successors is spec.env_successors
     assert all(a is policies[k].probs for a, k in zip(kernel.env_probs, (1, 2)))
 
 
@@ -310,7 +384,7 @@ def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
     monkeypatch.setattr(inference, "KERNEL_BLOCK_ENTRIES", 1 << 12)
     rng = np.random.default_rng(5)
     nx, nu1, nu2 = 20_000, 3, 3
-    spec, *_ = random_game(rng, nx, nu1, nu2)
+    spec, *_ = random_game(rng, 100, 200, nu1, nu2)
     policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in (1, 2)}
     kernel = build_kernel(spec, policies)
     tracemalloc.start()
@@ -324,19 +398,56 @@ def test_kernel_build_holds_little_beyond_its_csr(monkeypatch):
 
 def test_kernel_tables_are_read_only_and_shared(built_scenarios):
     rng = np.random.default_rng(3)
-    spec, *_ = random_game(rng, nx=4, nu1=2, nu2=2)
+    spec, *_ = random_game(rng, n_e=2, n_h=2, nu1=2, nu2=2)
     policy = random_policy(rng, 1, ENV, 4, 2)
     build_kernel(spec, {1: policy})
-    for arr in (spec.transition_table, policy.probs):
+    for arr in (spec.ego_successors, spec.env_successors, policy.probs):
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = arr[0, 0]
     for name in ("intersection", "overtaking", "merging"):
         scenario, hierarchy, kernel, _ = built_scenarios(name)
-        assert kernel.transition_table is scenario.spec.transition_table
-        assert not kernel.transition_table.flags.writeable
+        assert kernel.ego_successors is scenario.spec.ego_successors
+        assert kernel.env_successors is scenario.spec.env_successors
+        assert not kernel.ego_successors.flags.writeable
+        assert not kernel.env_successors.flags.writeable
         for probs, level in zip(kernel.env_probs, scenario.config.levels):
             assert probs is hierarchy.env(level).probs
             assert not probs.flags.writeable
+
+
+def _reachable_arrays(obj, seen):
+    """Every ndarray reachable from ``obj`` through attributes, containers and bases."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+        children = [obj.base]
+    elif isinstance(obj, dict):
+        children = obj.values()
+    elif isinstance(obj, (tuple, list)):
+        children = obj
+    elif hasattr(obj, "__dict__"):
+        children = vars(obj).values()
+    else:
+        return
+    for child in children:
+        yield from _reachable_arrays(child, seen)
+
+
+@pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
+def test_no_kept_array_is_as_large_as_a_joint_table(built_scenarios, name):
+    # The game is held as its two successor tables: nothing a scenario, its
+    # spec or a fresh kernel keeps reaches |X| * |U1| * |U2| entries; the
+    # largest are the env policies' |X| * |U2|.
+    scenario, hierarchy, _, _ = built_scenarios(name)
+    spec = scenario.spec
+    kernel = cli.scenario_kernel(scenario, hierarchy)
+    bound = spec.num_states * max(spec.num_ego_actions, spec.num_env_actions)
+    arrays = list(_reachable_arrays((scenario, spec, kernel), set()))
+    assert any(arr is spec.ego_successors for arr in arrays)
+    assert any(arr is kernel.env_probs[0] for arr in arrays)
+    assert max(arr.size for arr in arrays) <= bound
 
 
 def test_start_up_and_episodes_leave_the_csr_view_unbuilt(cache_dir):
@@ -352,7 +463,7 @@ def test_start_up_and_episodes_leave_the_csr_view_unbuilt(cache_dir):
 
 def test_kernel_arrays_are_read_only():
     rng = np.random.default_rng(3)
-    spec, *_ = random_game(rng, nx=4, nu1=2, nu2=2)
+    spec, *_ = random_game(rng, n_e=2, n_h=2, nu1=2, nu2=2)
     kernel = build_kernel(spec, {1: random_policy(rng, 1, ENV, 4, 2)})
     for arr in (kernel.indptr, kernel.targets, kernel.probs):
         with pytest.raises(ValueError, match="read-only"):
@@ -361,7 +472,7 @@ def test_kernel_arrays_are_read_only():
 
 def test_kernel_rejects_wrong_player_or_shape():
     rng = np.random.default_rng(1)
-    spec, *_ = random_game(rng, 4, 2, 2)
+    spec, *_ = random_game(rng, 2, 2, 2, 2)
     from chplanner.game import EGO
 
     with pytest.raises(ValueError):
@@ -371,17 +482,17 @@ def test_kernel_rejects_wrong_player_or_shape():
 
 
 def test_predict_point_mass_deterministic_chain():
-    table = np.array([[[1]], [[2]], [[2]]])  # 1 ego action, 1 env action
+    ego = [[1], [2], [2]]  # 1 ego action, 1 env action
     onehot = np.ones((3, 1))
-    _, kernel = _kernel_for(table, {1: PolicyTable(1, ENV, onehot)})
+    _, kernel = _kernel_for(ego, ONE_ENV_CELL, {1: PolicyTable(1, ENV, onehot)})
     b = init_belief(0, [1.0], 3)
     nxt = predict(kernel, b, np.array([1.0]))
     assert np.allclose(nxt, [0.0, 1.0, 0.0])
 
 
 def test_predict_uniform_gamma_splits_on_ego_actions():
-    table = np.array([[[1], [2]], [[1], [1]], [[2], [2]]])  # 2 ego actions
-    _, kernel = _kernel_for(table, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
+    ego = [[1, 2], [1, 1], [2, 2]]  # 2 ego actions
+    _, kernel = _kernel_for(ego, ONE_ENV_CELL, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     b = init_belief(0, [1.0], 3)
     nxt = predict(kernel, b, np.array([0.5, 0.5]))
     assert np.allclose(nxt, [0.0, 0.5, 0.5])
@@ -389,11 +500,11 @@ def test_predict_uniform_gamma_splits_on_ego_actions():
 
 def test_predict_matches_dense_kronecker_oracle():
     rng = np.random.default_rng(2)
-    spec, *_ = random_game(rng, nx=3, nu1=2, nu2=2)  # 6 augmented states
-    policies = {1: random_policy(rng, 1, ENV, 3, 2), 2: random_policy(rng, 2, ENV, 3, 2)}
+    spec, *_ = random_game(rng, n_e=2, n_h=2, nu1=2, nu2=2)  # 8 augmented states
+    policies = {1: random_policy(rng, 1, ENV, 4, 2), 2: random_policy(rng, 2, ENV, 4, 2)}
     kernel = build_kernel(spec, policies)
     for _ in range(5):
-        dist = rng.dirichlet(np.ones(6))
+        dist = rng.dirichlet(np.ones(8))
         gamma = rng.dirichlet(np.ones(2))
         fast = predict(kernel, dist, gamma)
         dense = dense_predict_oracle(kernel, dist, gamma)
@@ -404,7 +515,7 @@ def test_predict_matches_dense_kronecker_oracle():
 @settings(max_examples=25, deadline=None)
 def test_predict_preserves_mass_and_is_linear(seed):
     rng = np.random.default_rng(seed)
-    spec, *_ = random_game(rng, nx=4, nu1=2, nu2=3)
+    spec, *_ = random_game(rng, n_e=2, n_h=2, nu1=2, nu2=3)
     kernel = build_kernel(spec, {1: random_policy(rng, 1, ENV, 4, 3)})
     gamma = rng.dirichlet(np.ones(2))
     d1 = rng.dirichlet(np.ones(4))
@@ -420,10 +531,10 @@ def test_predict_preserves_mass_and_is_linear(seed):
 def _two_level_observation_kernel(p1, p2):
     """2 states; env action 0 moves 0->1, action 1 stays; level k plays
     action 0 with probability pk at state 0."""
-    table = np.array([[[1, 0]], [[1, 1]]])
+    env = [[1, 0], [1, 1]]
     pol1 = PolicyTable(1, ENV, np.array([[p1, 1 - p1], [0.5, 0.5]]))
     pol2 = PolicyTable(2, ENV, np.array([[p2, 1 - p2], [0.5, 0.5]]))
-    return _kernel_for(table, {1: pol1, 2: pol2})[1]
+    return _kernel_for(ONE_EGO_CELL, env, {1: pol1, 2: pol2})[1]
 
 
 def test_bayes_update_direct_arithmetic():
@@ -524,10 +635,11 @@ def test_bayes_update_matches_dense_recursion(seed):
     # augmented space: predict the prior's dense vector under the executed
     # action, keep {y} x K, (floor,) normalise.
     rng = np.random.default_rng(seed)
-    nx = int(rng.integers(2, 6))
+    n_e, n_h = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    nx = n_e * n_h
     nu1, nu2 = int(rng.integers(1, 4)), int(rng.integers(1, 4))
     num_levels = int(rng.integers(1, 4))
-    spec, *_ = random_game(rng, nx, nu1, nu2)
+    spec, *_ = random_game(rng, n_e, n_h, nu1, nu2)
     policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in range(1, num_levels + 1)}
     for k in policies:  # sparse rows make some observations impossible
         probs = policies[k].probs * (rng.random((nx, nu2)) < 0.5)

@@ -29,17 +29,18 @@ from chplanner.planner import _CompiledHorizon, _branch_and_bound, _closed_form,
 
 from conftest import make_spec
 from oracles import (
-    lp_bound_oracle, pair_grid_oracle, profile_value_oracle, random_game, random_policy,
-    two_stage_grid_oracle,
+    JointGame, JointTableKernel, lp_bound_oracle, pair_grid_oracle, profile_value_oracle,
+    random_game, random_policy, two_stage_grid_oracle,
 )
 
 
-def _random_instance(rng, nx=None, nu1=None, nu2=None, horizon=None, num_levels=2):
-    nx = nx or int(rng.integers(2, 7))
+def _random_instance(rng, grid=None, nu1=None, nu2=None, horizon=None, num_levels=2):
+    n_e, n_h = grid or (int(rng.integers(1, 3)), int(rng.integers(2, 4)))
+    nx = n_e * n_h
     nu1 = nu1 or int(rng.integers(2, 4))
     nu2 = nu2 or int(rng.integers(2, 4))
     horizon = horizon or int(rng.integers(1, 4))
-    spec, table, r1, r2, safe = random_game(rng, nx, nu1, nu2, horizon=horizon)
+    spec, table, r1, r2, safe = random_game(rng, n_e, n_h, nu1, nu2, horizon=horizon)
     policies = {
         k: random_policy(rng, k, ENV, nx, nu2) for k in range(1, num_levels + 1)
     }
@@ -76,8 +77,7 @@ def test_decision_profile_holds_a_read_only_copy():
 
 
 def test_expected_reward_single_step_deterministic():
-    table = np.array([[[1]], [[1]]])
-    spec = make_spec(table, [0.0, 5.0], [0.0, 0.0], [True, True], horizon=1)
+    spec = make_spec([[1], [1]], [[0]], [0.0, 5.0], [0.0, 0.0], [True, True], horizon=1)
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((2, 1)))})
     belief = init_belief(0, [1.0], 2)
     profile = DecisionProfile.deterministic([0], 1)
@@ -97,7 +97,7 @@ def test_expected_reward_zero_vector_gives_zero():
 def test_expected_reward_matches_enumeration_oracle():
     rng = np.random.default_rng(1)
     spec, _, r1, safe, policies, kernel, prior, belief, stages = _random_instance(
-        rng, nx=4, nu1=2, nu2=2, horizon=2
+        rng, grid=(2, 2), nu1=2, nu2=2, horizon=2
     )
     start = belief.state
     value = expected_reward(
@@ -120,8 +120,8 @@ def test_constraint_probability_all_safe_is_one():
 
 def test_constraint_probability_single_step_violation_mass():
     # One-step game: env splits 0.3/0.7 between an unsafe and a safe state.
-    table = np.array([[[1, 2]], [[1, 1]], [[2, 2]]])
-    spec = make_spec(table, np.zeros(3), np.zeros(3), [True, False, True], horizon=1)
+    env = [[1, 2], [1, 1], [2, 2]]  # one ego cell
+    spec = make_spec([[0]], env, np.zeros(3), np.zeros(3), [True, False, True], horizon=1)
     policy = PolicyTable(1, ENV, np.array([[0.3, 0.7], [0.5, 0.5], [0.5, 0.5]]))
     kernel = build_kernel(spec, {1: policy})
     belief = init_belief(0, [1.0], 3)
@@ -137,7 +137,7 @@ def test_constraint_probability_zeroing_matches_path_enumeration():
     rng = np.random.default_rng(3)
     for _ in range(10):
         spec, _, r1, safe, policies, kernel, prior, belief, stages = _random_instance(
-            rng, nx=4, nu1=2, nu2=2, horizon=3, num_levels=2
+            rng, grid=(2, 2), nu1=2, nu2=2, horizon=3, num_levels=2
         )
         start = belief.state
         prob = constraint_probability(
@@ -167,7 +167,7 @@ def test_objective_affine_per_stage():
     """Three-point collinearity: fixing other stages, J is affine in one stage."""
     rng = np.random.default_rng(5)
     spec, _, r1, safe, _, kernel, _, belief, stages = _random_instance(
-        rng, nx=5, nu1=3, nu2=2, horizon=3
+        rng, grid=(2, 3), nu1=3, nu2=2, horizon=3
     )
     reward = r1
     for tau in range(3):
@@ -216,7 +216,7 @@ def test_vertex_values_match_enumeration_oracle(horizon):
 def test_optimize_unconstrained_attains_best_vertex():
     rng = np.random.default_rng(7)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
-        rng, nx=5, nu1=3, nu2=2, horizon=3
+        rng, grid=(2, 3), nu1=3, nu2=2, horizon=3
     )
     reward = r1
     result = optimize(kernel, reward, safe, belief, 1.0, spec.discount, 3)
@@ -243,8 +243,8 @@ def test_optimize_empty_safe_set_reports_infeasible():
 def test_optimize_concentrates_on_dominant_safe_action():
     # Action 0 leads to a safe, high-reward state; action 1 to an unsafe,
     # low-reward one.  The optimum is the pure safe action.
-    table = np.array([[[1], [2]], [[1], [1]], [[2], [2]]])
-    spec = make_spec(table, [0.0, 10.0, 2.0], np.zeros(3), [True, True, False], horizon=3)
+    ego = [[1, 2], [1, 1], [2, 2]]  # one env cell
+    spec = make_spec(ego, [[0]], [0.0, 10.0, 2.0], np.zeros(3), [True, True, False], horizon=3)
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
@@ -258,8 +258,9 @@ def test_optimize_concentrates_on_dominant_safe_action():
 def test_optimize_randomizes_at_the_constraint_boundary():
     # The unsafe action is worth more; the optimum mixes it in with mass
     # epsilon, beating every feasible vertex.
-    table = np.array([[[1], [2]], [[1], [1]], [[2], [2]]])
-    spec = make_spec(table, [0.0, 1.0, 100.0], np.zeros(3), [True, True, False], horizon=1)
+    ego = [[1, 2], [1, 1], [2, 2]]  # one env cell
+    spec = make_spec(ego, [[0]], [0.0, 1.0, 100.0], np.zeros(3), [True, True, False],
+                     horizon=1)
     kernel = build_kernel(spec, {1: PolicyTable(1, ENV, np.ones((3, 1)))})
     belief = init_belief(0, [1.0], 3)
     result = optimize(
@@ -282,18 +283,22 @@ def test_closed_form_nudges_a_rounded_down_mix_back_to_feasible(epsilon):
     # more.  For these epsilons the exact boundary weight threshold / 0.9
     # evaluates a float below the threshold; the plan must still take the
     # closed-form path and be feasible.
-    table = np.array([[[1, 2], [2, 2]], [[1, 1], [1, 1]], [[2, 2], [2, 2]]])
-    spec = make_spec(table, [0.0, 1.0, 10.0], np.zeros(3), [True, True, False], horizon=1)
-    policy = PolicyTable(1, ENV, np.array([[0.9, 0.1], [0.5, 0.5], [0.5, 0.5]]))
+    # The ego moves to cell 1 under action 0 and to cell 2 under action 1;
+    # env action 1 moves the env vehicle to cell 1.  State (1, 0) is safe
+    # and worth 1, every state with ego cell 2 or env cell 1 is unsafe and
+    # worth 10.
+    rewards = [0.0, 0.0, 1.0, 10.0, 10.0, 10.0]
+    spec = make_spec([[1, 2], [1, 1], [2, 2]], [[0, 1], [1, 1]], rewards, np.zeros(6),
+                     [True, True, True, False, False, False], horizon=1)
+    policy = PolicyTable(1, ENV, np.array([[0.9, 0.1]] + [[0.5, 0.5]] * 5))
     kernel = build_kernel(spec, {1: policy})
-    belief = init_belief(0, [1.0], 3)
+    belief = init_belief(0, [1.0], 6)
     threshold = 1.0 - epsilon
     lam = threshold / 0.9
     exact = DecisionProfile(np.array([[lam, 1.0 - lam]]))
     assert constraint_probability(kernel, spec.safe_set, belief, exact) < threshold
     result = optimize(
-        kernel, np.array([0.0, 1.0, 10.0]), spec.safe_set, belief,
-        epsilon, spec.discount, 1,
+        kernel, spec.ego_reward_table, spec.safe_set, belief, epsilon, spec.discount, 1,
     )
     assert result.path == "closed-form" and result.gap == 0.0
     assert result.constraint_probability >= threshold
@@ -330,9 +335,29 @@ def test_closed_form_plans_match_oracle_and_stay_feasible():
 
 
 def _gap_test_draw(rng, horizon=None):
-    """One random constrained-planning draw: instance plus epsilon."""
+    """One random constrained-planning draw: instance plus epsilon.
+
+    The instance is a :class:`JointGame` on a random joint table of 2 to 6
+    states, drawn as these draws always were, so the solver checks below
+    and the pinned draws keep their instances; its kernel serves the rows
+    the package's kernel would.
+    """
     nu1 = int(rng.integers(2, 5))
-    instance = _random_instance(rng, nu1=nu1, horizon=horizon)
+    nx, nu2 = int(rng.integers(2, 7)), int(rng.integers(2, 4))
+    horizon = horizon or int(rng.integers(1, 4))
+    table = rng.integers(0, nx, size=(nx, nu1, nu2))
+    r1 = rng.normal(size=nx)
+    rng.normal(size=nx)  # the env reward, which no planner reads
+    safe = rng.random(nx) < 0.7
+    if not safe.any():
+        safe[rng.integers(0, nx)] = True
+    game = JointGame(table, 0.9, horizon)
+    policies = {k: random_policy(rng, k, ENV, nx, nu2) for k in (1, 2)}
+    kernel = JointTableKernel(game, policies)
+    prior = rng.dirichlet(np.ones(2))
+    belief = init_belief(int(rng.integers(0, nx)), prior, nx)
+    stages = rng.dirichlet(np.ones(nu1), size=horizon)
+    instance = game, table, r1, safe, policies, kernel, prior, belief, stages
     return instance, float(rng.choice([0.01, 0.05, 0.2, 0.5]))
 
 
@@ -482,7 +507,7 @@ def test_box_budget_stops_the_search_with_a_valid_bound(monkeypatch):
 def test_optimize_is_deterministic():
     rng = np.random.default_rng(9)
     spec, _, r1, safe, _, kernel, _, belief, _ = _random_instance(
-        rng, nx=5, nu1=3, nu2=2, horizon=3
+        rng, grid=(2, 3), nu1=3, nu2=2, horizon=3
     )
     args = (kernel, r1, safe, belief, 0.1, spec.discount, 3)
     a = _solve(*args)  # the memo's premise, so not through the memo
@@ -587,7 +612,7 @@ def test_optimize_memo_exact_on_scenario_beliefs(built_scenarios, empty_memo):
 def test_optimize_memo_never_mixes_inputs(empty_memo):
     rng = np.random.default_rng(32)
     spec, _, _, _, policies, kernel, _, belief, _ = _random_instance(
-        rng, nx=6, nu1=3, nu2=2, horizon=3
+        rng, grid=(2, 3), nu1=3, nu2=2, horizon=3
     )
     reward, safe = _frozen_reward(spec), spec.safe_set
     base = (kernel, reward, safe, belief, 0.1, 0.9, 3)
@@ -672,7 +697,7 @@ def test_optimize_memo_keeps_no_kernel_alive(empty_memo):
 def test_optimize_memo_stays_within_its_cap(monkeypatch, empty_memo):
     monkeypatch.setattr(planner, "PLAN_MEMO_SIZE", 3)
     rng = np.random.default_rng(35)
-    spec, _, _, _, _, kernel, _, _, _ = _random_instance(rng, nx=6, horizon=2)
+    spec, _, _, _, _, kernel, _, _, _ = _random_instance(rng, grid=(2, 3), horizon=2)
     args = (kernel, _frozen_reward(spec), spec.safe_set)
     beliefs = [init_belief(x, [0.5, 0.5], 6) for x in range(6)]
     plans = []
@@ -730,16 +755,16 @@ def test_receding_horizon_step_sampling_frequencies():
 def test_maximin_single_agent_coincides_with_exhaustive_optimum():
     rng = np.random.default_rng(11)
     nx, nu1 = 5, 3
-    table1 = rng.integers(0, nx, size=(nx, nu1))
-    table = np.repeat(table1[:, :, None], 2, axis=2)  # opponent irrelevant
+    table = rng.integers(0, nx, size=(nx, nu1))
     r1 = rng.normal(size=nx)
-    spec = make_spec(table, r1, np.zeros(nx), np.ones(nx, bool), horizon=3)
+    # One env cell: the opponent's two actions are irrelevant.
+    spec = make_spec(table, [[0, 0]], r1, np.zeros(nx), np.ones(nx, bool), horizon=3)
     seq = maximin_plan(spec, 0)
 
     def value(actions):
         x, total, disc = 0, 0.0, 1.0
         for u in actions:
-            x = int(table[x, u, 0])
+            x = int(table[x, u])
             total += disc * r1[x]
             disc *= spec.discount
         return total
@@ -750,28 +775,27 @@ def test_maximin_single_agent_coincides_with_exhaustive_optimum():
 
 def test_maximin_matches_matrix_minimax():
     # One-step simultaneous game: outcome states encode the payoff matrix.
+    # Each vehicle moves from cell 0 to cell 1 + its action and stays.
     payoff = np.array([[1.0, -1.0], [-2.0, 3.0]])
-    table = np.zeros((5, 2, 2), dtype=int)
-    rewards = np.zeros(5)
+    succ = [[1, 2], [1, 1], [2, 2]]
+    rewards = np.zeros(9)
     for i in range(2):
         for j in range(2):
-            table[0, i, j] = 1 + 2 * i + j
-            rewards[1 + 2 * i + j] = payoff[i, j]
-    spec = make_spec(table, rewards, np.zeros(5), np.ones(5, bool), horizon=1)
+            rewards[(1 + i) * 3 + 1 + j] = payoff[i, j]
+    spec = make_spec(succ, succ, rewards, np.zeros(9), np.ones(9, bool), horizon=1)
     seq = maximin_plan(spec, 0)
-    achieved = min(rewards[table[0, seq[0], j]] for j in range(2))
+    achieved = min(rewards[spec.successor(0, seq[0], j)] for j in range(2))
     assert achieved == pytest.approx(payoff.min(axis=1).max(), abs=1e-12)
 
 
 def test_maximin_single_safe_action():
-    table = np.array([[[1], [2]], [[1], [1]], [[2], [2]]])
-    spec = make_spec(table, [0.0, 1.0, 50.0], np.zeros(3), [True, True, False], horizon=1)
+    ego = [[1, 2], [1, 1], [2, 2]]  # one env cell
+    spec = make_spec(ego, [[0]], [0.0, 1.0, 50.0], np.zeros(3), [True, True, False], horizon=1)
     assert maximin_plan(spec, 0) == (0,)
 
 
 def test_maximin_raises_when_everything_violates():
-    table = np.array([[[1], [1]], [[1], [1]]])
-    spec = make_spec(table, [0.0, 0.0], [0.0, 0.0], [True, False], horizon=2)
+    spec = make_spec([[1, 1], [1, 1]], [[0]], [0.0, 0.0], [0.0, 0.0], [True, False], horizon=2)
     with pytest.raises(NoRobustPlanError):
         maximin_plan(spec, 0)
 
@@ -782,8 +806,7 @@ def test_maximin_raises_when_everything_violates():
     ({"discount": 1.5}, "discount"),
 ])
 def test_maximin_rejects_bad_horizon_and_discount(kwargs, fragment):
-    table = np.array([[[1], [1]], [[1], [1]]])
-    spec = make_spec(table, [0.0, 1.0], [0.0, 0.0], [True, True], horizon=2)
+    spec = make_spec([[1, 1], [1, 1]], [[0]], [0.0, 1.0], [0.0, 0.0], [True, True], horizon=2)
     with pytest.raises(ValueError, match=fragment):
         maximin_plan(spec, 0, **kwargs)
 

@@ -31,6 +31,8 @@ from oracles import (
     classify_outcome_oracle,
     episode_complete_oracle,
     grid_closure_loop_reference,
+    joint_successor,
+    joint_table,
     level0_pick_row_reference,
     level0_row_reference,
     outcome_events_oracle,
@@ -334,7 +336,8 @@ def test_level0_policy_gathers_no_reward_table(built_scenarios, name, player):
 # sha256 of each packaged scenario's start-up tables, computed with the
 # int64 transition table and the flat-index anchors that preceded the grid
 # construction: the transition table as "<i8", both reward tables, the safe
-# set, and both anchors' probs, deterministic and softmax.
+# set, and both anchors' probs, deterministic and softmax.  No transition
+# table is built any more; the oracle's joint table stands in for it.
 STARTUP_TABLE_SHA256 = {
     "intersection": {
         "transition_table": "3a93963c374ebda7dd23097e7d0fa8ffc50f2bfb3065d3337917e7a0490e0979",
@@ -377,9 +380,9 @@ def test_startup_tables_are_pinned(built_scenarios, name):
     scenario = built_scenarios(name)[0]
     spec = scenario.spec
     soft = make_scenario(replace(scenario.config, level0_softmax=True))
-    assert spec.transition_table.dtype == np.int32
+    assert spec.ego_successors.dtype == spec.env_successors.dtype == np.int32
     got = {
-        "transition_table": sha(spec.transition_table, "<i8"),
+        "transition_table": sha(joint_table(spec), "<i8"),
         "ego_reward_table": sha(spec.ego_reward_table, "<f8"),
         "env_reward_table": sha(spec.env_reward_table, "<f8"),
         "safe_set": sha(spec.safe_set, bool),
@@ -393,10 +396,10 @@ def test_startup_tables_are_pinned(built_scenarios, name):
 
 @pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
 def test_make_scenario_allocates_only_its_tables(name):
-    # The transition table is one add over the (ego cell, human cell) grid,
-    # written into the kept table, and the objectives repeat or tile a
-    # vehicle's cell rewards: the peak is the returned arrays plus under two
-    # state vectors, with no (states, actions) table of gathered successors.
+    # The game keeps the two vehicles' successor tables, no joint table, and
+    # the objectives repeat or tile a vehicle's cell rewards: the peak is the
+    # returned arrays plus under two state vectors, with no (states, actions)
+    # table of gathered successors.
     config = default_config(name)
     tracemalloc.start()
     try:
@@ -406,7 +409,7 @@ def test_make_scenario_allocates_only_its_tables(name):
         tracemalloc.stop()
     spec = scenario.spec
     kept = sum(arr.nbytes for arr in (
-        spec.transition_table, spec.ego_reward_table, spec.env_reward_table, spec.safe_set,
+        spec.ego_successors, spec.env_successors, spec.ego_reward_table, spec.env_reward_table, spec.safe_set,
         scenario.ego_objective, scenario.env_objective, scenario.complete,
         *scenario.events.values(),
     ))
@@ -530,8 +533,10 @@ def test_each_factor_of_the_game_is_in_the_key():
     safe = scenario.spec.safe_set.copy()
     safe[np.flatnonzero(safe)[0]] = False
     variants = [
-        replace(scenario, ego_successors=successors(scenario.ego_successors)),
-        replace(scenario, human_successors=successors(scenario.human_successors)),
+        replace(scenario, spec=replace(scenario.spec, ego_successors=successors(
+            scenario.spec.ego_successors))),
+        replace(scenario, spec=replace(scenario.spec, env_successors=successors(
+            scenario.spec.env_successors))),
         replace(scenario, ego_objective=ego_cell_objective(scenario.ego_objective)),
         replace(scenario, env_objective=human_cell_objective(scenario.env_objective)),
         replace(scenario, spec=replace(scenario.spec, safe_set=safe)),
@@ -776,7 +781,7 @@ def test_state_masks_match_scalar_oracle_on_every_state(name):
 @pytest.mark.parametrize("name", ["intersection", "overtaking", "merging"])
 def test_classify_outcome_matches_oracle_on_random_walks(name):
     scenario = make_scenario(default_config(name))
-    table = scenario.spec.transition_table
+    spec = scenario.spec
     rng = np.random.default_rng(2026)
     kinds: dict[str, set] = {}
     for _ in range(1000):
@@ -784,7 +789,8 @@ def test_classify_outcome_matches_oracle_on_random_walks(name):
                  else int(rng.integers(scenario.spec.num_states)))
         walk = [state]
         for _ in range(int(rng.integers(1, 30))):
-            state = int(table[state, rng.integers(table.shape[1]), rng.integers(table.shape[2])])
+            state = joint_successor(spec, state, int(rng.integers(spec.num_ego_actions)),
+                                    int(rng.integers(spec.num_env_actions)))
             walk.append(state)
         got = classify_outcome(scenario, walk)
         want = classify_outcome_oracle(scenario, walk)
